@@ -17,7 +17,7 @@ from coinwalk import (
     CoinParams,
     LatticeSpec,
     build_step_unitary,
-    dense_amplitudes,
+    dense_series,
     evolve,
     initial_state,
     make_coin,
@@ -48,9 +48,10 @@ def main():
     state = initial_state(alpha, beta, LatticeSpec(steps))
     worst = 0.0
     worst_t = 0
-    for t in range(1, steps + 1):
-        state = evolve(state, coin, 1)
-        reference = dense_amplitudes(alpha, beta, coin, steps, t)
+    # The dense series builds its operator once and yields t = 0, 1, ...
+    for t, reference in enumerate(dense_series(alpha, beta, coin, steps, steps)):
+        if t > 0:
+            state = evolve(state, coin, 1)
         gap = float(np.abs(state.amplitudes[:, 1:-1] - reference).max())
         if gap > worst:
             worst, worst_t = gap, t

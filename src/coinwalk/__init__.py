@@ -16,74 +16,23 @@ On top of the engines sit distribution diagnostics (:mod:`coinwalk.analysis`)
 and coin-position entanglement measures (:mod:`coinwalk.entanglement`).
 """
 
-from .analysis import PhaseDiagram, peak_gap, phase_diagram, symmetry_deviation, theta_sweep
-from .coin import NAMED_COINS, CoinParams, check_unitary, make_coin, named_coin
-from .dense import (
-    StepUnitary,
-    build_shift_matrix,
-    build_step_unitary,
-    dense_amplitudes,
-    evolve_dense,
-)
-from .entanglement import (
-    SchmidtSpectrum,
-    entanglement_entropy,
-    is_separable,
-    schmidt_spectrum,
-)
-from .evolution import evolve, run_walk, step_recurrence
-from .state import (
-    UNBIASED_INIT,
-    LatticeExhaustedError,
-    LatticeSpec,
-    ProbabilityDistribution,
-    WalkerState,
-    distribution,
-    initial_state,
-    position_index,
-    probability_at,
-    total_probability,
-)
+from . import analysis, coin, dense, entanglement, evolution, state
+# Each module's __all__ is the one list of its public names; re-export them.
+from .analysis import *
+from .coin import *
+from .dense import *
+from .entanglement import *
+from .evolution import *
+from .state import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # coin
-    "CoinParams",
-    "NAMED_COINS",
-    "make_coin",
-    "named_coin",
-    "check_unitary",
-    # state
-    "LatticeExhaustedError",
-    "LatticeSpec",
-    "WalkerState",
-    "ProbabilityDistribution",
-    "UNBIASED_INIT",
-    "initial_state",
-    "position_index",
-    "probability_at",
-    "distribution",
-    "total_probability",
-    # evolution engines
-    "step_recurrence",
-    "evolve",
-    "run_walk",
-    "StepUnitary",
-    "build_shift_matrix",
-    "build_step_unitary",
-    "dense_amplitudes",
-    "evolve_dense",
-    # analysis
-    "PhaseDiagram",
-    "peak_gap",
-    "symmetry_deviation",
-    "theta_sweep",
-    "phase_diagram",
-    # entanglement
-    "SchmidtSpectrum",
-    "schmidt_spectrum",
-    "is_separable",
-    "entanglement_entropy",
+    *coin.__all__,
+    *state.__all__,
+    *evolution.__all__,
+    *dense.__all__,
+    *analysis.__all__,
+    *entanglement.__all__,
 ]

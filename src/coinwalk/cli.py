@@ -35,17 +35,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import phase_diagram
+from .analysis import phase_diagram, theta_sweep
 from .coin import CoinParams, NAMED_COINS, make_coin, named_coin
-from .dense import dense_amplitudes
+from .dense import DENSE_HALF_WIDTH_CAP, dense_series
 from .entanglement import entanglement_entropy, schmidt_spectrum
 from .evolution import run_walk, step_recurrence
-from .state import UNBIASED_INIT, LatticeSpec, initial_state
+from .state import UNBIASED_INIT, LatticeSpec, check_coin_state, initial_state
 
 __all__ = ["main"]
 
 VERIFY_TOL = 1e-12
-VERIFY_MAX_STEPS = 200
 
 #: Named initial coin states selectable with --init.
 NAMED_INITS: dict[str, tuple[complex, complex]] = {
@@ -131,13 +130,10 @@ def _init_amplitudes(args: argparse.Namespace) -> tuple[complex, complex]:
     if components:
         alpha = complex(args.alpha_re or 0.0, args.alpha_im or 0.0)
         beta = complex(args.beta_re or 0.0, args.beta_im or 0.0)
-        norm = abs(alpha) ** 2 + abs(beta) ** 2
-        if abs(norm - 1.0) > 1e-10:
-            raise _UsageError(
-                f"custom initial state must be normalized within 1e-10: "
-                f"|alpha|^2 + |beta|^2 = {norm!r}"
-            )
-        return alpha, beta
+        try:
+            return check_coin_state(alpha, beta)
+        except ValueError as exc:
+            raise _UsageError(f"custom initial state: {exc}") from None
     return NAMED_INITS[args.init or "unbiased"]
 
 
@@ -147,22 +143,16 @@ def _require_steps(args: argparse.Namespace, minimum: int = 1) -> int:
     return args.steps
 
 
-def _write_lines(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _write(text: str, out_path: str | None) -> None:
+    """Write ``text`` and a final LF to stdout, or to ``out_path`` if given."""
     if out_path is None:
-        sys.stdout.write(text)
-    else:
+        sys.stdout.write(text + "\n")
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _write_json(payload: object, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _window(dist) -> tuple[np.ndarray, np.ndarray]:
@@ -193,12 +183,12 @@ def cmd_walk(args: argparse.Namespace) -> int:
     alpha, beta = _init_amplitudes(args)
     dist = run_walk(params, alpha, beta, steps)
     if args.format == "json":
-        _write_json(_walk_payload(degrees, steps, dist), args.out)
+        _write(json.dumps(_walk_payload(degrees, steps, dist), indent=2), args.out)
     else:
         positions, probs = _window(dist)
         lines = ["position,probability"]
         lines += [f"{x},{_fmt(p)}" for x, p in zip(positions, probs)]
-        _write_lines(lines, args.out)
+        _write("\n".join(lines), args.out)
     return 0
 
 
@@ -208,26 +198,31 @@ def cmd_sweep_theta(args: argparse.Namespace) -> int:
     thetas_deg = _parse_grid(args.theta_grid, "--theta-grid")
     phi1_deg = args.phi1_deg or 0.0
     phi2_deg = args.phi2_deg or 0.0
-    normalize = not args.no_normalize_angles
-    results = []
-    for theta_deg in thetas_deg:
-        try:
-            params = CoinParams.from_degrees(theta_deg, phi1_deg, phi2_deg, normalize=normalize)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        results.append((float(theta_deg), run_walk(params, alpha, beta, steps)))
+    try:
+        sweep = theta_sweep(
+            np.radians(thetas_deg),
+            math.radians(phi1_deg),
+            math.radians(phi2_deg),
+            alpha,
+            beta,
+            steps,
+            normalize=not args.no_normalize_angles,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    results = [(float(theta_deg), dist) for theta_deg, (_, dist) in zip(thetas_deg, sweep)]
     if args.format == "json":
         payload = [
             _walk_payload((theta_deg, phi1_deg, phi2_deg), steps, dist)
             for theta_deg, dist in results
         ]
-        _write_json(payload, args.out)
+        _write(json.dumps(payload, indent=2), args.out)
     else:
         lines = ["theta_deg,position,probability"]
         for theta_deg, dist in results:
             positions, probs = _window(dist)
             lines += [f"{_fmt(theta_deg)},{x},{_fmt(p)}" for x, p in zip(positions, probs)]
-        _write_lines(lines, args.out)
+        _write("\n".join(lines), args.out)
     return 0
 
 
@@ -254,13 +249,13 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
             "phi2_deg": [float(v) for v in phi2_deg],
             "delta": [[float(d) for d in row] for row in diagram.delta],
         }
-        _write_json(payload, args.out)
+        _write(json.dumps(payload, indent=2), args.out)
     else:
         lines = ["phi1_deg,phi2_deg,delta"]
         for i, p1 in enumerate(phi1_deg):
             for j, p2 in enumerate(phi2_deg):
                 lines.append(f"{_fmt(p1)},{_fmt(p2)},{_fmt(diagram.delta[i, j])}")
-        _write_lines(lines, args.out)
+        _write("\n".join(lines), args.out)
     return 0
 
 
@@ -286,11 +281,11 @@ def cmd_entanglement(args: argparse.Namespace) -> int:
             "schmidt_rank": [rank for _, rank, _ in rows],
             "entropy": [float(entropy) for _, _, entropy in rows],
         }
-        _write_json(payload, args.out)
+        _write(json.dumps(payload, indent=2), args.out)
     else:
         lines = ["t,schmidt_rank,entropy"]
         lines += [f"{t},{rank},{_fmt(entropy)}" for t, rank, entropy in rows]
-        _write_lines(lines, args.out)
+        _write("\n".join(lines), args.out)
     return 0
 
 
@@ -298,9 +293,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     steps = args.max_steps
     if steps < 1:
         raise _UsageError(f"--max-steps must be at least 1, got {steps}")
-    if steps > VERIFY_MAX_STEPS:
+    if steps > DENSE_HALF_WIDTH_CAP:
         raise _UsageError(
-            f"--max-steps is capped at {VERIFY_MAX_STEPS} (dense reference engine), got {steps}"
+            f"--max-steps is capped at {DENSE_HALF_WIDTH_CAP} (dense reference engine), got {steps}"
         )
     params, _ = _coin_params(args)
     alpha, beta = _init_amplitudes(args)
@@ -311,11 +306,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # unitarity guard (1e-10), large enough to trip the 1e-12 comparison.
         dense_coin[0, 0] += 3e-11
     state = initial_state(alpha, beta, LatticeSpec(steps))
+    references = dense_series(alpha, beta, dense_coin, steps, steps)
+    next(references)  # t = 0: both engines start from the same table
     gaps: list[float] = []
     worst: tuple[float, int, int] | None = None  # (discrepancy, t, x)
-    for t in range(1, steps + 1):
+    for t, reference in enumerate(references, start=1):
         state = step_recurrence(state, coin)
-        reference = dense_amplitudes(alpha, beta, dense_coin, steps, t)
         diff = np.abs(state.amplitudes[:, 1:-1] - reference)
         gap = float(np.max(diff))
         gaps.append(gap)
@@ -329,11 +325,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "t": list(range(1, steps + 1)),
             "max_abs_discrepancy": gaps,
         }
-        _write_json(payload, args.out)
+        _write(json.dumps(payload, indent=2), args.out)
     else:
         lines = ["t,max_abs_discrepancy"]
         lines += [f"{t},{_fmt(gap)}" for t, gap in enumerate(gaps, start=1)]
-        _write_lines(lines, args.out)
+        _write("\n".join(lines), args.out)
     if worst is not None:
         gap, t, x = worst
         print(
@@ -350,14 +346,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------
 
 
-def _add_coin_flags(parser: argparse.ArgumentParser, with_named: bool = True) -> None:
-    if with_named:
-        parser.add_argument(
-            "--coin",
-            choices=sorted(NAMED_COINS),
-            help="named coin (conflicts with the explicit angle flags)",
-        )
+def _add_coin_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--coin",
+        choices=sorted(NAMED_COINS),
+        help="named coin (conflicts with the explicit angle flags)",
+    )
     parser.add_argument("--theta-deg", type=float, help="rotation angle in degrees")
+    _add_phase_flags(parser)
+
+
+def _add_phase_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--phi1-deg", type=float, help="first phase angle in degrees (default 0)")
     parser.add_argument("--phi2-deg", type=float, help="second phase angle in degrees (default 0)")
     parser.add_argument(
@@ -409,13 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="START:STOP:STEP",
         help="rotation-angle grid in degrees, stop inclusive (default 0:315:45)",
     )
-    sweep.add_argument("--phi1-deg", type=float, help="first phase angle in degrees (default 0)")
-    sweep.add_argument("--phi2-deg", type=float, help="second phase angle in degrees (default 0)")
-    sweep.add_argument(
-        "--no-normalize-angles",
-        action="store_true",
-        help="use the angles exactly as given",
-    )
+    _add_phase_flags(sweep)
     _add_init_flags(sweep)
     sweep.add_argument("--steps", type=int, required=True, help="number of steps (>= 1)")
     _add_output_flags(sweep)
@@ -456,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-steps",
         type=int,
         default=30,
-        help=f"compare the engines after each of this many steps (1..{VERIFY_MAX_STEPS})",
+        help=f"compare the engines after each of this many steps (1..{DENSE_HALF_WIDTH_CAP})",
     )
     verify.add_argument("--corrupt-coin", action="store_true", help=argparse.SUPPRESS)
     _add_output_flags(verify)

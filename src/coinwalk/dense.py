@@ -23,17 +23,18 @@ is raised explicitly.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .state import ProbabilityDistribution
+from .state import ProbabilityDistribution, check_coin_state, check_half_width
 
 __all__ = [
     "StepUnitary",
     "build_shift_matrix",
     "build_step_unitary",
+    "dense_series",
     "dense_amplitudes",
     "evolve_dense",
 ]
@@ -42,14 +43,6 @@ __all__ = [
 DENSE_HALF_WIDTH_CAP = 200
 
 _UNITARY_TOL = 1e-10
-
-
-def _check_half_width(half_width: int) -> int:
-    if not isinstance(half_width, (int, np.integer)) or isinstance(half_width, bool):
-        raise ValueError(f"half_width must be an integer, got {half_width!r}")
-    if half_width < 1:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    return int(half_width)
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class StepUnitary:
     window_half_width: int
 
     def __post_init__(self) -> None:
-        n = _check_half_width(self.window_half_width)
+        n = check_half_width(self.window_half_width)
         object.__setattr__(self, "window_half_width", n)
         m = np.asarray(self.matrix, dtype=np.complex128)
         dim = 2 * (2 * n + 1)
@@ -99,7 +92,7 @@ def build_shift_matrix(half_width: int) -> np.ndarray:
     ValueError
         If ``half_width`` is not a positive integer.
     """
-    n = _check_half_width(half_width)
+    n = check_half_width(half_width)
     w = 2 * n + 1
     m = np.zeros((w, w), dtype=np.complex128)
     m[np.arange(1, w), np.arange(w - 1)] = 1.0
@@ -119,28 +112,31 @@ def build_step_unitary(coin: np.ndarray, half_width: int) -> StepUnitary:
         If ``half_width`` is invalid, or if ``coin`` is not unitary (the
         assembled operator then fails its own unitarity check).
     """
-    n = _check_half_width(half_width)
+    m = build_shift_matrix(half_width)
     c = np.asarray(coin, dtype=np.complex128)
     if c.shape != (2, 2):
         raise ValueError(f"coin must be a (2, 2) matrix, got shape {c.shape}")
-    w = 2 * n + 1
-    m = build_shift_matrix(n)
+    w = m.shape[0]
     shift = np.zeros((2 * w, 2 * w), dtype=np.complex128)
     shift[:w, :w] = m
     shift[w:, w:] = m.T
     step = shift @ np.kron(c, np.eye(w, dtype=np.complex128))
-    return StepUnitary(step, n)
+    return StepUnitary(step, w // 2)
 
 
-def dense_amplitudes(
+def dense_series(
     alpha: complex,
     beta: complex,
     coin: np.ndarray,
     half_width: int,
     steps: int,
     max_half_width: int = DENSE_HALF_WIDTH_CAP,
-) -> np.ndarray:
-    """Evolve by repeated dense matrix-vector products; return the amplitude table.
+) -> Iterator[np.ndarray]:
+    """Evolve by repeated dense matrix-vector products, yielding every amplitude table.
+
+    The step operator is built (and checked unitary) once; the generator then
+    yields the table at ``t = 0, 1, ..., steps``, one mat-vec apart.  The
+    arguments are validated when iteration starts.
 
     Parameters
     ----------
@@ -157,13 +153,13 @@ def dense_amplitudes(
         Size cap for the dense operator (default 200); raise it explicitly to
         run bigger windows.
 
-    Returns
-    -------
+    Yields
+    ------
     numpy.ndarray
-        Complex ``(2, 2N+1)`` array: row 0 head amplitudes, row 1 tail
+        Complex ``(2, 2N+1)`` arrays: row 0 head amplitudes, row 1 tail
         amplitudes, columns ordered by position ``-N .. N``.
     """
-    n = _check_half_width(half_width)
+    n = check_half_width(half_width)
     if n > max_half_width:
         raise ValueError(
             f"dense engine refuses half_width={n} > {max_half_width}; "
@@ -175,24 +171,30 @@ def dense_amplitudes(
             f"dense engine requires 0 <= steps <= half_width so the cyclic "
             f"window never wraps; got steps={steps}, half_width={n}"
         )
-    alpha = complex(alpha)
-    beta = complex(beta)
-    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-        raise ValueError(f"coin amplitudes must be finite, got alpha={alpha!r}, beta={beta!r}")
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(
-            f"coin state must be normalized: |alpha|^2 + |beta|^2 = {norm!r} "
-            f"deviates from 1 by {norm - 1.0:.3e}"
-        )
+    alpha, beta = check_coin_state(alpha, beta)
     w = 2 * n + 1
     step = build_step_unitary(coin, n)
     vec = np.zeros(2 * w, dtype=np.complex128)
     vec[n] = alpha  # head block, origin
     vec[w + n] = beta  # tail block, origin
+    yield vec.reshape(2, w)
     for _ in range(steps):
         vec = step.matrix @ vec
-    return vec.reshape(2, w)
+        yield vec.reshape(2, w)
+
+
+def dense_amplitudes(
+    alpha: complex,
+    beta: complex,
+    coin: np.ndarray,
+    half_width: int,
+    steps: int,
+    max_half_width: int = DENSE_HALF_WIDTH_CAP,
+) -> np.ndarray:
+    """The amplitude table after ``steps`` steps: the last table of :func:`dense_series`."""
+    for table in dense_series(alpha, beta, coin, half_width, steps, max_half_width):
+        pass
+    return table
 
 
 def evolve_dense(

@@ -107,14 +107,14 @@ def is_separable(state: WalkerState, tol: float = _DEFAULT_RANK_TOL) -> bool:
 def entanglement_entropy(state: WalkerState) -> float:
     """Entropy (in bits) of the Schmidt weights: ``-sum sigma^2 log2 sigma^2``.
 
-    Zero-probability weights contribute nothing (0 * log 0 := 0).  For a
+    A state of Schmidt rank at most 1 (a product state, or the zero state)
+    has entropy exactly 0: rounding leaves its single weight a few ulps off 1,
+    which would otherwise read as an entropy of about 1e-16.  For a
     normalized state the result lies in [0, 1]; it is invariant under a
     global phase of the state.
     """
     spectrum = schmidt_spectrum(state)
-    weights = spectrum.values**2
-    weights = weights[weights > 0.0]
-    if weights.size == 0:
+    if spectrum.rank < 2:
         return 0.0
-    # + 0.0 turns the -0.0 of a pure product state into plain 0.0.
-    return float(-np.sum(weights * np.log2(weights))) + 0.0
+    weights = spectrum.values**2
+    return float(-np.sum(weights * np.log2(weights)))

@@ -27,6 +27,8 @@ __all__ = [
     "WalkerState",
     "ProbabilityDistribution",
     "UNBIASED_INIT",
+    "check_half_width",
+    "check_coin_state",
     "initial_state",
     "position_index",
     "probability_at",
@@ -45,6 +47,33 @@ class LatticeExhaustedError(ValueError):
     """Raised when a walk is asked to evolve beyond the steps its lattice supports."""
 
 
+def check_half_width(half_width: int) -> int:
+    """Return ``half_width`` as an ``int``; ValueError unless it is a positive integer."""
+    if not isinstance(half_width, (int, np.integer)) or isinstance(half_width, bool):
+        raise ValueError(f"half_width must be an integer, got {half_width!r}")
+    if half_width < 1:
+        raise ValueError(f"half_width must be positive, got {half_width}")
+    return int(half_width)
+
+
+def check_coin_state(alpha: complex, beta: complex) -> tuple[complex, complex]:
+    """Return ``(alpha, beta)`` as complex numbers; ValueError unless finite and normalized.
+
+    The norm ``|alpha|^2 + |beta|^2`` may deviate from 1 by at most 1e-10.
+    """
+    alpha = complex(alpha)
+    beta = complex(beta)
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError(f"coin amplitudes must be finite, got alpha={alpha!r}, beta={beta!r}")
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise ValueError(
+            f"coin state must be normalized: |alpha|^2 + |beta|^2 = {norm!r} "
+            f"deviates from 1 by {norm - 1.0:.3e}"
+        )
+    return alpha, beta
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Geometry of the padded walk window.
@@ -58,11 +87,7 @@ class LatticeSpec:
     half_width: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.half_width, (int, np.integer)) or isinstance(self.half_width, bool):
-            raise ValueError(f"half_width must be an integer, got {self.half_width!r}")
-        if self.half_width < 1:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
-        object.__setattr__(self, "half_width", int(self.half_width))
+        object.__setattr__(self, "half_width", check_half_width(self.half_width))
 
     @property
     def size(self) -> int:
@@ -185,18 +210,9 @@ def initial_state(alpha: complex, beta: complex, lattice: LatticeSpec) -> Walker
     Raises
     ------
     ValueError
-        If the coin state is not normalized; the message reports the deficit.
+        If the coin state fails :func:`check_coin_state`.
     """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-        raise ValueError(f"coin amplitudes must be finite, got alpha={alpha!r}, beta={beta!r}")
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ValueError(
-            f"coin state must be normalized: |alpha|^2 + |beta|^2 = {norm!r} "
-            f"deviates from 1 by {norm - 1.0:.3e}"
-        )
+    alpha, beta = check_coin_state(alpha, beta)
     amp = np.zeros((2, lattice.size), dtype=np.complex128)
     amp[0, lattice.origin_index] = alpha
     amp[1, lattice.origin_index] = beta

@@ -92,6 +92,16 @@ def test_walk_writes_the_out_file_with_lf_endings(tmp_path, capsys):
     assert raw.endswith(b"\n")
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(
+        capsys, "walk", "--coin", "hadamard", "--steps", "5", "--out", str(target)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"coinwalk: error: cannot write {target}")
+    assert not target.exists()
+
+
 def test_walk_output_is_deterministic(capsys):
     args = ("walk", "--coin", "fourier", "--steps", "30")
     _, first, _ = _run(capsys, *args)
@@ -130,10 +140,12 @@ def test_custom_init_components(capsys):
         ("walk", "--coin", "hadamard", "--init", "head", "--alpha-re", "1", "--steps", "5"),
         ("walk", "--theta-deg", "45", "--alpha-re", "1", "--beta-re", "1", "--steps", "5"),
         ("walk", "--theta-deg", "inf", "--steps", "5"),
+        ("walk", "--theta-deg", "45", "--alpha-re", "nan", "--steps", "3"),
         ("sweep-theta", "--theta-grid", "90:0:45", "--steps", "5"),
         ("sweep-theta", "--theta-grid", "0:90:-45", "--steps", "5"),
         ("sweep-theta", "--theta-grid", "0:90", "--steps", "5"),
         ("sweep-theta", "--theta-grid", "a:b:c", "--steps", "5"),
+        ("sweep-theta", "--phi1-deg", "inf", "--steps", "5"),
         ("phase-diagram", "--theta-deg", "45", "--phi1-grid", "0::30", "--steps", "5"),
         ("entanglement", "--coin", "hadamard", "--steps", "-1"),
         ("verify", "--coin", "hadamard", "--max-steps", "0"),
@@ -266,7 +278,7 @@ def test_entanglement_accepts_zero_steps(capsys):
     assert len(rows) == 1
     t, rank, entropy = rows[0]
     assert (t, rank) == ("0", "1")
-    assert float(entropy) <= 1e-12
+    assert float(entropy) == 0.0
 
 
 def test_swap_coin_stays_rank_1(capsys):

@@ -13,6 +13,7 @@ from coinwalk import (
     build_shift_matrix,
     build_step_unitary,
     dense_amplitudes,
+    dense_series,
     evolve,
     evolve_dense,
     initial_state,
@@ -209,6 +210,18 @@ def test_engines_agree_amplitude_by_amplitude(seed):
         state = evolve(state, coin, 1)
         reference = dense_amplitudes(alpha, beta, coin, n, t)
         assert np.max(np.abs(state.amplitudes[:, 1:-1] - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_series_matches_dense_amplitudes_at_every_step(seed):
+    rng = np.random.default_rng(2000 + seed)
+    alpha, beta = normalized_pair(rng)
+    coin = make_coin(CoinParams(*random_coin_angles(rng)))
+    n = 9
+    tables = list(dense_series(alpha, beta, coin, n, n))
+    assert len(tables) == n + 1
+    for t, table in enumerate(tables):
+        assert np.array_equal(table, dense_amplitudes(alpha, beta, coin, n, t))
 
 
 def test_dense_distribution_matches_run_walk_window():

@@ -12,6 +12,7 @@ from coinwalk import (
     CoinParams,
     LatticeExhaustedError,
     LatticeSpec,
+    WalkerState,
     evolve,
     initial_state,
     make_coin,
@@ -141,6 +142,64 @@ def test_non_2x2_coin_is_rejected():
     state = initial_state(*UNBIASED_INIT, LatticeSpec(2))
     with pytest.raises(ValueError, match="2, 2"):
         step_recurrence(state, np.eye(3, dtype=complex))
+
+
+# ------------------------------------------------------------
+# evolve against a loop of single steps
+# ------------------------------------------------------------
+
+
+def _stepwise(state, coin, steps):
+    for _ in range(steps):
+        state = step_recurrence(state, coin)
+    return state
+
+
+def _assert_same_walk(state, coin, steps):
+    evolved = evolve(state, coin, steps)
+    expected = _stepwise(state, coin, steps)
+    assert evolved.time == expected.time == state.time + steps
+    assert np.array_equal(evolved.amplitudes, expected.amplitudes)
+    assert np.all(evolved.amplitudes[:, [0, -1]] == 0.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_evolve_equals_stepping_from_the_origin(seed):
+    rng = np.random.default_rng(3000 + seed)
+    coin = make_coin(CoinParams(*random_coin_angles(rng)))
+    state = initial_state(*normalized_pair(rng), LatticeSpec(30))
+    _assert_same_walk(state, coin, 30)
+    _assert_same_walk(evolve(state, coin, 7), coin, 23)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_evolve_equals_stepping_from_an_off_origin_start(seed):
+    rng = np.random.default_rng(4000 + seed)
+    coin = make_coin(CoinParams(*random_coin_angles(rng)))
+    alpha, beta = normalized_pair(rng)
+    lattice = LatticeSpec(25)
+    amp = np.zeros((2, lattice.size), dtype=complex)
+    amp[:, position_index(-9, lattice)] = alpha, beta
+    _assert_same_walk(WalkerState(amp, lattice), coin, 20)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_evolve_zeroes_nonzero_guard_columns(seed):
+    rng = np.random.default_rng(5000 + seed)
+    coin = make_coin(CoinParams(*random_coin_angles(rng)))
+    lattice = LatticeSpec(8)
+    amp = rng.normal(size=(2, lattice.size)) + 1j * rng.normal(size=(2, lattice.size))
+    for steps in (1, 2, 3, 8):
+        _assert_same_walk(WalkerState(amp, lattice), coin, steps)
+    guards_only = np.zeros_like(amp)
+    guards_only[:, [0, -1]] = amp[:, [0, -1]]
+    _assert_same_walk(WalkerState(guards_only, lattice), coin, 5)
+
+
+def test_evolve_keeps_the_zero_state_zero():
+    lattice = LatticeSpec(4)
+    zero = WalkerState(np.zeros((2, lattice.size), dtype=complex), lattice, time=1)
+    _assert_same_walk(zero, make_coin(named_coin("hadamard")), 3)
 
 
 # ------------------------------------------------------------
