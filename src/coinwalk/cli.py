@@ -38,13 +38,19 @@ import numpy as np
 from .analysis import phase_diagram, theta_sweep
 from .coin import CoinParams, NAMED_COINS, make_coin, named_coin
 from .dense import DENSE_HALF_WIDTH_CAP, dense_series
-from .entanglement import entanglement_entropy, schmidt_spectrum
-from .evolution import run_walk, step_recurrence
+from .entanglement import entanglement_series
+from .evolution import iter_steps, run_walk
 from .state import UNBIASED_INIT, LatticeSpec, check_coin_state, initial_state
 
 __all__ = ["main"]
 
 VERIFY_TOL = 1e-12
+
+#: Memory cap of one subcommand, in bytes.  Each subcommand estimates what it
+#: would hold (see ``_check_footprint``) before it allocates anything, and a
+#: request over the cap is a usage error (exit 2), not a MemoryError or an
+#: out-of-memory kill.
+MAX_OP_BYTES = 2**30
 
 #: Named initial coin states selectable with --init.
 NAMED_INITS: dict[str, tuple[complex, complex]] = {
@@ -63,8 +69,15 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _parse_grid(text: str, flag: str) -> np.ndarray:
-    """Parse a ``start:stop:step`` degree grid with an inclusive stop."""
+def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
+    """Parse a ``start:stop:step`` degree grid, stop inclusive, into ``(start, step, count)``.
+
+    Point ``i`` of the grid is ``start + step * i``, computed from its index
+    (see :func:`_grid_values`): it is neither accumulated step by step nor
+    echoed from the input, so rounding never builds up along the grid, and
+    ``0:0.3:0.1`` yields 0, 0.1, 0.2 and ``0.1 * 3 = 0.30000000000000004``.
+    Nothing is allocated here, so the caller can check the grid's size first.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"{flag} expects start:stop:step, got {text!r}")
@@ -78,8 +91,31 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
         raise _UsageError(f"{flag} step must be positive, got {step}")
     if stop < start:
         raise _UsageError(f"{flag} stop must be >= start, got {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise _UsageError(f"{flag} has too many points, got {text!r}")
+    return start, step, int(math.floor(span + 1e-9)) + 1
+
+
+def _grid_values(grid: tuple[float, float, int]) -> np.ndarray:
+    """The points ``start + step * i`` of a grid from :func:`_parse_grid`."""
+    start, step, count = grid
     return start + step * np.arange(count)
+
+
+def _check_footprint(steps: int, values: int) -> None:
+    """Usage error if an op of ``steps`` steps keeping ``values`` values would pass MAX_OP_BYTES.
+
+    The estimate is the two step buffers, ``2 * 2 * (2T + 3)`` amplitudes of
+    16 B, plus 256 B for each value the op keeps and writes out (a site of a
+    kept distribution, a grid point, half a step of a series): the number
+    itself, its Python objects on output and its text.
+    """
+    if 64 * (2 * steps + 3) + 256 * values > MAX_OP_BYTES:
+        raise _UsageError(
+            f"the request would hold more than the {MAX_OP_BYTES >> 20} MiB memory cap "
+            "of one run (MAX_OP_BYTES); ask for fewer steps or grid points"
+        )
 
 
 def _coin_params(args: argparse.Namespace) -> tuple[CoinParams, tuple[float, float, float]]:
@@ -179,6 +215,7 @@ def _walk_payload(degrees: tuple[float, float, float], steps: int, dist) -> dict
 
 def cmd_walk(args: argparse.Namespace) -> int:
     steps = _require_steps(args)
+    _check_footprint(steps, 2 * steps + 3)
     params, degrees = _coin_params(args)
     alpha, beta = _init_amplitudes(args)
     dist = run_walk(params, alpha, beta, steps)
@@ -195,7 +232,9 @@ def cmd_walk(args: argparse.Namespace) -> int:
 def cmd_sweep_theta(args: argparse.Namespace) -> int:
     steps = _require_steps(args)
     alpha, beta = _init_amplitudes(args)
-    thetas_deg = _parse_grid(args.theta_grid, "--theta-grid")
+    thetas = _parse_grid(args.theta_grid, "--theta-grid")
+    _check_footprint(steps, thetas[2] * (2 * steps + 4))
+    thetas_deg = _grid_values(thetas)
     phi1_deg = args.phi1_deg or 0.0
     phi2_deg = args.phi2_deg or 0.0
     try:
@@ -230,8 +269,10 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
     steps = _require_steps(args)
     params, degrees = _coin_params(args)
     alpha, beta = _init_amplitudes(args)
-    phi1_deg = _parse_grid(args.phi1_grid, "--phi1-grid")
-    phi2_deg = _parse_grid(args.phi2_grid, "--phi2-grid")
+    phi1s = _parse_grid(args.phi1_grid, "--phi1-grid")
+    phi2s = _parse_grid(args.phi2_grid, "--phi2-grid")
+    _check_footprint(steps, 2 * steps + 3 + phi1s[2] * phi2s[2] + phi1s[2] + phi2s[2])
+    phi1_deg, phi2_deg = _grid_values(phi1s), _grid_values(phi2s)
     diagram = phase_diagram(
         params.theta,
         np.radians(phi1_deg),
@@ -261,30 +302,27 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
 
 def cmd_entanglement(args: argparse.Namespace) -> int:
     steps = _require_steps(args, minimum=0)
+    _check_footprint(steps, 2 * (steps + 1))
     params, degrees = _coin_params(args)
     alpha, beta = _init_amplitudes(args)
-    coin = make_coin(params)
     state = initial_state(alpha, beta, LatticeSpec(max(steps, 1)))
-    rows: list[tuple[int, int, float]] = []
-    for t in range(steps + 1):
-        if t > 0:
-            state = step_recurrence(state, coin)
-        spectrum = schmidt_spectrum(state)
-        rows.append((t, spectrum.rank, entanglement_entropy(state)))
+    ranks, entropies = entanglement_series(state, make_coin(params), steps)
+    ranks, entropies = ranks.tolist(), entropies.tolist()
     if args.format == "json":
         payload = {
             "theta_deg": degrees[0],
             "phi1_deg": degrees[1],
             "phi2_deg": degrees[2],
             "steps": steps,
-            "t": [t for t, _, _ in rows],
-            "schmidt_rank": [rank for _, rank, _ in rows],
-            "entropy": [float(entropy) for _, _, entropy in rows],
+            "t": list(range(steps + 1)),
+            "schmidt_rank": ranks,
+            "entropy": entropies,
         }
         _write(json.dumps(payload, indent=2), args.out)
     else:
         lines = ["t,schmidt_rank,entropy"]
-        lines += [f"{t},{rank},{_fmt(entropy)}" for t, rank, entropy in rows]
+        rows = enumerate(zip(ranks, entropies))
+        lines += [f"{t},{rank},{_fmt(entropy)}" for t, (rank, entropy) in rows]
         _write("\n".join(lines), args.out)
     return 0
 
@@ -310,9 +348,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     next(references)  # t = 0: both engines start from the same table
     gaps: list[float] = []
     worst: tuple[float, int, int] | None = None  # (discrepancy, t, x)
-    for t, reference in enumerate(references, start=1):
-        state = step_recurrence(state, coin)
-        diff = np.abs(state.amplitudes[:, 1:-1] - reference)
+    walk = iter_steps(state, coin, steps)
+    for t, ((table, _, _), reference) in enumerate(zip(walk, references), start=1):
+        diff = np.abs(table[:, 1:-1] - reference)
         gap = float(np.max(diff))
         gaps.append(gap)
         if gap > VERIFY_TOL and (worst is None or gap > worst[0]):

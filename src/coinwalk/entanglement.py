@@ -1,14 +1,20 @@
 """Coin-position entanglement diagnostics.
 
 The amplitude table of a walker state is a ``2 x n`` matrix, so its Schmidt
-decomposition across the coin/position split has at most two terms.  The two
-singular values are obtained from the eigenvalues of the ``2 x 2`` Gram
-matrix ``A A^dagger`` — never from a general factorization of the full
-``2 x n`` table — which keeps the computation O(n).
+decomposition across the coin/position split has at most two terms.  The
+squared singular values (the Schmidt weights) are the eigenvalues of the
+``2 x 2`` Gram matrix ``A A^dagger``, filled from three inner products of the
+two rows; no general factorization of the full ``2 x n`` table is needed, so
+the cost is O(n).
 
-For a normalized state the squared singular values are the Schmidt weights;
-their Shannon entropy in bits is the entanglement entropy, ranging from 0
-(product state) to 1 (maximally entangled coin).
+For a normalized state the Schmidt weights sum to 1; their Shannon entropy
+in bits is the entanglement entropy, ranging from 0 (product state) to 1
+(maximally entangled coin).
+
+``schmidt_spectrum`` and ``entanglement_entropy`` describe one state.
+``entanglement_series`` describes a whole walk, t = 0..steps: it fills one
+Gram matrix per step over the light cone only, and solves all of them in one
+batched eigenvalue call at the end.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evolution import iter_steps
 from .state import WalkerState
 
 __all__ = [
@@ -24,9 +31,51 @@ __all__ = [
     "schmidt_spectrum",
     "is_separable",
     "entanglement_entropy",
+    "entanglement_series",
 ]
 
 _DEFAULT_RANK_TOL = 1e-10
+
+
+def _gram(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The Gram matrix ``rows @ rows^dagger`` of a ``(2, m)`` table, written into ``out``."""
+    if out is None:
+        out = np.empty((2, 2), dtype=np.complex128)
+    head, tail = rows
+    cross = np.vdot(head, tail)  # sum conj(head) * tail, the (1, 0) entry
+    out[0, 0] = np.vdot(head, head)
+    out[1, 1] = np.vdot(tail, tail)
+    out[1, 0] = cross
+    out[0, 1] = cross.conjugate()
+    return out
+
+
+def _check_spectra(values: np.ndarray, ranks: np.ndarray) -> None:
+    """ValueError unless each row of values is non-negative and descending and fits its rank."""
+    if np.any(values < 0.0) or np.any(np.diff(values, axis=-1) > 0.0):
+        raise ValueError("singular values must be non-negative and descending")
+    bad = (ranks < 0) | (ranks > values.shape[-1])
+    if np.any(bad):
+        raise ValueError(f"rank {ranks[bad][0]} inconsistent with {values.shape[-1]} values")
+
+
+def _spectra(grams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values, ranks and entropies (bits) of a stack of ``(2, 2)`` Gram matrices.
+
+    The one home of the rank cutoff (weights above ``tol`` times the largest;
+    rank 0 for the zero state) and of the rule that rank <= 1 has entropy
+    exactly 0: rounding leaves a product state's single weight a few ulps off
+    1, which would otherwise read as an entropy of about 1e-16.
+    """
+    # eigvalsh is ascending and can return tiny negatives for a PSD matrix.
+    weights = np.clip(np.linalg.eigvalsh(grams)[..., ::-1], 0.0, None)
+    values = np.sqrt(weights)
+    top = weights[..., :1]
+    ranks = np.where(top[..., 0] > 0.0, np.count_nonzero(weights > tol * top, axis=-1), 0)
+    squares = values**2
+    logs = np.log2(squares, out=np.zeros_like(squares), where=squares > 0.0)
+    entropies = np.where(ranks >= 2, -np.sum(squares * logs, axis=-1), 0.0)
+    return values, ranks, entropies
 
 
 @dataclass(frozen=True)
@@ -50,10 +99,7 @@ class SchmidtSpectrum:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size > 2:
             raise ValueError(f"expected at most two singular values, got shape {v.shape}")
-        if v.size and (np.any(v < 0.0) or np.any(np.diff(v) > 0.0)):
-            raise ValueError("singular values must be non-negative and descending")
-        if not 0 <= self.rank <= v.size:
-            raise ValueError(f"rank {self.rank} inconsistent with {v.size} values")
+        _check_spectra(v, np.asarray(self.rank))
         object.__setattr__(self, "values", v)
 
 
@@ -86,14 +132,8 @@ def schmidt_spectrum(state: WalkerState, tol: float = _DEFAULT_RANK_TOL) -> Schm
     """
     if tol < 0.0:
         raise ValueError(f"tol must be non-negative, got {tol}")
-    a = state.amplitudes
-    gram = a @ a.conj().T
-    eigs = np.linalg.eigvalsh(gram)
-    # eigvalsh is ascending and can return tiny negatives for a PSD matrix.
-    weights = np.clip(eigs[::-1], 0.0, None)
-    values = np.sqrt(weights)
-    rank = int(np.count_nonzero(weights > tol * weights[0])) if weights[0] > 0.0 else 0
-    return SchmidtSpectrum(values, rank)
+    values, ranks, _ = _spectra(_gram(state.amplitudes), tol)
+    return SchmidtSpectrum(values, int(ranks))
 
 
 def is_separable(state: WalkerState, tol: float = _DEFAULT_RANK_TOL) -> bool:
@@ -113,8 +153,40 @@ def entanglement_entropy(state: WalkerState) -> float:
     normalized state the result lies in [0, 1]; it is invariant under a
     global phase of the state.
     """
-    spectrum = schmidt_spectrum(state)
-    if spectrum.rank < 2:
-        return 0.0
-    weights = spectrum.values**2
-    return float(-np.sum(weights * np.log2(weights)))
+    _, _, entropy = _spectra(_gram(state.amplitudes), _DEFAULT_RANK_TOL)
+    return float(entropy)
+
+
+def entanglement_series(
+    state: WalkerState, coin: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Schmidt ranks and entropies (bits) of the walk from ``state``, at t = 0..steps.
+
+    Element ``t`` of each array equals ``schmidt_spectrum(s).rank`` and
+    ``entanglement_entropy(s)`` of the state ``s`` after ``t`` steps, up to
+    rounding in the entropy (the sums run over the light cone only).  The
+    walk runs once through :func:`~coinwalk.evolution.iter_steps`; each step
+    adds one ``(2, 2)`` Gram matrix, and one batched eigenvalue call solves
+    them all at the end.
+
+    Returns
+    -------
+    ranks : numpy.ndarray
+        ``steps + 1`` integer Schmidt ranks (default cutoff of
+        :func:`schmidt_spectrum`).
+    entropies : numpy.ndarray
+        ``steps + 1`` entropies, exactly 0 wherever the rank is at most 1.
+
+    Raises
+    ------
+    ValueError, LatticeExhaustedError
+        As :func:`~coinwalk.evolution.iter_steps`.
+    """
+    walk = iter_steps(state, coin, steps)  # checks the request before the stack is allocated
+    grams = np.empty((steps + 1, 2, 2), dtype=np.complex128)
+    _gram(state.amplitudes, grams[0])
+    for t, (table, lo, hi) in enumerate(walk, start=1):
+        _gram(table[:, lo:hi], grams[t])
+    values, ranks, entropies = _spectra(grams, _DEFAULT_RANK_TOL)
+    _check_spectra(values, ranks)
+    return ranks, entropies

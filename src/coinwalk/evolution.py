@@ -9,12 +9,15 @@ amplitudes depend only on the two coin components of the neighbouring sites:
 so a step is two shifted axpy operations on the ``(2, n)`` amplitude table —
 O(n) work and no operator matrix at all.  One kernel reads a source buffer
 and writes a destination buffer, leaving the input state untouched.
-``step_recurrence`` runs it once into a fresh array; ``evolve`` swaps two
-buffers every step and computes only the light cone, the columns the walk
-can have reached.
+``step_recurrence`` runs it once into a fresh array.  ``iter_steps`` swaps
+two buffers every step, computes only the light cone (the columns the walk
+can have reached) and yields each table as it is written; ``evolve`` and the
+per-step series of the entanglement module and the CLI all run on it.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .state import (
     initial_state,
 )
 
-__all__ = ["step_recurrence", "evolve", "run_walk"]
+__all__ = ["step_recurrence", "iter_steps", "evolve", "run_walk"]
 
 
 def _check_request(state: WalkerState, coin: np.ndarray, steps: int) -> np.ndarray:
@@ -92,6 +95,48 @@ def step_recurrence(state: WalkerState, coin: np.ndarray) -> WalkerState:
     return WalkerState(out, state.lattice, state.time + 1)
 
 
+def iter_steps(
+    state: WalkerState, coin: np.ndarray, steps: int
+) -> Iterator[tuple[np.ndarray, int, int]]:
+    """Walk ``steps`` steps from ``state``, yielding the amplitude table after each one.
+
+    Each item is ``(table, lo, hi)``: the ``(2, n)`` amplitude buffer just
+    written and the light-cone columns ``lo .. hi-1`` outside which it is
+    exactly zero.  Two buffers take turns, so a table is valid only until the
+    next step overwrites it; copy it to keep it.  The input state is not
+    modified, and the tables match a loop of :func:`step_recurrence` bit for
+    bit, guard columns zero whatever the input held.
+
+    The request is checked when this is called, before the first step.
+
+    Raises
+    ------
+    ValueError
+        If ``steps`` is negative or the coin is not a (2, 2) matrix.
+    LatticeExhaustedError
+        If the walk would run past the end of the lattice window.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    c = _check_request(state, coin, steps)
+    return _steps(state.amplitudes, c, steps)
+
+
+def _steps(src: np.ndarray, c: np.ndarray, steps: int) -> Iterator[tuple[np.ndarray, int, int]]:
+    n = src.shape[1]
+    occupied = np.flatnonzero(np.any(src != 0, axis=0))
+    lo, hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (1, 1)
+    # Two buffers that only ever hold kernel output, so their guard columns
+    # and everything outside the light cone stay zero.
+    buffers = np.zeros((2, *src.shape), dtype=np.complex128)
+    scratch = np.empty_like(src[0])
+    for t in range(steps):
+        lo, hi = max(lo - 1, 1), min(hi + 1, n - 1)
+        _advance(src, buffers[t % 2], c, lo, hi, scratch)
+        src = buffers[t % 2]
+        yield src, lo, hi
+
+
 def evolve(state: WalkerState, coin: np.ndarray, steps: int) -> WalkerState:
     """Apply ``steps`` walk steps; ``steps=0`` returns the state unchanged.
 
@@ -105,24 +150,12 @@ def evolve(state: WalkerState, coin: np.ndarray, steps: int) -> WalkerState:
     LatticeExhaustedError
         If the walk would run past the end of the lattice window.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
-    if steps == 0:
+    table = None
+    for table, _, _ in iter_steps(state, coin, steps):
+        pass
+    if table is None:
         return state
-    c = _check_request(state, coin, steps)
-    src = state.amplitudes
-    n = src.shape[1]
-    occupied = np.flatnonzero(np.any(src != 0, axis=0))
-    lo, hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (1, 1)
-    # Two buffers that only ever hold kernel output, so their guard columns
-    # and everything outside the light cone stay zero.
-    buffers = np.zeros((2, *src.shape), dtype=np.complex128)
-    scratch = np.empty_like(src[0])
-    for t in range(steps):
-        lo, hi = max(lo - 1, 1), min(hi + 1, n - 1)
-        _advance(src, buffers[t % 2], c, lo, hi, scratch)
-        src = buffers[t % 2]
-    return WalkerState(src, state.lattice, state.time + steps)
+    return WalkerState(table, state.lattice, state.time + steps)
 
 
 def run_walk(

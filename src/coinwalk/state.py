@@ -65,7 +65,10 @@ def check_coin_state(alpha: complex, beta: complex) -> tuple[complex, complex]:
     beta = complex(beta)
     if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise ValueError(f"coin amplitudes must be finite, got alpha={alpha!r}, beta={beta!r}")
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    try:
+        norm = abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:  # a component near the float maximum
+        norm = math.inf
     if abs(norm - 1.0) > _NORM_TOL:
         raise ValueError(
             f"coin state must be normalized: |alpha|^2 + |beta|^2 = {norm!r} "

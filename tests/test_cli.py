@@ -1,5 +1,7 @@
 """Tests for the command-line interface: formats, flags, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,8 +9,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coinwalk import UNBIASED_INIT, named_coin, run_walk
+from coinwalk import UNBIASED_INIT, cli, named_coin, run_walk
 from coinwalk.cli import main
 
 
@@ -151,12 +155,37 @@ def test_custom_init_components(capsys):
         ("verify", "--coin", "hadamard", "--max-steps", "0"),
         ("verify", "--coin", "hadamard", "--max-steps", "201"),
         ("no-such-command",),
+        ("walk", "--coin", "hadamard", "--steps", "1000000000000"),
+        ("phase-diagram", "--coin", "hadamard", "--steps", "5", "--phi1-grid", "0:1e9:1e-9"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     code = main(list(argv))
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walk", "--coin", "hadamard", "--steps", "1000000000000"),
+        ("sweep-theta", "--theta-grid", "0:1e8:1", "--steps", "100"),
+        ("phase-diagram", "--coin", "hadamard", "--steps", "5", "--phi1-grid", "0:1e9:1e-9"),
+        ("entanglement", "--coin", "hadamard", "--steps", "1000000000"),
+    ],
+)
+def test_oversized_requests_name_the_memory_cap(capsys, monkeypatch, argv):
+    def allocate(*args, **kwargs):
+        raise AssertionError("the request got past the memory guard")
+
+    # Everything that would allocate the walk, its grids or its results.
+    for name in ("_grid_values", "initial_state", "run_walk", "theta_sweep", "phase_diagram"):
+        monkeypatch.setattr(cli, name, allocate)
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{cli.MAX_OP_BYTES >> 20} MiB memory cap" in err
+    assert "MAX_OP_BYTES" in err
 
 
 # ------------------------------------------------------------
@@ -172,6 +201,16 @@ def test_sweep_csv_covers_the_default_grid(capsys):
     grid = sorted({float(r[0]) for r in rows})
     assert grid == [0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0]
     assert len(rows) == 8 * 11
+
+
+def test_grid_points_are_computed_from_the_index(capsys):
+    # Point i is start + step * i, so 0.1 * 3 prints as 0.30000000000000004.
+    code, out, _ = _run(capsys, "sweep-theta", "--theta-grid", "0:0.3:0.1", "--steps", "1")
+    assert code == 0
+    _, rows = _csv_rows(out)
+    thetas = list(dict.fromkeys(r[0] for r in rows))
+    assert thetas == ["0", "0.10000000000000001", "0.20000000000000001", "0.30000000000000004"]
+    assert [float(t) for t in thetas] == [0.1 * i for i in range(4)]
 
 
 def test_sweep_half_turn_pairs_match(capsys):
@@ -379,3 +418,64 @@ def test_python_dash_m_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.startswith("position,probability\n")
     assert len(proc.stdout.strip().split("\n")) == 8  # header + 7 sites
+
+
+# ------------------------------------------------------------
+# fuzzing: any argv ends in exit 0, 1 or 2, never a traceback
+# ------------------------------------------------------------
+
+_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-400, 400).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "", "x"]),
+)
+_GRID_JUNK = ["0:90", "a:b:c", "90:0:45", "0:90:-1", "nan:1:1", "0:inf:1", "0:1e9:1e-9", "0:1e300:1e-300"]
+
+
+@st.composite
+def _grids(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_GRID_JUNK))
+    start = draw(st.floats(-720.0, 720.0))
+    step = draw(st.floats(1e-3, 200.0))
+    stop = start + step * draw(st.integers(0, 19))
+    return f"{start!r}:{stop!r}:{step!r}"
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["walk", "sweep-theta", "phase-diagram", "entanglement", "verify"]))
+    argv = [command]
+    flags = ["--phi1-deg", "--phi2-deg", "--alpha-re", "--alpha-im", "--beta-re", "--beta-im"]
+    if command != "sweep-theta":
+        flags.append("--theta-deg")
+        if draw(st.booleans()):
+            argv += ["--coin", draw(st.sampled_from(["hadamard", "grover", "fourier", "nope"]))]
+    for flag in flags:
+        if draw(st.integers(0, 3)) == 0:
+            argv += [flag, draw(_VALUES)]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--init", draw(st.sampled_from(["head", "tail", "unbiased"]))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.append("--no-normalize-angles")
+    if command == "sweep-theta":
+        argv += ["--theta-grid", draw(_grids())]
+    if command == "phase-diagram":
+        argv += ["--phi1-grid", draw(_grids()), "--phi2-grid", draw(_grids())]
+    if command == "verify":
+        argv += ["--max-steps", str(draw(st.integers(-3, 40)))]
+        if draw(st.booleans()):
+            argv.append("--corrupt-coin")
+    elif draw(st.integers(0, 9)) > 0:
+        argv += ["--steps", str(draw(st.integers(-3, 40)))]
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argvs())
+def test_any_small_argv_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -14,6 +14,7 @@ from coinwalk import (
     SchmidtSpectrum,
     WalkerState,
     entanglement_entropy,
+    entanglement_series,
     evolve,
     initial_state,
     is_separable,
@@ -131,6 +132,35 @@ def test_spectrum_validation():
         SchmidtSpectrum(np.array([0.9, 0.3, 0.1]), rank=3)
     with pytest.raises(ValueError, match="rank"):
         SchmidtSpectrum(np.array([1.0, 0.0]), rank=3)
+
+
+# ------------------------------------------------------------
+# The series over a whole walk
+# ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "params, init, steps",
+    [
+        (named_coin("hadamard"), UNBIASED_INIT, 60),
+        (CoinParams(*random_coin_angles(np.random.default_rng(7))), (0.6, 0.8j), 60),
+        (named_coin("hadamard"), (1.0, 0.0), 40),  # --init head
+        (CoinParams.from_degrees(90.0), (1.0, 0.0), 30),  # rank 1 at every step
+        (named_coin("hadamard"), UNBIASED_INIT, 0),
+    ],
+)
+def test_series_matches_the_per_state_functions(params, init, steps):
+    coin = make_coin(params)
+    state = initial_state(*init, LatticeSpec(max(steps, 1)))
+    ranks, entropies = entanglement_series(state, coin, steps)
+    assert ranks.shape == entropies.shape == (steps + 1,)
+    for t in range(steps + 1):
+        if t > 0:
+            state = step_recurrence(state, coin)
+        assert ranks[t] == schmidt_spectrum(state).rank
+        assert abs(entropies[t] - entanglement_entropy(state)) <= 1e-14
+        if ranks[t] <= 1:
+            assert entropies[t] == 0.0
 
 
 # ------------------------------------------------------------

@@ -15,6 +15,7 @@ from coinwalk import (
     WalkerState,
     evolve,
     initial_state,
+    iter_steps,
     make_coin,
     named_coin,
     position_index,
@@ -144,21 +145,34 @@ def test_non_2x2_coin_is_rejected():
         step_recurrence(state, np.eye(3, dtype=complex))
 
 
-# ------------------------------------------------------------
-# evolve against a loop of single steps
-# ------------------------------------------------------------
+def test_iter_steps_checks_the_request_when_called():
+    state = initial_state(*UNBIASED_INIT, LatticeSpec(3))
+    coin = make_coin(named_coin("hadamard"))
+    with pytest.raises(ValueError, match="non-negative"):
+        iter_steps(state, coin, -1)
+    with pytest.raises(LatticeExhaustedError):
+        iter_steps(state, coin, 4)
+    with pytest.raises(ValueError, match="2, 2"):
+        iter_steps(state, np.eye(3, dtype=complex), 1)
+    assert list(iter_steps(state, coin, 0)) == []
 
 
-def _stepwise(state, coin, steps):
-    for _ in range(steps):
-        state = step_recurrence(state, coin)
-    return state
+# ------------------------------------------------------------
+# iter_steps and evolve against a loop of single steps
+# ------------------------------------------------------------
 
 
 def _assert_same_walk(state, coin, steps):
+    expected = state
+    for table, lo, hi in iter_steps(state, coin, steps):
+        expected = step_recurrence(expected, coin)
+        assert np.array_equal(table, expected.amplitudes)
+        assert np.all(table[:, [0, -1]] == 0.0)
+        assert 1 <= lo <= hi <= table.shape[1] - 1
+        assert not np.any(table[:, :lo]) and not np.any(table[:, hi:])
+    assert expected.time == state.time + steps
     evolved = evolve(state, coin, steps)
-    expected = _stepwise(state, coin, steps)
-    assert evolved.time == expected.time == state.time + steps
+    assert evolved.time == expected.time
     assert np.array_equal(evolved.amplitudes, expected.amplitudes)
     assert np.all(evolved.amplitudes[:, [0, -1]] == 0.0)
 
