@@ -429,7 +429,9 @@ _VALUES = st.one_of(
     st.integers(-400, 400).map(str),
     st.sampled_from(["nan", "inf", "-inf", "1e308", "", "x"]),
 )
-_GRID_JUNK = ["0:90", "a:b:c", "90:0:45", "0:90:-1", "nan:1:1", "0:inf:1", "0:1e9:1e-9", "0:1e300:1e-300"]
+_GRID_JUNK = [
+    "0:90", "a:b:c", "90:0:45", "0:90:-1", "nan:1:1", "0:inf:1", "0:1e9:1e-9", "0:1e300:1e-300",
+]
 
 
 @st.composite
@@ -444,7 +446,8 @@ def _grids(draw):
 
 @st.composite
 def _argvs(draw):
-    command = draw(st.sampled_from(["walk", "sweep-theta", "phase-diagram", "entanglement", "verify"]))
+    commands = ["walk", "sweep-theta", "phase-diagram", "entanglement", "verify"]
+    command = draw(st.sampled_from(commands))
     argv = [command]
     flags = ["--phi1-deg", "--phi2-deg", "--alpha-re", "--alpha-im", "--beta-re", "--beta-im"]
     if command != "sweep-theta":
