@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coinwalk.evolution
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     LatticeExhaustedError,
     LatticeSpec,
     WalkerState,
+    distribution,
+    entanglement_series,
     evolve,
     initial_state,
     iter_steps,
@@ -208,6 +211,32 @@ def test_evolve_zeroes_nonzero_guard_columns(seed):
     guards_only = np.zeros_like(amp)
     guards_only[:, [0, -1]] = amp[:, [0, -1]]
     _assert_same_walk(WalkerState(guards_only, lattice), coin, 5)
+
+
+def _subnormal_parts(amplitudes):
+    parts = np.abs(amplitudes.view(np.float64))
+    return np.count_nonzero((parts > 0.0) & (parts < np.finfo(np.float64).tiny))
+
+
+def test_flush_keeps_the_tails_out_of_the_subnormal_range(monkeypatch):
+    # theta = 85 deg: the tails shrink by about 0.087 a step, so unflushed
+    # they reach the subnormal range long before T = 400.  The walk starts
+    # off the flush schedule (t = 5) and passes through a dozen flushes.
+    coin = make_coin(CoinParams(math.radians(85.0), 0.4, 1.3))
+    state = evolve(initial_state(*UNBIASED_INIT, LatticeSpec(400)), coin, 5)
+    _assert_same_walk(state, coin, 395)
+    flushed = evolve(state, coin, 395)
+    ranks, entropies = entanglement_series(state, coin, 395)
+    monkeypatch.setattr(coinwalk.evolution, "_FLUSH_EVERY", 10**9)
+    unflushed = evolve(state, coin, 395)
+    assert _subnormal_parts(unflushed.amplitudes) > 0
+    assert _subnormal_parts(flushed.amplitudes) == 0
+    # What the flush zeroes squares to zero: no probability or Schmidt
+    # weight moves by a single bit.
+    assert np.array_equal(distribution(flushed).probs, distribution(unflushed).probs)
+    unflushed_ranks, unflushed_entropies = entanglement_series(state, coin, 395)
+    assert np.array_equal(ranks, unflushed_ranks)
+    assert np.array_equal(entropies, unflushed_entropies)
 
 
 def test_evolve_keeps_the_zero_state_zero():
