@@ -1,14 +1,16 @@
-"""Two independent engines, one walk.
+"""Three independent engines, one walk.
 
-The fast path updates amplitudes with a local two-term recurrence and
-never builds an operator. The slow path builds the full one-step unitary
+The recurrence updates amplitudes with a local two-term rule and never
+builds an operator. The dense path builds the full one-step unitary
 U = S (C (x) I) on a cyclic window and multiplies state vectors by it.
-They share no evolution code, so agreement at every intermediate time is
-a strong cross-check of both.
+The momentum-space path jumps straight to time T: one closed-form power of
+a 2x2 matrix per wavenumber, then one inverse FFT. They share no evolution
+code, so their agreement is a strong cross-check of all three.
 
 This script prints the structure of the dense operator on a tiny window,
-then races the two engines for 60 steps of a random coin and reports the
-worst amplitude discrepancy.
+races the recurrence and the dense engine for 60 steps of a random coin,
+checks the momentum-space endpoint against both, and reports the worst
+amplitude discrepancies.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from coinwalk import (
     evolve,
     initial_state,
     make_coin,
+    momentum_state,
 )
 
 
@@ -57,6 +60,13 @@ def main():
             worst, worst_t = gap, t
     print(f"recurrence vs dense over {steps} steps:")
     print(f"  worst |amplitude difference| = {worst:.3e} (at t = {worst_t})")
+    print()
+
+    # The momentum engine has no intermediate times; compare its endpoint.
+    endpoint = momentum_state(alpha, beta, coin, steps).amplitudes
+    print(f"momentum space at t = {steps}:")
+    print(f"  vs dense:      {np.abs(endpoint[:, 1:-1] - reference).max():.3e}")
+    print(f"  vs recurrence: {np.abs(endpoint - state.amplitudes).max():.3e}")
     print()
     print("The command-line `coinwalk verify` subcommand runs this same duel")
     print("and fails loudly if the engines ever drift apart.")

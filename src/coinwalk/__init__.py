@@ -2,27 +2,30 @@
 
 The walk alternates a 2x2 coin unitary ``C(theta, phi1, phi2)`` on an
 internal head/tail degree of freedom with a coin-conditioned shift on a
-one-dimensional lattice.  Two independent evolution engines are provided:
+one-dimensional lattice.  Three independent evolution engines are provided:
 
-* :mod:`coinwalk.evolution` — the production path, a local two-term
-  recurrence on the amplitude table (O(n) per step);
+* :mod:`coinwalk.momentum` — the endpoint of a walk from the origin, one
+  closed-form 2x2 power per wavenumber and one FFT (O(T log T));
+* :mod:`coinwalk.evolution` — a local two-term recurrence on the amplitude
+  table (O(n) per step), for per-step series and general start states;
 * :mod:`coinwalk.dense` — a reference path that materializes the one-step
   operator as an explicit unitary matrix and multiplies it out.
 
-They are kept separate so each can validate the other; ``coinwalk verify``
-(or the test suite) compares them amplitude by amplitude.
+They share no evolution code, so each can validate the others; ``coinwalk
+verify`` (or the test suite) compares them amplitude by amplitude.
 
 On top of the engines sit distribution diagnostics (:mod:`coinwalk.analysis`)
 and coin-position entanglement measures (:mod:`coinwalk.entanglement`).
 """
 
-from . import analysis, coin, dense, entanglement, evolution, state
+from . import analysis, coin, dense, entanglement, evolution, momentum, state
 # Each module's __all__ is the one list of its public names; re-export them.
 from .analysis import *
 from .coin import *
 from .dense import *
 from .entanglement import *
 from .evolution import *
+from .momentum import *
 from .state import *
 
 __version__ = "0.1.0"
@@ -32,6 +35,7 @@ __all__ = [
     *coin.__all__,
     *state.__all__,
     *evolution.__all__,
+    *momentum.__all__,
     *dense.__all__,
     *analysis.__all__,
     *entanglement.__all__,

@@ -15,8 +15,9 @@ entanglement
     ``t,schmidt_rank,entropy``.
 verify
     Run the recurrence and dense engines side by side and report the largest
-    amplitude discrepancy per step; exits 1 if any step disagrees by more
-    than 1e-12.
+    amplitude discrepancy per step; the last step also compares the
+    momentum-space engine with the dense one.  Exits 1 if any step disagrees
+    by more than 1e-12.
 
 Conventions shared by all subcommands: angles are entered in degrees,
 output is deterministic (no timestamps, fixed ordering), floats carry
@@ -40,6 +41,7 @@ from .coin import CoinParams, NAMED_COINS, make_coin, named_coin
 from .dense import DENSE_HALF_WIDTH_CAP, dense_series
 from .entanglement import entanglement_series
 from .evolution import iter_steps, run_walk
+from .momentum import momentum_state
 from .state import UNBIASED_INIT, LatticeSpec, check_coin_state, initial_state
 
 __all__ = ["main"]
@@ -106,12 +108,17 @@ def _grid_values(grid: tuple[float, float, int]) -> np.ndarray:
 def _check_footprint(steps: int, values: int) -> None:
     """Usage error if an op of ``steps`` steps keeping ``values`` values would pass MAX_OP_BYTES.
 
-    The estimate is the two step buffers, ``2 * 2 * (2T + 3)`` amplitudes of
-    16 B, plus 256 B for each value the op keeps and writes out (a site of a
-    kept distribution, a grid point, half a step of a series): the number
-    itself, its Python objects on output and its text.
+    The estimate is the momentum engine's working set for ``walk``,
+    ``sweep-theta`` and ``phase-diagram``: the amplitude table, ``2 * (2T + 3)``
+    amplitudes of 16 B, plus at most three FFT arrays of ``M < 2(T + 1)``
+    amplitudes, which also covers the temporaries of measuring the table.  It
+    exceeds the recurrence's two step buffers (``4 * (2T + 3)`` amplitudes)
+    that ``entanglement`` and ``verify`` hold.  On top come 256 B for each
+    value the op keeps and writes out (a site of a kept distribution, a grid
+    point, half a step of a series): the number itself, its Python objects on
+    output and its text.
     """
-    if 64 * (2 * steps + 3) + 256 * values > MAX_OP_BYTES:
+    if 32 * (2 * steps + 3) + 96 * (steps + 1) + 256 * values > MAX_OP_BYTES:
         raise _UsageError(
             f"the request would hold more than the {MAX_OP_BYTES >> 20} MiB memory cap "
             "of one run (MAX_OP_BYTES); ask for fewer steps or grid points"
@@ -346,16 +353,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     state = initial_state(alpha, beta, LatticeSpec(steps))
     references = dense_series(alpha, beta, dense_coin, steps, steps)
     next(references)  # t = 0: both engines start from the same table
-    gaps: list[float] = []
-    worst: tuple[float, int, int] | None = None  # (discrepancy, t, x)
-    walk = iter_steps(state, coin, steps)
-    for t, ((table, _, _), reference) in enumerate(zip(walk, references), start=1):
+    worst: tuple[float, int, int, str] | None = None  # (discrepancy, t, x, engine)
+
+    def compare(engine: str, table: np.ndarray, reference: np.ndarray, t: int) -> float:
+        nonlocal worst
         diff = np.abs(table[:, 1:-1] - reference)
         gap = float(np.max(diff))
-        gaps.append(gap)
         if gap > VERIFY_TOL and (worst is None or gap > worst[0]):
-            x = int(np.argmax(np.max(diff, axis=0))) - steps
-            worst = (gap, t, x)
+            worst = (gap, t, int(np.argmax(np.max(diff, axis=0))) - steps, engine)
+        return gap
+
+    gaps: list[float] = []
+    walk = iter_steps(state, coin, steps)
+    for t, ((table, _, _), reference) in enumerate(zip(walk, references), start=1):
+        gaps.append(compare("recurrence", table, reference, t))
+    # The momentum engine has no intermediate times: it joins at t = steps.
+    final = momentum_state(alpha, beta, coin, steps).amplitudes
+    gaps[-1] = max(gaps[-1], compare("momentum", final, reference, steps))
     if args.format == "json":
         payload = {
             "tolerance": VERIFY_TOL,
@@ -369,10 +383,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines += [f"{t},{_fmt(gap)}" for t, gap in enumerate(gaps, start=1)]
         _write("\n".join(lines), args.out)
     if worst is not None:
-        gap, t, x = worst
+        gap, t, x, engine = worst
         print(
-            f"verify: engines disagree by {gap:.3e} (> {VERIFY_TOL:.0e}) "
-            f"at t={t}, position x={x}",
+            f"verify: the {engine} and dense engines disagree by {gap:.3e} "
+            f"(> {VERIFY_TOL:.0e}) at t={t}, position x={x}",
             file=sys.stderr,
         )
         return 1
@@ -479,7 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ent.set_defaults(handler=cmd_entanglement)
 
     verify = sub.add_parser(
-        "verify", help="cross-check the recurrence engine against the dense operator"
+        "verify",
+        help="cross-check the recurrence and momentum engines against the dense operator",
     )
     _add_coin_flags(verify)
     _add_init_flags(verify)

@@ -1,7 +1,8 @@
 """Reference evolution engine: explicit dense operator matrices.
 
 This is the deliberately naive cross-check for the recurrence engine in
-:mod:`coinwalk.evolution`.  It builds the one-step operator of the walk as an
+:mod:`coinwalk.evolution` and the momentum-space engine in
+:mod:`coinwalk.momentum`.  It builds the one-step operator of the walk as an
 explicit ``(4N+2) x (4N+2)`` matrix over the ``2N+1`` position window
 ``x = -N .. N`` and evolves by repeated matrix-vector products.
 

@@ -1,4 +1,4 @@
-"""Production evolution engine: the local two-term recurrence.
+"""Recurrence engine: the local two-term update, one step at a time.
 
 One step of the walk is coin-then-shift.  Written out per site, the updated
 amplitudes depend only on the two coin components of the neighbouring sites:
@@ -7,12 +7,17 @@ amplitudes depend only on the two coin components of the neighbouring sites:
     beta_x(t+1)  = C10 * alpha_{x+1}(t) + C11 * beta_{x+1}(t)
 
 so a step is two shifted axpy operations on the ``(2, n)`` amplitude table —
-O(n) work and no operator matrix at all.  One kernel reads a source buffer
-and writes a destination buffer, leaving the input state untouched.
-``step_recurrence`` runs it once into a fresh array.  ``iter_steps`` swaps
-two buffers every step, computes only the light cone (the columns the walk
-can have reached) and yields each table as it is written; ``evolve`` and the
-per-step series of the entanglement module and the CLI all run on it.
+O(n) work and no operator matrix at all, O(T^2) for a walk of T steps.  This
+engine serves the per-step series (the entanglement module, CLI ``verify``)
+and start states other than a walker at the origin; the endpoint of a walk
+from the origin, which is what :func:`run_walk` measures, comes from the
+O(T log T) momentum-space engine of :mod:`coinwalk.momentum`.
+
+One kernel reads a source buffer and writes a destination buffer, leaving
+the input state untouched.  ``step_recurrence`` runs it once into a fresh
+array.  ``iter_steps`` swaps two buffers every step, computes only the light
+cone (the columns the walk can have reached) and yields each table as it is
+written; ``evolve`` and the per-step series all run on it.
 
 The amplitudes in the tails of a long walk decay exponentially and, left
 alone, pass through the subnormal range of doubles, where arithmetic is many
@@ -32,14 +37,8 @@ from typing import Iterator
 import numpy as np
 
 from .coin import CoinParams, make_coin
-from .state import (
-    LatticeExhaustedError,
-    LatticeSpec,
-    ProbabilityDistribution,
-    WalkerState,
-    distribution,
-    initial_state,
-)
+from .momentum import momentum_state
+from .state import LatticeExhaustedError, ProbabilityDistribution, WalkerState, distribution
 
 __all__ = ["step_recurrence", "iter_steps", "evolve", "run_walk"]
 
@@ -210,9 +209,11 @@ def run_walk(
 ) -> ProbabilityDistribution:
     """Run a fresh ``steps``-step walk from the origin and measure it.
 
-    The lattice is sized exactly to the walk (``half_width = steps``), so the
-    result covers positions ``-(steps+1) .. steps+1`` with the two outermost
-    (guard) entries always zero.
+    The state comes from :func:`coinwalk.momentum.momentum_state`, in
+    O(T log T).  Its lattice is sized exactly to the walk
+    (``half_width = steps``), so the result covers positions
+    ``-(steps+1) .. steps+1`` with the two outermost (guard) entries and the
+    sites of the wrong parity exactly zero.
 
     Parameters
     ----------
@@ -230,7 +231,4 @@ def run_walk(
     """
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    coin = make_coin(params)
-    state = initial_state(alpha, beta, LatticeSpec(steps))
-    state = evolve(state, coin, steps)
-    return distribution(state)
+    return distribution(momentum_state(alpha, beta, make_coin(params), steps))

@@ -96,6 +96,18 @@ def test_walk_writes_the_out_file_with_lf_endings(tmp_path, capsys):
     assert raw.endswith(b"\n")
 
 
+def test_walk_of_100000_steps_finishes(tmp_path, capsys):
+    # The guard bounds memory, not time: the walk must also be fast enough.
+    target = tmp_path / "walk.csv"
+    code, out, _ = _run(
+        capsys, "walk", "--coin", "hadamard", "--steps", "100000", "--out", str(target)
+    )
+    assert code == 0 and out == ""
+    table = np.loadtxt(target, delimiter=",", skiprows=1)
+    assert table.shape == (200001, 2)
+    assert abs(float(np.sum(table[:, 1])) - 1.0) <= 1e-10
+
+
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     code, out, err = _run(
@@ -352,6 +364,29 @@ def test_verify_detects_an_injected_fault(capsys):
     )
     assert code == 1
     assert "disagree" in err and "t=" in err and "x=" in err
+
+
+def test_verify_names_the_engines_that_disagree(capsys):
+    _, _, err = _run(capsys, "verify", "--coin", "hadamard", "--max-steps", "10", "--corrupt-coin")
+    assert " and dense engines disagree" in err
+
+
+def test_verify_compares_the_momentum_engine_at_the_last_step(capsys, monkeypatch):
+    honest = cli.momentum_state
+
+    def drifting(*args):
+        state = honest(*args)
+        state.amplitudes[0, 1] += 1e-9  # the leftmost site of the light cone
+        return state
+
+    monkeypatch.setattr(cli, "momentum_state", drifting)
+    code, out, err = _run(capsys, "verify", "--coin", "fourier", "--max-steps", "6")
+    assert code == 1
+    _, rows = _csv_rows(out)
+    gaps = [float(r[1]) for r in rows]
+    assert max(gaps[:-1]) <= 1e-12 and gaps[-1] == pytest.approx(1e-9, rel=1e-3)
+    assert "the momentum and dense engines disagree" in err
+    assert "t=6, position x=-6" in err
 
 
 def test_verify_json_reports_ok(capsys):

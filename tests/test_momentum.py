@@ -1,0 +1,134 @@
+"""Tests for the momentum-space engine: agreement with the other two engines,
+exact zeros, input checks, and the physics of long walks."""
+
+import math
+
+import numpy as np
+import pytest
+
+from coinwalk import (
+    NAMED_COINS,
+    UNBIASED_INIT,
+    CoinParams,
+    LatticeSpec,
+    dense_amplitudes,
+    evolve,
+    initial_state,
+    make_coin,
+    momentum_state,
+    named_coin,
+    run_walk,
+)
+from coinwalk.momentum import _fft_size
+
+from conftest import normalized_pair, random_coin_angles
+
+# T + 1 = 8 fits the window exactly; 61 and 101 are prime (windows 64 and
+# 108); 201 = 3 * 67 pads to 216.
+STEPS = [1, 2, 3, 7, 60, 100, 200]
+
+SPECIAL_COINS = [named_coin(name) for name in sorted(NAMED_COINS)] + [
+    CoinParams(0.0, 0.0, 0.0),
+    CoinParams(1e-6, 0.0, 0.0),
+    CoinParams(math.pi / 2.0, 0.0, 0.0),
+]
+
+
+def _assert_matches_the_other_engines(alpha, beta, coin, steps):
+    state = momentum_state(alpha, beta, coin, steps)
+    assert state.time == steps
+    assert state.lattice == LatticeSpec(steps)
+    recurrence = evolve(initial_state(alpha, beta, LatticeSpec(steps)), coin, steps)
+    assert np.max(np.abs(state.amplitudes - recurrence.amplitudes)) <= 1e-12
+    dense = dense_amplitudes(alpha, beta, coin, steps, steps)
+    assert np.max(np.abs(state.amplitudes[:, 1:-1] - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", STEPS)
+@pytest.mark.parametrize("seed", range(3))
+def test_random_walks_match_the_recurrence_and_dense_engines(steps, seed):
+    rng = np.random.default_rng(7000 + 10 * steps + seed)
+    coin = make_coin(CoinParams(*random_coin_angles(rng)))
+    _assert_matches_the_other_engines(*normalized_pair(rng), coin, steps)
+
+
+@pytest.mark.parametrize("steps", STEPS)
+@pytest.mark.parametrize("params", SPECIAL_COINS)
+def test_named_and_extreme_coins_match_the_other_engines(params, steps):
+    _assert_matches_the_other_engines(*UNBIASED_INIT, make_coin(params), steps)
+
+
+def test_window_is_the_smallest_2_3_5_smooth_size():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for n in range(1, 2000):
+        assert _fft_size(n) == next(k for k in range(n, 2 * n + 1) if smooth(k))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 60, 101])
+def test_wrong_parity_and_guard_columns_are_exact_zeros(steps):
+    rng = np.random.default_rng(8000 + steps)
+    coin = make_coin(CoinParams(*random_coin_angles(rng)))
+    state = momentum_state(*normalized_pair(rng), coin, steps)
+    amp = state.amplitudes
+    assert np.all(amp[:, [0, -1]] == 0.0)
+    wrong_parity = (state.lattice.positions + steps) % 2 == 1
+    assert np.all(amp[:, wrong_parity] == 0.0)
+
+
+def test_zero_steps_return_the_initial_state():
+    alpha, beta = 0.6, 0.8j
+    state = momentum_state(alpha, beta, make_coin(named_coin("hadamard")), 0)
+    assert state.time == 0
+    assert np.array_equal(state.amplitudes, initial_state(alpha, beta, LatticeSpec(1)).amplitudes)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, coin, steps",
+    [
+        (*UNBIASED_INIT, make_coin(named_coin("hadamard")) * 1.001, 5),  # not unitary
+        (*UNBIASED_INIT, np.eye(3), 5),  # not (2, 2)
+        (0.6, 0.6, make_coin(named_coin("hadamard")), 5),  # not normalized
+        (*UNBIASED_INIT, make_coin(named_coin("hadamard")), -1),
+    ],
+)
+def test_bad_input_raises_value_error(alpha, beta, coin, steps):
+    with pytest.raises(ValueError):
+        momentum_state(alpha, beta, coin, steps)
+
+
+# ------------------------------------------------------------
+# Long walks (Konno, J. Math. Soc. Japan 57, 2005: X_T / T converges
+# weakly to a law on (-|cos theta|, |cos theta|) with second moment
+# 1 - |sin theta|, for every initial coin state and phase)
+# ------------------------------------------------------------
+
+LONG = 10_000
+
+
+@pytest.mark.parametrize("theta_deg", [30.0, 45.0, 60.0])
+@pytest.mark.parametrize(
+    "phi1, phi2, init", [(0.0, 0.0, UNBIASED_INIT), (1.1, 0.4, (0.6, 0.8j))]
+)
+def test_long_walks_follow_the_weak_limit(theta_deg, phi1, phi2, init):
+    theta = math.radians(theta_deg)
+    dist = run_walk(CoinParams(theta, phi1, phi2), *init, LONG)
+    second_moment = float(np.sum(dist.probs * (dist.positions / LONG) ** 2))
+    assert abs(second_moment - (1.0 - abs(math.sin(theta)))) <= 1e-5
+    beyond = np.abs(dist.positions) > (abs(math.cos(theta)) + 0.05) * LONG
+    assert float(np.sum(dist.probs[beyond])) <= 1e-12
+
+
+def test_long_hadamard_walk_peaks_near_one_over_root_two():
+    dist = run_walk(named_coin("hadamard"), *UNBIASED_INIT, LONG)
+    peak = abs(int(dist.positions[np.argmax(dist.probs)])) / LONG
+    assert abs(peak - 1.0 / math.sqrt(2.0)) <= 0.005
+
+
+def test_a_walk_of_100000_steps_conserves_probability():
+    dist = run_walk(named_coin("hadamard"), *UNBIASED_INIT, 100_000)
+    assert abs(float(np.sum(dist.probs)) - 1.0) <= 1e-10
