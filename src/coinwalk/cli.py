@@ -22,17 +22,19 @@ verify
 Conventions shared by all subcommands: angles are entered in degrees,
 output is deterministic (no timestamps, fixed ordering), floats carry
 17 significant digits so parsing them back reproduces the doubles
-bit-for-bit, text is UTF-8 with LF line endings.  Exit codes: 0 success,
-1 numeric failure, 2 usage error.
+bit-for-bit, text is UTF-8 with LF line endings.  All subcommands write
+through ``_emit``: JSON from one ``json.dumps``, CSV in blocks of rows.
+Exit codes: 0 success, 1 numeric failure, 2 usage error or unwritable output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +56,9 @@ VERIFY_TOL = 1e-12
 #: out-of-memory kill.
 MAX_OP_BYTES = 2**30
 
+#: Rows of CSV text formatted at once; one block of text is alive at a time.
+CSV_BLOCK_ROWS = 4096
+
 #: Named initial coin states selectable with --init.
 NAMED_INITS: dict[str, tuple[complex, complex]] = {
     "unbiased": UNBIASED_INIT,
@@ -64,11 +69,6 @@ NAMED_INITS: dict[str, tuple[complex, complex]] = {
 
 class _UsageError(Exception):
     """Invalid flag combination or value; reported on stderr, exit code 2."""
-
-
-def _fmt(value: float) -> str:
-    """Format a float with 17 significant digits (lossless double round-trip)."""
-    return format(float(value), ".17g")
 
 
 def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
@@ -115,8 +115,11 @@ def _check_footprint(steps: int, values: int) -> None:
     exceeds the recurrence's two step buffers (``4 * (2T + 3)`` amplitudes)
     that ``entanglement`` and ``verify`` hold.  On top come 256 B for each
     value the op keeps and writes out (a site of a kept distribution, a grid
-    point, half a step of a series): the number itself, its Python objects on
-    output and its text.
+    point, half a step of a series): the number, at most 24 B of CSV columns
+    built from it, and JSON output, which ``json.dumps`` builds whole (a Python
+    number, a text chunk and the joined text: 116 B a value measured on a
+    walk).  CSV is written a block of ``CSV_BLOCK_ROWS`` rows at a time, so
+    its text and Python numbers take one block, not a share per value.
     """
     if 32 * (2 * steps + 3) + 96 * (steps + 1) + 256 * values > MAX_OP_BYTES:
         raise _UsageError(
@@ -186,32 +189,57 @@ def _require_steps(args: argparse.Namespace, minimum: int = 1) -> int:
     return args.steps
 
 
-def _write(text: str, out_path: str | None) -> None:
-    """Write ``text`` and a final LF to stdout, or to ``out_path`` if given."""
-    if out_path is None:
-        sys.stdout.write(text + "\n")
-        return
+def _csv(header: str, *columns: np.ndarray) -> Iterator[str]:
+    """CSV text of equal-length ``columns`` under ``header``, a block of rows per string.
+
+    Integer columns print with ``%d``, float columns with ``%.17g``, the same
+    text as ``format(value, ".17g")``.  Mixed with float columns, integer
+    columns pass through float64, which is exact below ``2**53``.
+    """
+    template = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    yield header + "\n"
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in columns])
+        yield template * len(block) % tuple(block.ravel().tolist())
+
+
+def _emit(args: argparse.Namespace, payload: object, header: str, *columns: np.ndarray) -> None:
+    """Write ``payload`` as JSON, or ``columns`` as CSV under ``header``, as --format asks."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, default=lambda a: a.tolist())
+        _write((text, "\n"), args.out)
+    else:
+        _write(_csv(header, *columns), args.out)
+
+
+def _write(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the strings of ``chunks`` to stdout, or to ``out_path`` if given."""
     try:
+        if out_path is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+            return
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+            fh.writelines(chunks)
     except OSError as exc:
-        raise _UsageError(f"cannot write {out_path}: {exc.strerror}") from None
-
-
-def _window(dist) -> tuple[np.ndarray, np.ndarray]:
-    """Strip the two guard sites: the 2N+1 reachable positions and their probabilities."""
-    return dist.positions[1:-1], dist.probs[1:-1]
+        if out_path is None:
+            # Closing drops the unwritten text, which interpreter shutdown
+            # would otherwise flush again, report a second time and exit 120.
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        target = "stdout" if out_path is None else out_path
+        raise _UsageError(f"cannot write {target}: {exc.strerror}") from None
 
 
 def _walk_payload(degrees: tuple[float, float, float], steps: int, dist) -> dict:
-    positions, probs = _window(dist)
+    """One walk's angles and its 2N+1 reachable sites, without the two guard sites."""
     return {
         "theta_deg": degrees[0],
         "phi1_deg": degrees[1],
         "phi2_deg": degrees[2],
         "steps": steps,
-        "positions": [int(x) for x in positions],
-        "probs": [float(p) for p in probs],
+        "positions": dist.positions[1:-1],
+        "probs": dist.probs[1:-1],
     }
 
 
@@ -225,14 +253,8 @@ def cmd_walk(args: argparse.Namespace) -> int:
     _check_footprint(steps, 2 * steps + 3)
     params, degrees = _coin_params(args)
     alpha, beta = _init_amplitudes(args)
-    dist = run_walk(params, alpha, beta, steps)
-    if args.format == "json":
-        _write(json.dumps(_walk_payload(degrees, steps, dist), indent=2), args.out)
-    else:
-        positions, probs = _window(dist)
-        lines = ["position,probability"]
-        lines += [f"{x},{_fmt(p)}" for x, p in zip(positions, probs)]
-        _write("\n".join(lines), args.out)
+    payload = _walk_payload(degrees, steps, run_walk(params, alpha, beta, steps))
+    _emit(args, payload, "position,probability", payload["positions"], payload["probs"])
     return 0
 
 
@@ -256,19 +278,14 @@ def cmd_sweep_theta(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    results = [(float(theta_deg), dist) for theta_deg, (_, dist) in zip(thetas_deg, sweep)]
-    if args.format == "json":
-        payload = [
-            _walk_payload((theta_deg, phi1_deg, phi2_deg), steps, dist)
-            for theta_deg, dist in results
-        ]
-        _write(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = ["theta_deg,position,probability"]
-        for theta_deg, dist in results:
-            positions, probs = _window(dist)
-            lines += [f"{_fmt(theta_deg)},{x},{_fmt(p)}" for x, p in zip(positions, probs)]
-        _write("\n".join(lines), args.out)
+    payload = [
+        _walk_payload((theta_deg, phi1_deg, phi2_deg), steps, dist)
+        for theta_deg, (_, dist) in zip(thetas_deg, sweep)
+    ]
+    positions = np.arange(-steps, steps + 1)
+    rows = np.repeat(thetas_deg, positions.size), np.tile(positions, thetas_deg.size)
+    probs = np.concatenate([block["probs"] for block in payload])
+    _emit(args, payload, "theta_deg,position,probability", *rows, probs)
     return 0
 
 
@@ -289,21 +306,15 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         steps,
         normalize=not args.no_normalize_angles,
     )
-    if args.format == "json":
-        payload = {
-            "theta_deg": degrees[0],
-            "steps": steps,
-            "phi1_deg": [float(v) for v in phi1_deg],
-            "phi2_deg": [float(v) for v in phi2_deg],
-            "delta": [[float(d) for d in row] for row in diagram.delta],
-        }
-        _write(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = ["phi1_deg,phi2_deg,delta"]
-        for i, p1 in enumerate(phi1_deg):
-            for j, p2 in enumerate(phi2_deg):
-                lines.append(f"{_fmt(p1)},{_fmt(p2)},{_fmt(diagram.delta[i, j])}")
-        _write("\n".join(lines), args.out)
+    payload = {
+        "theta_deg": degrees[0],
+        "steps": steps,
+        "phi1_deg": phi1_deg,
+        "phi2_deg": phi2_deg,
+        "delta": diagram.delta,
+    }
+    rows = (*np.meshgrid(phi1_deg, phi2_deg, indexing="ij"), diagram.delta)
+    _emit(args, payload, "phi1_deg,phi2_deg,delta", *(r.ravel() for r in rows))
     return 0
 
 
@@ -314,23 +325,17 @@ def cmd_entanglement(args: argparse.Namespace) -> int:
     alpha, beta = _init_amplitudes(args)
     state = initial_state(alpha, beta, LatticeSpec(max(steps, 1)))
     ranks, entropies = entanglement_series(state, make_coin(params), steps)
-    ranks, entropies = ranks.tolist(), entropies.tolist()
-    if args.format == "json":
-        payload = {
-            "theta_deg": degrees[0],
-            "phi1_deg": degrees[1],
-            "phi2_deg": degrees[2],
-            "steps": steps,
-            "t": list(range(steps + 1)),
-            "schmidt_rank": ranks,
-            "entropy": entropies,
-        }
-        _write(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = ["t,schmidt_rank,entropy"]
-        rows = enumerate(zip(ranks, entropies))
-        lines += [f"{t},{rank},{_fmt(entropy)}" for t, (rank, entropy) in rows]
-        _write("\n".join(lines), args.out)
+    t = np.arange(steps + 1)
+    payload = {
+        "theta_deg": degrees[0],
+        "phi1_deg": degrees[1],
+        "phi2_deg": degrees[2],
+        "steps": steps,
+        "t": t,
+        "schmidt_rank": ranks,
+        "entropy": entropies,
+    }
+    _emit(args, payload, "t,schmidt_rank,entropy", t, ranks, entropies)
     return 0
 
 
@@ -363,25 +368,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             worst = (gap, t, int(np.argmax(np.max(diff, axis=0))) - steps, engine)
         return gap
 
-    gaps: list[float] = []
+    gaps = np.empty(steps)
     walk = iter_steps(state, coin, steps)
     for t, ((table, _, _), reference) in enumerate(zip(walk, references), start=1):
-        gaps.append(compare("recurrence", table, reference, t))
+        gaps[t - 1] = compare("recurrence", table, reference, t)
     # The momentum engine has no intermediate times: it joins at t = steps.
     final = momentum_state(alpha, beta, coin, steps).amplitudes
     gaps[-1] = max(gaps[-1], compare("momentum", final, reference, steps))
-    if args.format == "json":
-        payload = {
-            "tolerance": VERIFY_TOL,
-            "ok": worst is None,
-            "t": list(range(1, steps + 1)),
-            "max_abs_discrepancy": gaps,
-        }
-        _write(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = ["t,max_abs_discrepancy"]
-        lines += [f"{t},{_fmt(gap)}" for t, gap in enumerate(gaps, start=1)]
-        _write("\n".join(lines), args.out)
+    t = np.arange(1, steps + 1)
+    payload = {"tolerance": VERIFY_TOL, "ok": worst is None, "t": t, "max_abs_discrepancy": gaps}
+    _emit(args, payload, "t,max_abs_discrepancy", t, gaps)
     if worst is not None:
         gap, t, x, engine = worst
         print(

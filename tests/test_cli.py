@@ -1,9 +1,11 @@
 """Tests for the command-line interface: formats, flags, exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -12,7 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwalk import UNBIASED_INIT, cli, named_coin, run_walk
+from coinwalk import (
+    UNBIASED_INIT,
+    CoinParams,
+    LatticeSpec,
+    cli,
+    dense_series,
+    entanglement_series,
+    initial_state,
+    iter_steps,
+    make_coin,
+    momentum_state,
+    named_coin,
+    phase_diagram,
+    run_walk,
+)
 from coinwalk.cli import main
 
 
@@ -440,6 +456,113 @@ def test_raw_theta_mod_two_pi_is_physically_identical(capsys):
 
 
 # ------------------------------------------------------------
+# exact output bytes, against references built from library calls
+# ------------------------------------------------------------
+
+
+def _walk_reference(theta, phi1, phi2, steps):
+    dist = run_walk(CoinParams.from_degrees(theta, phi1, phi2), *UNBIASED_INIT, steps)
+    positions, probs = dist.positions[1:-1].tolist(), dist.probs[1:-1].tolist()
+    payload = {"theta_deg": theta, "phi1_deg": phi1, "phi2_deg": phi2, "steps": steps,
+               "positions": positions, "probs": probs}
+    return "position,probability", list(zip(positions, probs)), payload
+
+
+def _sweep_reference(start, step, count, phi1, steps):
+    thetas = [start + step * i for i in range(count)]
+    walks = [_walk_reference(theta, phi1, 0.0, steps) for theta in thetas]
+    rows = [(theta, *row) for theta, (_, walk_rows, _) in zip(thetas, walks) for row in walk_rows]
+    return "theta_deg,position,probability", rows, [payload for _, _, payload in walks]
+
+
+def _phase_reference(phi1s, phi2s, steps):
+    params = named_coin("hadamard")
+    delta = phase_diagram(params.theta, np.radians(phi1s), np.radians(phi2s),
+                          *UNBIASED_INIT, steps).delta.tolist()
+    payload = {"theta_deg": math.degrees(params.theta), "steps": steps,
+               "phi1_deg": phi1s, "phi2_deg": phi2s, "delta": delta}
+    rows = [(p1, p2, delta[i][j]) for i, p1 in enumerate(phi1s) for j, p2 in enumerate(phi2s)]
+    return "phi1_deg,phi2_deg,delta", rows, payload
+
+
+def _entanglement_reference(coin, init, steps):
+    params = named_coin(coin)
+    state = initial_state(*cli.NAMED_INITS[init], LatticeSpec(max(steps, 1)))
+    ranks, entropies = entanglement_series(state, make_coin(params), steps)
+    ranks, entropies, t = ranks.tolist(), entropies.tolist(), list(range(steps + 1))
+    degrees = [math.degrees(a) for a in (params.theta, params.phi1, params.phi2)]
+    payload = dict(zip(("theta_deg", "phi1_deg", "phi2_deg"), degrees))
+    payload.update(steps=steps, t=t, schmidt_rank=ranks, entropy=entropies)
+    return "t,schmidt_rank,entropy", list(zip(t, ranks, entropies)), payload
+
+
+def _verify_reference(theta, phi1, steps):
+    coin = make_coin(CoinParams.from_degrees(theta, phi1, 0.0))
+    state = initial_state(*UNBIASED_INIT, LatticeSpec(steps))
+    references = dense_series(*UNBIASED_INIT, coin, steps, steps)
+    next(references)
+    gaps = []
+    for (table, _, _), reference in zip(iter_steps(state, coin, steps), references):
+        gaps.append(float(np.max(np.abs(table[:, 1:-1] - reference))))
+    final = momentum_state(*UNBIASED_INIT, coin, steps).amplitudes
+    gaps[-1] = max(gaps[-1], float(np.max(np.abs(final[:, 1:-1] - reference))))
+    t = list(range(1, steps + 1))
+    payload = {"tolerance": cli.VERIFY_TOL, "ok": max(gaps) <= cli.VERIFY_TOL, "t": t,
+               "max_abs_discrepancy": gaps}
+    return "t,max_abs_discrepancy", list(zip(t, gaps)), payload
+
+
+_EXACT_CASES = {
+    "walk": (("walk", "--theta-deg", "37.5", "--phi1-deg", "20", "--phi2-deg", "70",
+              "--steps", "30"), lambda: _walk_reference(37.5, 20.0, 70.0, 30)),
+    # 6001 rows: more than one CSV block.
+    "walk-long": (("walk", "--theta-deg", "45", "--steps", "3000"),
+                  lambda: _walk_reference(45.0, 0.0, 0.0, 3000)),
+    "sweep": (("sweep-theta", "--theta-grid", "0:0.3:0.1", "--phi1-deg", "33", "--steps", "4"),
+              lambda: _sweep_reference(0.0, 0.1, 4, 33.0, 4)),
+    "sweep-one-point": (("sweep-theta", "--theta-grid", "10:10:1", "--steps", "3"),
+                        lambda: _sweep_reference(10.0, 1.0, 1, 0.0, 3)),
+    "phase": (("phase-diagram", "--coin", "hadamard", "--phi1-grid", "0:90:45",
+               "--phi2-grid", "0:60:30", "--steps", "8"),
+              lambda: _phase_reference([0.0, 45.0, 90.0], [0.0, 30.0, 60.0], 8)),
+    "phase-one-point": (("phase-diagram", "--coin", "hadamard", "--phi1-grid", "30:30:1",
+                         "--phi2-grid", "0:0:1", "--steps", "5"),
+                        lambda: _phase_reference([30.0], [0.0], 5)),
+    "entanglement": (("entanglement", "--coin", "grover", "--init", "head", "--steps", "12"),
+                     lambda: _entanglement_reference("grover", "head", 12)),
+    "entanglement-0": (("entanglement", "--coin", "hadamard", "--steps", "0"),
+                       lambda: _entanglement_reference("hadamard", "unbiased", 0)),
+    "verify": (("verify", "--theta-deg", "33", "--phi1-deg", "70", "--max-steps", "8"),
+               lambda: _verify_reference(33.0, 70.0, 8)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(_EXACT_CASES))
+def test_output_bytes_match_the_library_reference(capsys, case, fmt):
+    argv, reference = _EXACT_CASES[case]
+    code, out, err = _run(capsys, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    header, rows, payload = reference()
+    if fmt == "json":
+        expected = json.dumps(payload, indent=2) + "\n"
+    else:
+        cell = lambda v: str(v) if isinstance(v, int) else format(v, ".17g")  # noqa: E731
+        expected = "".join([header + "\n"] + [",".join(map(cell, row)) + "\n" for row in rows])
+    assert out == expected
+
+
+def test_csv_writer_formats_blocks_of_integer_and_float_rows():
+    ints, floats = np.array([3, -1, 0]), np.array([-0.0, 5e-324, 1e-300])
+    text = "".join(cli._csv("i,f,j", ints, floats, ints[::-1]))
+    assert text == "i,f,j\n3,-0,0\n-1,4.9406564584124654e-324,-1\n0,1e-300,3\n"
+    rows = np.arange(cli.CSV_BLOCK_ROWS + 1)
+    chunks = list(cli._csv("n", rows))
+    assert len(chunks) == 3  # the header, one full block, one row
+    assert "".join(chunks) == "n\n" + "".join(f"{n}\n" for n in range(rows.size))
+
+
+# ------------------------------------------------------------
 # module entry point
 # ------------------------------------------------------------
 
@@ -453,6 +576,21 @@ def test_python_dash_m_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.startswith("position,probability\n")
     assert len(proc.stdout.strip().split("\n")) == 8  # header + 7 sites
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unwritable_stdout_is_a_usage_error(fmt):
+    argv = ["walk", "--coin", "hadamard", "--steps", "3", "--format", fmt]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "coinwalk", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == f"coinwalk: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 # ------------------------------------------------------------
