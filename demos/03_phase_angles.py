@@ -6,10 +6,18 @@ lopsided one. phi2, by contrast, never shows up in the probabilities at
 all -- it multiplies every surviving path to a given site by the same
 phase, which the modulus squares away.
 
+Both follow from one identity (Tregenna, Flanagan, Maile & Kendon, New J.
+Phys. 5, 83 (2003)): the walk with phases (phi1, phi2) from the coin state
+(alpha, beta) has the distribution of the walk with no phases from
+(alpha, e^{i phi1} beta). phi1 is a start-state phase in disguise.
+
 The phase_diagram helper maps peak_gap (the height difference between the
-two largest probabilities) over a (phi1, phi2) grid; every column of the
-resulting matrix is constant because phi2 is inert.
+two largest probabilities) over a (phi1, phi2) grid. It uses the identity:
+the whole grid costs two walks, one from a head and one from a tail start,
+and every row of the resulting matrix is constant because phi2 is inert.
 """
+
+import cmath
 
 import numpy as np
 
@@ -52,12 +60,18 @@ def main():
         for phi2 in np.linspace(0.0, np.pi, 7)
     )
     print(f"max change in any probability as phi2 sweeps 0..180 deg: {worst:.2e}")
+
+    # phi1 moved onto the start state: no coin phases, beta -> e^{i phi1} beta.
+    phased = run_walk(CoinParams(theta, 1.1, 0.7), alpha, beta, steps)
+    moved = run_walk(CoinParams(theta, 0.0, 0.0), alpha, cmath.exp(1.1j) * beta, steps)
+    worst = float(np.abs(phased.probs - moved.probs).max())
+    print(f"phases (1.1, 0.7) rad vs start state (alpha, e^(1.1i) beta): max diff {worst:.2e}")
     print()
 
     # A small phase diagram: rows sweep phi1, columns sweep phi2.
     grid = np.radians(np.arange(0, 180, 45))
     diagram = phase_diagram(theta, grid, grid, alpha, beta, steps=50)
-    print("peak_gap over a 4x4 (phi1 x phi2) grid, 50 steps:")
+    print("peak_gap over a 4x4 (phi1 x phi2) grid, 50 steps, from two walks:")
     for i, phi1 in enumerate(np.degrees(diagram.phi1_grid)):
         row = " ".join(f"{v:.4f}" for v in diagram.delta[i])
         print(f"  phi1={phi1:5.1f}: {row}")

@@ -9,19 +9,21 @@ Two scalar summaries drive the parameter studies:
 * ``symmetry_deviation`` — the worst-case difference ``|P(x) - P(-x)|``,
   i.e. how far the distribution is from exact left/right symmetry.
 
-``theta_sweep`` and ``phase_diagram`` run independent walks per grid point
-(same initial coin state, same step count) and collect these summaries.
+``theta_sweep`` runs one walk per rotation angle, ``phase_diagram`` two walks
+for the whole (phi1, phi2) grid, and both collect these summaries.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coin import CoinParams
+from .coin import CoinParams, make_coin
 from .evolution import run_walk
-from .state import ProbabilityDistribution
+from .momentum import momentum_state
+from .state import ProbabilityDistribution, check_coin_state
 
 __all__ = [
     "PhaseDiagram",
@@ -48,6 +50,11 @@ def peak_gap(dist: ProbabilityDistribution) -> float:
         raise ValueError(
             f"peak gap needs at least two positions, got {p.size}"
         )
+    return _gap(p)
+
+
+def _gap(p: np.ndarray) -> float:
+    """``max(p) - second_max(p)`` with multiplicity, for at least two entries."""
     top_two = np.partition(p, p.size - 2)[-2:]
     return float(top_two[1] - top_two[0])
 
@@ -142,7 +149,17 @@ def phase_diagram(
     steps: int,
     normalize: bool = True,
 ) -> PhaseDiagram:
-    """Peak gap of the walk at every point of a (phi1, phi2) grid.
+    """Peak gap of the walk at every point of a (phi1, phi2) grid, from two walks.
+
+    ``delta[i, j]`` is ``peak_gap(run_walk(CoinParams(theta, phi1_grid[i],
+    phi2_grid[j], normalize=normalize), alpha, beta, steps))`` up to rounding.
+    As ``P(x; theta, phi1, phi2, alpha, beta) = P(x; theta, 0, 0, alpha,
+    e^{i phi1} beta)`` (Tregenna, Flanagan, Maile & Kendon, New J. Phys. 5, 83
+    (2003); see the README), row ``i`` is the peak gap of ``|alpha H + e^{i
+    phi1} beta T|^2`` for the walks ``H`` and ``T`` of the coin ``R(theta)``
+    from a head and a tail start, repeated along phi2.  phi1 is taken as
+    ``CoinParams`` keeps it: ``normalize=True`` reduces it mod pi, which flips
+    the sign of ``e^{i phi1}``.
 
     ``normalize=False`` passes the grid angles to the coin without modular
     reduction (matters for phases of 180 degrees and above).
@@ -150,15 +167,25 @@ def phase_diagram(
     Raises
     ------
     ValueError
-        If either grid is empty.
+        If either grid is empty, an angle is NaN or infinite, the coin state
+        is not normalized, or ``steps`` is below 1.
     """
     p1 = np.asarray(phi1_grid, dtype=np.float64)
     p2 = np.asarray(phi2_grid, dtype=np.float64)
     if p1.size == 0 or p2.size == 0:
         raise ValueError("phase grids must be non-empty")
-    delta = np.empty((p1.size, p2.size), dtype=np.float64)
-    for i, phi1 in enumerate(p1):
-        for j, phi2 in enumerate(p2):
-            params = CoinParams(theta, float(phi1), float(phi2), normalize=normalize)
-            delta[i, j] = peak_gap(run_walk(params, alpha, beta, steps))
-    return PhaseDiagram(float(theta), steps, p1, p2, delta)
+    phases = [CoinParams(theta, phi1, 0.0, normalize=normalize).phi1 for phi1 in p1]
+    for phi2 in p2:  # phi2 reaches no coin, but is checked like the angles that do
+        CoinParams(theta, 0.0, phi2)
+    alpha, beta = check_coin_state(alpha, beta)
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
+    coin = make_coin(CoinParams(theta, 0.0, 0.0, normalize=normalize))
+    head = alpha * momentum_state(1.0, 0.0, coin, steps).amplitudes
+    tail = beta * momentum_state(0.0, 1.0, coin, steps).amplitudes
+    # |head + e^{i phi1} tail|^2 summed over the coin, expanded: a head or a
+    # tail start has cross = 0 exactly, so all its rows are equal bit for bit.
+    base = np.sum(np.abs(head) ** 2 + np.abs(tail) ** 2, axis=0)
+    cross = 2.0 * np.sum(head.conj() * tail, axis=0)
+    gaps = np.array([_gap(base + (cmath.exp(1j * phi1) * cross).real) for phi1 in phases])
+    return PhaseDiagram(float(theta), steps, p1, p2, np.repeat(gaps[:, None], p2.size, axis=1))

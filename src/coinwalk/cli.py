@@ -113,13 +113,16 @@ def _check_footprint(steps: int, values: int) -> None:
     amplitudes of 16 B, plus at most three FFT arrays of ``M < 2(T + 1)``
     amplitudes, which also covers the temporaries of measuring the table.  It
     exceeds the recurrence's two step buffers (``4 * (2T + 3)`` amplitudes)
-    that ``entanglement`` and ``verify`` hold.  On top come 256 B for each
-    value the op keeps and writes out (a site of a kept distribution, a grid
-    point, half a step of a series): the number, at most 24 B of CSV columns
-    built from it, and JSON output, which ``json.dumps`` builds whole (a Python
-    number, a text chunk and the joined text: 116 B a value measured on a
-    walk).  CSV is written a block of ``CSV_BLOCK_ROWS`` rows at a time, so
-    its text and Python numbers take one block, not a share per value.
+    that ``entanglement`` and ``verify`` hold.  ``phase-diagram`` holds two
+    basis tables and their folds, at most 121 B a site measured up to
+    T = 3 * 10^5; the ``2T + 3`` values of one walk it counts cover the rest.
+    On top come 256 B for each value the op keeps and writes out (a site of a
+    kept distribution, a grid point, half a step of a series): the number, at
+    most 24 B of CSV columns built from it, and JSON output, which
+    ``json.dumps`` builds whole (a Python number, a text chunk and the joined
+    text: 116 B a value measured on a walk).  CSV is written a block of
+    ``CSV_BLOCK_ROWS`` rows at a time, so its text and Python numbers take one
+    block, not a share per value.
     """
     if 32 * (2 * steps + 3) + 96 * (steps + 1) + 256 * values > MAX_OP_BYTES:
         raise _UsageError(

@@ -332,3 +332,16 @@ def test_c11_performance_floors():
         f"1000-step walk: {walk_elapsed:.3f} s, 7-point phi1 sweep at t=100: "
         f"{sweep_elapsed:.3f} s",
     )
+
+
+def test_c11b_phase_diagram_floor():
+    # Two walks for the whole grid; one walk per point took about 17 s on a 2-core x86-64 host.
+    grid = np.radians(np.arange(181.0))
+    started = time.perf_counter()
+    diagram = phase_diagram(math.pi / 4.0, grid, grid, *UNBIASED_INIT, steps=1000)
+    elapsed = time.perf_counter() - started
+    _report(
+        "phase-diagram-floor",
+        elapsed < 1.0 and diagram.delta.shape == (181, 181),
+        f"181x181 (phi1, phi2) diagram at t=1000: {elapsed:.3f} s",
+    )

@@ -1,15 +1,19 @@
 """Tests for distribution diagnostics and parameter sweeps."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     PhaseDiagram,
     ProbabilityDistribution,
+    analysis,
     named_coin,
     peak_gap,
     phase_diagram,
@@ -17,6 +21,8 @@ from coinwalk import (
     symmetry_deviation,
     theta_sweep,
 )
+
+from conftest import angles, normalized_pair
 
 
 def _dist(positions, probs):
@@ -142,8 +148,7 @@ def test_delta_is_constant_along_phi2():
     diagram = phase_diagram(
         math.pi / 4.0, np.radians([0.0, 45.0, 90.0]), phi2, *UNBIASED_INIT, steps=25
     )
-    spread = diagram.delta.max(axis=1) - diagram.delta.min(axis=1)
-    assert np.max(spread) <= 1e-12
+    assert np.all(diagram.delta == diagram.delta[:, :1])
 
 
 def test_delta_values_stay_in_the_unit_interval():
@@ -155,10 +160,109 @@ def test_delta_values_stay_in_the_unit_interval():
 
 
 def test_empty_grids_are_rejected():
-    with pytest.raises(ValueError, match="non-empty"):
+    with pytest.raises(ValueError, match="^phase grids must be non-empty$"):
         phase_diagram(1.0, [], [0.0], *UNBIASED_INIT, steps=5)
-    with pytest.raises(ValueError, match="non-empty"):
+    with pytest.raises(ValueError, match="^phase grids must be non-empty$"):
         phase_diagram(1.0, [0.0], [], *UNBIASED_INIT, steps=5)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"phi1_grid": [0.0, math.nan]}, "phi1 must be finite"),
+        ({"phi1_grid": [math.inf]}, "phi1 must be finite"),
+        ({"phi2_grid": [0.0, math.nan]}, "phi2 must be finite"),
+        ({"phi2_grid": [1.0, -math.inf]}, "phi2 must be finite"),
+        ({"theta": math.nan}, "theta must be finite"),
+        ({"alpha": 1.0, "beta": 1.0}, "must be normalized"),
+        ({"alpha": 0.6, "beta": 0.6j}, "must be normalized"),
+        ({"steps": -3}, "steps must be positive"),
+        # As in run_walk, a walk has at least one step.
+        ({"steps": 0}, "steps must be positive"),
+    ],
+)
+def test_phase_diagram_checks_its_input_before_walking(monkeypatch, bad, match):
+    def walk(*args, **kwargs):
+        raise AssertionError("a basis walk ran before the input was checked")
+
+    monkeypatch.setattr(analysis, "momentum_state", walk)
+    request = {
+        "theta": 0.7,
+        "phi1_grid": [0.0, 1.0],
+        "phi2_grid": [0.0, 2.0],
+        "alpha": UNBIASED_INIT[0],
+        "beta": UNBIASED_INIT[1],
+        "steps": 5,
+    }
+    with pytest.raises(ValueError, match=match):
+        phase_diagram(**(request | bad))
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("start", [(1.0, 0.0), (0.0, 1.0)])
+def test_basis_start_gives_a_constant_diagram(start, normalize):
+    # From a head or a tail start the phase e^{i phi1} is a global phase.
+    grid = np.radians(np.arange(0.0, 360.0, 15.0))
+    delta = phase_diagram(0.7, grid, grid[:5], *start, steps=150, normalize=normalize).delta
+    assert np.all(delta == delta[0, 0])
+
+
+def _phase_diagram_oracle(theta, phi1_grid, phi2_grid, alpha, beta, steps, normalize):
+    """One ``run_walk`` per grid point: the reference ``phase_diagram`` must reproduce."""
+    return np.array(
+        [
+            [
+                peak_gap(run_walk(CoinParams(theta, phi1, phi2, normalize=normalize), alpha, beta, steps))
+                for phi2 in phi2_grid
+            ]
+            for phi1 in phi1_grid
+        ]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theta=angles,
+    phi1=angles,
+    phi2=angles,
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 400),
+    normalize=st.booleans(),
+)
+def test_coin_phases_act_as_a_start_state_phase(theta, phi1, phi2, seed, steps, normalize):
+    # P(x; theta, phi1, phi2, alpha, beta) = P(x; theta, 0, 0, alpha, e^{i phi1} beta),
+    # with phi1 as the coin keeps it.
+    alpha, beta = normalized_pair(np.random.default_rng(seed))
+    params = CoinParams(theta, phi1, phi2, normalize=normalize)
+    walk = run_walk(params, alpha, beta, steps)
+    rotated = run_walk(
+        CoinParams(theta, 0.0, 0.0, normalize=normalize),
+        alpha,
+        cmath.exp(1j * params.phi1) * beta,
+        steps,
+    )
+    assert np.array_equal(walk.positions, rotated.positions)
+    assert np.max(np.abs(walk.probs - rotated.probs)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    theta=angles,
+    phi1s=st.lists(angles, min_size=0, max_size=3),
+    phi1_late=st.floats(math.pi, 2.0 * math.pi, exclude_max=True),
+    phi2s=st.lists(angles, min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 400),
+    normalize=st.booleans(),
+)
+def test_phase_diagram_matches_one_walk_per_point(
+    theta, phi1s, phi1_late, phi2s, seed, steps, normalize
+):
+    phi1_grid = [*phi1s, phi1_late]  # always one phi1 of 180 degrees or more
+    alpha, beta = normalized_pair(np.random.default_rng(seed))
+    diagram = phase_diagram(theta, phi1_grid, phi2s, alpha, beta, steps, normalize=normalize)
+    expected = _phase_diagram_oracle(theta, phi1_grid, phi2s, alpha, beta, steps, normalize)
+    assert np.max(np.abs(diagram.delta - expected)) <= 1e-12
 
 
 def test_phase_diagram_validates_delta():

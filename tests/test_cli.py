@@ -320,6 +320,24 @@ def test_phase_diagram_json_shape(capsys):
     assert len(payload["delta"]) == 2 and len(payload["delta"][0]) == 1
 
 
+@pytest.mark.parametrize("init", ["head", "tail"])
+def test_phase_diagram_of_a_basis_start_is_constant(capsys, init):
+    code, out, _ = _run(
+        capsys,
+        "phase-diagram",
+        "--theta-deg", "40",
+        "--init", init,
+        "--phi1-grid", "0:350:10",
+        "--phi2-grid", "0:170:10",
+        "--steps", "120",
+        "--no-normalize-angles",
+    )
+    assert code == 0
+    _, rows = _csv_rows(out)
+    assert len(rows) == 36 * 18
+    assert len({r[2] for r in rows}) == 1
+
+
 # ------------------------------------------------------------
 # entanglement
 # ------------------------------------------------------------
