@@ -23,7 +23,7 @@ import numpy as np
 from .coin import CoinParams, make_coin
 from .evolution import run_walk
 from .momentum import momentum_state
-from .state import ProbabilityDistribution, check_coin_state
+from .state import ProbabilityDistribution, check_coin_state, check_unit_interval
 
 __all__ = [
     "PhaseDiagram",
@@ -91,7 +91,8 @@ class PhaseDiagram:
         The phase grids in radians (rows / columns of ``delta``).
     delta : numpy.ndarray
         ``delta[i, j]`` is the peak gap of the walk at
-        ``(theta, phi1_grid[i], phi2_grid[j])``; entries lie in [0, 1].
+        ``(theta, phi1_grid[i], phi2_grid[j])``; entries lie in [0, 1], like
+        probabilities up to a 1e-10 absolute tolerance.
     """
 
     theta: float
@@ -108,8 +109,7 @@ class PhaseDiagram:
             raise ValueError(
                 f"delta has shape {d.shape}, expected {(p1.size, p2.size)}"
             )
-        if d.size and (np.min(d) < 0.0 or np.max(d) > 1.0):
-            raise ValueError("delta entries must lie in [0, 1]")
+        check_unit_interval(d, "delta entries")
         object.__setattr__(self, "phi1_grid", p1)
         object.__setattr__(self, "phi2_grid", p2)
         object.__setattr__(self, "delta", d)

@@ -8,8 +8,9 @@ sweep-theta
     One walk per rotation angle of a degree grid; rows
     ``theta_deg,position,probability``.
 phase-diagram
-    Peak gap over a (phi1, phi2) degree grid; rows ``phi1_deg,phi2_deg,delta``
-    in row-major grid order.
+    Peak gap over a (phi1, phi2) degree grid at the theta of --theta-deg or
+    of the named coin; rows ``phi1_deg,phi2_deg,delta`` in row-major grid
+    order.  The phases come from the grids only.
 entanglement
     Schmidt rank and coin-position entropy after each step; rows
     ``t,schmidt_rank,entropy``.
@@ -131,19 +132,20 @@ def _check_footprint(steps: int, values: int) -> None:
         )
 
 
+def _given(args: argparse.Namespace, named: str, flags: Sequence[str]) -> list[str]:
+    """Those of ``flags`` given on the command line; usage error if ``named`` is given too."""
+    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_"), None) is not None]
+    if getattr(args, named[2:]) is not None and given:
+        raise _UsageError(f"{named} conflicts with {given[0]}; give one or the other")
+    return given
+
+
 def _coin_params(args: argparse.Namespace) -> tuple[CoinParams, tuple[float, float, float]]:
-    """Resolve --coin / --theta-deg flags to CoinParams plus the degree triple."""
-    explicit = [
-        flag
-        for flag, value in (
-            ("--theta-deg", args.theta_deg),
-            ("--phi1-deg", args.phi1_deg),
-            ("--phi2-deg", args.phi2_deg),
-        )
-        if value is not None
-    ]
-    if args.coin is not None and explicit:
-        raise _UsageError(f"--coin conflicts with {explicit[0]}; give one or the other")
+    """Resolve --coin / --theta-deg flags to CoinParams plus the degree triple.
+
+    A subcommand without --phi1-deg/--phi2-deg (``phase-diagram``) gets phases 0.
+    """
+    _given(args, "--coin", ("--theta-deg", "--phi1-deg", "--phi2-deg"))
     if args.coin is not None:
         params = named_coin(args.coin)
         degrees = (
@@ -153,8 +155,9 @@ def _coin_params(args: argparse.Namespace) -> tuple[CoinParams, tuple[float, flo
         )
         return params, degrees
     if args.theta_deg is None:
-        raise _UsageError("choose a coin: --coin NAME or --theta-deg (with optional --phi1-deg/--phi2-deg)")
-    degrees = (args.theta_deg, args.phi1_deg or 0.0, args.phi2_deg or 0.0)
+        raise _UsageError("choose a coin: --coin NAME or --theta-deg")
+    phases = (getattr(args, name, None) or 0.0 for name in ("phi1_deg", "phi2_deg"))
+    degrees = (args.theta_deg, *phases)
     try:
         params = CoinParams.from_degrees(*degrees, normalize=not args.no_normalize_angles)
     except ValueError as exc:
@@ -164,19 +167,7 @@ def _coin_params(args: argparse.Namespace) -> tuple[CoinParams, tuple[float, flo
 
 def _init_amplitudes(args: argparse.Namespace) -> tuple[complex, complex]:
     """Resolve --init / component flags to the initial (alpha, beta) pair."""
-    components = [
-        flag
-        for flag, value in (
-            ("--alpha-re", args.alpha_re),
-            ("--alpha-im", args.alpha_im),
-            ("--beta-re", args.beta_re),
-            ("--beta-im", args.beta_im),
-        )
-        if value is not None
-    ]
-    if args.init is not None and components:
-        raise _UsageError(f"--init conflicts with {components[0]}; give one or the other")
-    if components:
+    if _given(args, "--init", ("--alpha-re", "--alpha-im", "--beta-re", "--beta-im")):
         alpha = complex(args.alpha_re or 0.0, args.alpha_im or 0.0)
         beta = complex(args.beta_re or 0.0, args.beta_im or 0.0)
         try:
@@ -397,19 +388,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------
 
 
-def _add_coin_flags(parser: argparse.ArgumentParser) -> None:
+def _add_coin_flags(parser: argparse.ArgumentParser, phases: bool = True) -> None:
     parser.add_argument(
         "--coin",
         choices=sorted(NAMED_COINS),
         help="named coin (conflicts with the explicit angle flags)",
     )
     parser.add_argument("--theta-deg", type=float, help="rotation angle in degrees")
-    _add_phase_flags(parser)
+    _add_phase_flags(parser, phases)
 
 
-def _add_phase_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--phi1-deg", type=float, help="first phase angle in degrees (default 0)")
-    parser.add_argument("--phi2-deg", type=float, help="second phase angle in degrees (default 0)")
+def _add_phase_flags(parser: argparse.ArgumentParser, phases: bool = True) -> None:
+    """--phi1-deg and --phi2-deg unless ``phases`` is False, then --no-normalize-angles."""
+    if phases:
+        for flag, nth in (("--phi1-deg", "first"), ("--phi2-deg", "second")):
+            parser.add_argument(flag, type=float, help=f"{nth} phase angle in degrees (default 0)")
     parser.add_argument(
         "--no-normalize-angles",
         action="store_true",
@@ -465,8 +458,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sweep)
     sweep.set_defaults(handler=cmd_sweep_theta)
 
-    phase = sub.add_parser("phase-diagram", help="peak gap over a (phi1, phi2) grid")
-    _add_coin_flags(phase)
+    phase = sub.add_parser(
+        "phase-diagram",
+        help="peak gap over a (phi1, phi2) grid",
+        description="Peak gap over a (phi1, phi2) grid at one rotation angle.  The angle "
+        "comes from --theta-deg or from the theta of the named --coin; the phases come "
+        "from --phi1-grid and --phi2-grid only.",
+    )
+    _add_coin_flags(phase, phases=False)
     _add_init_flags(phase)
     phase.add_argument("--steps", type=int, required=True, help="number of steps (>= 1)")
     phase.add_argument(

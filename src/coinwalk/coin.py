@@ -26,6 +26,7 @@ __all__ = [
     "NAMED_COINS",
     "make_coin",
     "named_coin",
+    "check_coin_matrix",
     "check_unitary",
 ]
 
@@ -150,13 +151,21 @@ def named_coin(name: str) -> CoinParams:
     return CoinParams(*NAMED_COINS[key])
 
 
+def check_coin_matrix(matrix: np.ndarray) -> np.ndarray:
+    """Return ``matrix`` as a complex array; ValueError unless its shape is (2, 2)."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.shape != (2, 2):
+        raise ValueError(f"coin must be a (2, 2) matrix, got shape {m.shape}")
+    return m
+
+
 def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     """Check whether a 2x2 matrix is unitary within an absolute tolerance.
 
     Parameters
     ----------
     matrix : array_like
-        A (2, 2) complex matrix.
+        A (2, 2) complex matrix (see :func:`check_coin_matrix`).
     tol : float, optional
         Maximum allowed absolute deviation of any entry of ``M^dagger M``
         from the identity.
@@ -166,8 +175,6 @@ def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     bool
         True iff ``max(|M^dagger M - I|) <= tol``.
     """
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a (2, 2) matrix, got shape {m.shape}")
+    m = check_coin_matrix(matrix)
     residual = m.conj().T @ m - np.eye(2)
     return bool(np.max(np.abs(residual)) <= tol)

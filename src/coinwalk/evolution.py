@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .coin import CoinParams, make_coin
+from .coin import CoinParams, check_coin_matrix, make_coin
 from .momentum import momentum_state
 from .state import LatticeExhaustedError, ProbabilityDistribution, WalkerState, distribution
 
@@ -59,10 +59,7 @@ def _check_request(state: WalkerState, coin: np.ndarray, steps: int) -> np.ndarr
             f"lattice with half_width={n} supports {n} steps; the walker at t={state.time} cannot "
             f"take {steps} more, so rebuild the walk on a lattice with a larger half_width"
         )
-    c = np.asarray(coin, dtype=np.complex128)
-    if c.shape != (2, 2):
-        raise ValueError(f"coin must be a (2, 2) matrix, got shape {c.shape}")
-    return c
+    return check_coin_matrix(coin)
 
 
 def _advance(
@@ -167,8 +164,9 @@ def _steps(
     occupied = np.flatnonzero(np.any(src != 0, axis=0))
     lo, hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (1, 1)
     # Two buffers that only ever hold kernel output, so their guard columns
-    # and everything outside the light cone stay zero.
-    buffers = np.zeros((2, *src.shape), dtype=np.complex128)
+    # and everything outside the light cone stay zero.  Separate arrays, so a
+    # table kept after the walk does not keep the other buffer alive.
+    buffers = [np.zeros(src.shape, dtype=np.complex128) for _ in range(2)]
     scratch = np.empty_like(src[0])
     tiny = np.empty(2 * n, dtype=bool)
     for t in range(steps):

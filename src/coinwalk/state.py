@@ -29,6 +29,7 @@ __all__ = [
     "UNBIASED_INIT",
     "check_half_width",
     "check_coin_state",
+    "check_unit_interval",
     "initial_state",
     "position_index",
     "probability_at",
@@ -75,6 +76,16 @@ def check_coin_state(alpha: complex, beta: complex) -> tuple[complex, complex]:
             f"deviates from 1 by {norm - 1.0:.3e}"
         )
     return alpha, beta
+
+
+def check_unit_interval(values: np.ndarray, what: str) -> None:
+    """ValueError unless every entry of ``values`` lies in [0, 1] within 1e-10.
+
+    The tolerance admits the rounding of a sum of squares: a probability of 1
+    can come out as 1 + 2e-16.
+    """
+    if values.size and (np.min(values) < -_NORM_TOL or np.max(values) > 1.0 + _NORM_TOL):
+        raise ValueError(f"{what} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -186,8 +197,7 @@ class ProbabilityDistribution:
             )
         if pos.size and np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing")
-        if p.size and (np.min(p) < -_NORM_TOL or np.max(p) > 1.0 + _NORM_TOL):
-            raise ValueError("probabilities must lie in [0, 1]")
+        check_unit_interval(p, "probabilities")
         total = float(np.sum(p))
         if abs(total - 1.0) > _NORM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")

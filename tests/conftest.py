@@ -1,9 +1,13 @@
-"""Shared test helpers: random parameter draws and hypothesis strategies."""
+"""Shared test helpers: random parameter draws, hypothesis strategies and child processes."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Finite angles well beyond the canonical ranges, so modular normalization
 # gets exercised too.  Radians.
@@ -24,3 +28,9 @@ def random_coin_angles(rng: np.random.Generator) -> tuple[float, float, float]:
         float(rng.uniform(0.0, math.pi)),
         float(rng.uniform(0.0, math.pi)),
     )
+
+
+def src_env() -> dict[str, str]:
+    """Environment for a child Python that imports coinwalk from ``src/``, installed or not."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -270,3 +270,7 @@ def test_phase_diagram_validates_delta():
         PhaseDiagram(1.0, 5, np.zeros(2), np.zeros(2), np.zeros((2, 3)))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         PhaseDiagram(1.0, 5, np.zeros(1), np.zeros(1), np.array([[1.5]]))
+    # A peak of probability 1 can round to 1 + 2e-16; delta takes the same 1e-10
+    # tolerance as a probability.
+    diagram = PhaseDiagram(1.0, 5, np.zeros(1), np.zeros(1), np.array([[1.0 + 2e-16]]))
+    assert diagram.delta[0, 0] > 1.0

@@ -30,6 +30,7 @@ from coinwalk import (
     run_walk,
 )
 from coinwalk.cli import main
+from conftest import src_env
 
 
 def _run(capsys, *argv):
@@ -179,6 +180,8 @@ def test_custom_init_components(capsys):
         ("sweep-theta", "--theta-grid", "a:b:c", "--steps", "5"),
         ("sweep-theta", "--phi1-deg", "inf", "--steps", "5"),
         ("phase-diagram", "--theta-deg", "45", "--phi1-grid", "0::30", "--steps", "5"),
+        ("phase-diagram", "--theta-deg", "45", "--steps", "3", "--phi1-deg", "30"),
+        ("phase-diagram", "--theta-deg", "45", "--steps", "3", "--phi2-deg", "30"),
         ("entanglement", "--coin", "hadamard", "--steps", "-1"),
         ("verify", "--coin", "hadamard", "--max-steps", "0"),
         ("verify", "--coin", "hadamard", "--max-steps", "201"),
@@ -336,6 +339,35 @@ def test_phase_diagram_of_a_basis_start_is_constant(capsys, init):
     _, rows = _csv_rows(out)
     assert len(rows) == 36 * 18
     assert len({r[2] for r in rows}) == 1
+
+
+def test_phase_diagram_accepts_a_peak_that_rounds_above_one(capsys):
+    # theta = 90 deg localizes: at T = 2 the whole walk can sit on one site,
+    # and its probability rounds to 1 + 2e-16 for this start state.
+    code, out, err = _run(
+        capsys,
+        "phase-diagram",
+        "--theta-deg", "90",
+        "--steps", "2",
+        "--phi1-grid", "0:170:10",
+        "--alpha-re", "-0.8466057152828365",
+        "--alpha-im", "-0.07966788016829934",
+        "--beta-re", "-0.4536694052326027",
+        "--beta-im", "-0.2666380739426069",
+    )
+    assert code == 0 and err == ""
+    _, rows = _csv_rows(out)
+    deltas = [float(r[2]) for r in rows]
+    assert len(deltas) == 18 * 6
+    assert max(deltas) > 1.0
+    assert max(deltas) <= 1.0 + 1e-10
+
+
+def test_phase_diagram_takes_no_phase_flags(capsys):
+    code, out, _ = _run(capsys, "phase-diagram", "--help")
+    assert code == 0
+    assert "--phi1-grid" in out
+    assert "--phi1-deg" not in out and "--phi2-deg" not in out
 
 
 # ------------------------------------------------------------
@@ -590,6 +622,7 @@ def test_python_dash_m_entry_point():
         [sys.executable, "-m", "coinwalk", "walk", "--coin", "hadamard", "--steps", "3"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("position,probability\n")
@@ -606,6 +639,7 @@ def test_unwritable_stdout_is_a_usage_error(fmt):
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,
+            env=src_env(),
         )
     assert proc.returncode == 2
     assert proc.stderr == f"coinwalk: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
@@ -640,7 +674,9 @@ def _argvs(draw):
     commands = ["walk", "sweep-theta", "phase-diagram", "entanglement", "verify"]
     command = draw(st.sampled_from(commands))
     argv = [command]
-    flags = ["--phi1-deg", "--phi2-deg", "--alpha-re", "--alpha-im", "--beta-re", "--beta-im"]
+    flags = ["--alpha-re", "--alpha-im", "--beta-re", "--beta-im"]
+    if command != "phase-diagram":  # its phases come from its grids only
+        flags += ["--phi1-deg", "--phi2-deg"]
     if command != "sweep-theta":
         flags.append("--theta-deg")
         if draw(st.booleans()):

@@ -6,7 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from coinwalk import CoinParams, NAMED_COINS, check_unitary, make_coin, named_coin
+from coinwalk import (
+    UNBIASED_INIT,
+    CoinParams,
+    LatticeSpec,
+    NAMED_COINS,
+    build_step_unitary,
+    check_unitary,
+    initial_state,
+    iter_steps,
+    make_coin,
+    momentum_state,
+    named_coin,
+    step_recurrence,
+)
 
 from conftest import angles
 
@@ -165,7 +178,7 @@ def test_unknown_name_lists_the_options():
 
 
 # ------------------------------------------------------------
-# check_unitary
+# check_unitary and check_coin_matrix
 # ------------------------------------------------------------
 
 
@@ -196,6 +209,21 @@ def test_tolerance_is_respected():
     assert not check_unitary(nearly, tol=1e-12)
 
 
-def test_wrong_shape_is_rejected():
-    with pytest.raises(ValueError, match="2, 2"):
-        check_unitary(np.eye(3, dtype=complex))
+_START = initial_state(*UNBIASED_INIT, LatticeSpec(2))
+
+
+@pytest.mark.parametrize(
+    "use_coin",
+    [
+        check_unitary,
+        lambda coin: iter_steps(_START, coin, 1),
+        lambda coin: step_recurrence(_START, coin),
+        lambda coin: build_step_unitary(coin, 2),
+        lambda coin: momentum_state(*UNBIASED_INIT, coin, 2),
+    ],
+    ids=["check_unitary", "iter_steps", "step_recurrence", "build_step_unitary", "momentum_state"],
+)
+def test_a_non_2x2_coin_is_rejected_with_one_message(use_coin):
+    with pytest.raises(ValueError) as err:
+        use_coin(np.eye(3, dtype=complex))
+    assert str(err.value) == "coin must be a (2, 2) matrix, got shape (3, 3)"

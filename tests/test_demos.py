@@ -1,23 +1,20 @@
 """Smoke test: every demo script runs to completion and prints something."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, src_env
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=src_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -180,12 +180,10 @@ def test_steps_beyond_the_window_are_refused():
         dense_amplitudes(*UNBIASED_INIT, coin, half_width=5, steps=-1)
 
 
-def test_the_default_size_cap_is_enforced_but_overridable():
+def test_the_size_cap_is_enforced():
     coin = make_coin(named_coin("hadamard"))
-    with pytest.raises(ValueError, match="refuses half_width"):
+    with pytest.raises(ValueError, match="refuses half_width=201 > 200"):
         evolve_dense(*UNBIASED_INIT, coin, half_width=201, steps=1)
-    dist = evolve_dense(*UNBIASED_INIT, coin, half_width=201, steps=1, max_half_width=201)
-    assert abs(dist.probs.sum() - 1.0) <= 1e-12
 
 
 def test_dense_rejects_unnormalized_start():
