@@ -15,7 +15,9 @@ They share no evolution code, so each can validate the others; ``coinwalk
 verify`` (or the test suite) compares them amplitude by amplitude.
 
 On top of the engines sit distribution diagnostics (:mod:`coinwalk.analysis`)
-and coin-position entanglement measures (:mod:`coinwalk.entanglement`).
+and coin-position entanglement measures (:mod:`coinwalk.entanglement`), whose
+series from the origin is a momentum-space sum and is checked against the
+recurrence.
 """
 
 from . import analysis, coin, dense, entanglement, evolution, momentum, state

@@ -12,8 +12,8 @@ phase-diagram
     of the named coin; rows ``phi1_deg,phi2_deg,delta`` in row-major grid
     order.  The phases come from the grids only.
 entanglement
-    Schmidt rank and coin-position entropy after each step; rows
-    ``t,schmidt_rank,entropy``.
+    Schmidt rank and coin-position entropy after each step of a walk from the
+    origin, from the momentum-space series; rows ``t,schmidt_rank,entropy``.
 verify
     Run the recurrence and dense engines side by side and report the largest
     amplitude discrepancy per step; the last step also compares the
@@ -42,7 +42,7 @@ import numpy as np
 from .analysis import phase_diagram, theta_sweep
 from .coin import CoinParams, NAMED_COINS, make_coin, named_coin
 from .dense import DENSE_HALF_WIDTH_CAP, dense_series
-from .entanglement import entanglement_series
+from .entanglement import origin_entanglement_series
 from .evolution import iter_steps, run_walk
 from .momentum import momentum_state
 from .state import UNBIASED_INIT, LatticeSpec, check_coin_state, initial_state
@@ -114,7 +114,12 @@ def _check_footprint(steps: int, values: int) -> None:
     amplitudes of 16 B, plus at most three FFT arrays of ``M < 2(T + 1)``
     amplitudes, which also covers the temporaries of measuring the table.  It
     exceeds the recurrence's two step buffers (``4 * (2T + 3)`` amplitudes)
-    that ``entanglement`` and ``verify`` hold.  ``phase-diagram`` holds two
+    that ``verify`` holds.  ``entanglement`` holds the ``(T + 1) x 2 x 2`` Gram
+    stack of its momentum-space series (64 B a step), O(M) coefficient arrays,
+    chunks of at most 128 KiB and the temporaries of one batched eigenvalue
+    call: 161 B a step, and the whole op 162 to 172 B a step as CSV and 281 to
+    283 B as JSON, measured with tracemalloc at T = 2 * 10^4, 5 * 10^4 and
+    10^5, against the 672 B a step estimated here.  ``phase-diagram`` holds two
     basis tables and their folds, at most 121 B a site measured up to
     T = 3 * 10^5; the ``2T + 3`` values of one walk it counts cover the rest.
     On top come 256 B for each value the op keeps and writes out (a site of a
@@ -317,8 +322,7 @@ def cmd_entanglement(args: argparse.Namespace) -> int:
     _check_footprint(steps, 2 * (steps + 1))
     params, degrees = _coin_params(args)
     alpha, beta = _init_amplitudes(args)
-    state = initial_state(alpha, beta, LatticeSpec(max(steps, 1)))
-    ranks, entropies = entanglement_series(state, make_coin(params), steps)
+    ranks, entropies = origin_entanglement_series(alpha, beta, make_coin(params), steps)
     t = np.arange(steps + 1)
     payload = {
         "theta_deg": degrees[0],

@@ -32,6 +32,7 @@ from coinwalk import (
     symmetry_deviation,
     total_probability,
 )
+from coinwalk.cli import main
 
 from conftest import normalized_pair, random_coin_angles
 
@@ -344,4 +345,18 @@ def test_c11b_phase_diagram_floor():
         "phase-diagram-floor",
         elapsed < 1.0 and diagram.delta.shape == (181, 181),
         f"181x181 (phi1, phi2) diagram at t=1000: {elapsed:.3f} s",
+    )
+
+
+def test_c11c_entanglement_series_floor(tmp_path):
+    # One momentum-space series; stepping the recurrence took 4 to 6 s on a 2-core x86-64 host.
+    out = tmp_path / "entanglement.csv"
+    started = time.perf_counter()
+    code = main(["entanglement", "--coin", "hadamard", "--steps", "20000", "--out", str(out)])
+    elapsed = time.perf_counter() - started
+    rows = out.read_text(encoding="utf-8").count("\n") - 1
+    _report(
+        "entanglement-floor",
+        code == 0 and rows == 20001 and elapsed < 2.0,
+        f"CLI entanglement series of 20000 steps: {elapsed:.3f} s",
     )

@@ -20,12 +20,12 @@ from coinwalk import (
     LatticeSpec,
     cli,
     dense_series,
-    entanglement_series,
     initial_state,
     iter_steps,
     make_coin,
     momentum_state,
     named_coin,
+    origin_entanglement_series,
     phase_diagram,
     run_walk,
 )
@@ -210,7 +210,8 @@ def test_oversized_requests_name_the_memory_cap(capsys, monkeypatch, argv):
         raise AssertionError("the request got past the memory guard")
 
     # Everything that would allocate the walk, its grids or its results.
-    for name in ("_grid_values", "initial_state", "run_walk", "theta_sweep", "phase_diagram"):
+    for name in ("_grid_values", "initial_state", "run_walk", "theta_sweep", "phase_diagram",
+                 "origin_entanglement_series"):
         monkeypatch.setattr(cli, name, allocate)
     code, out, err = _run(capsys, *argv)
     assert code == 2
@@ -536,9 +537,9 @@ def _phase_reference(phi1s, phi2s, steps):
 
 
 def _entanglement_reference(coin, init, steps):
+    # The library call the CLI makes; tests/test_entanglement.py checks it against the recurrence.
     params = named_coin(coin)
-    state = initial_state(*cli.NAMED_INITS[init], LatticeSpec(max(steps, 1)))
-    ranks, entropies = entanglement_series(state, make_coin(params), steps)
+    ranks, entropies = origin_entanglement_series(*cli.NAMED_INITS[init], make_coin(params), steps)
     ranks, entropies, t = ranks.tolist(), entropies.tolist(), list(range(steps + 1))
     degrees = [math.degrees(a) for a in (params.theta, params.phi1, params.phi2)]
     payload = dict(zip(("theta_deg", "phi1_deg", "phi2_deg"), degrees))
@@ -582,6 +583,9 @@ _EXACT_CASES = {
                      lambda: _entanglement_reference("grover", "head", 12)),
     "entanglement-0": (("entanglement", "--coin", "hadamard", "--steps", "0"),
                        lambda: _entanglement_reference("hadamard", "unbiased", 0)),
+    "entanglement-fourier": (("entanglement", "--coin", "fourier", "--init", "tail",
+                              "--steps", "40"),
+                             lambda: _entanglement_reference("fourier", "tail", 40)),
     "verify": (("verify", "--theta-deg", "33", "--phi1-deg", "70", "--max-steps", "8"),
                lambda: _verify_reference(33.0, 70.0, 8)),
 }

@@ -20,12 +20,13 @@ from coinwalk import (
     is_separable,
     make_coin,
     named_coin,
+    origin_entanglement_series,
     schmidt_spectrum,
     step_recurrence,
     total_probability,
 )
 
-from conftest import normalized_pair, random_coin_angles
+from conftest import angles, normalized_pair, random_coin_angles
 
 # Frozen oracle: entropy of Schmidt weights {cos^2 30deg, sin^2 30deg} = {3/4, 1/4}.
 ENTROPY_THETA_30 = 0.811278124459133
@@ -191,3 +192,86 @@ def test_entropy_ignores_a_global_phase(seed, steps, chi):
     entropy = entanglement_entropy(state)
     assert 0.0 <= entropy <= 1.0 + 1e-12
     assert abs(entropy - entanglement_entropy(rotated)) <= 1e-12
+
+
+# ------------------------------------------------------------
+# The momentum-space series from the origin against the recurrence
+# ------------------------------------------------------------
+
+
+def _assert_series_agree(coin, alpha, beta, steps):
+    """Identical ranks, exact-zero entropies at the same t, entropies within 1e-12."""
+    state = initial_state(alpha, beta, LatticeSpec(max(steps, 1)))
+    ranks, entropies = entanglement_series(state, coin, steps)
+    origin_ranks, origin_entropies = origin_entanglement_series(alpha, beta, coin, steps)
+    assert np.array_equal(origin_ranks, ranks)
+    assert np.array_equal(origin_entropies == 0.0, entropies == 0.0)
+    assert np.max(np.abs(origin_entropies - entropies)) <= 1e-12
+    return origin_ranks
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=angles, phi1=angles, phi2=angles, seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(0, 400))
+def test_origin_series_matches_the_recurrence(theta, phi1, phi2, seed, steps):
+    coin = make_coin(CoinParams(theta, phi1, phi2, normalize=False))
+    _assert_series_agree(coin, *normalized_pair(np.random.default_rng(seed)), steps)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [named_coin("hadamard"), CoinParams(*random_coin_angles(np.random.default_rng(11)))],
+    ids=["hadamard", "generic"],
+)
+def test_origin_series_matches_the_recurrence_at_3000_steps(params):
+    _assert_series_agree(make_coin(params), 0.6, 0.8j, 3000)
+
+
+@pytest.mark.parametrize(
+    "params, init, steps, product_times",
+    [
+        (named_coin("grover"), UNBIASED_INIT, 6, [0, 2]),
+        (named_coin("fourier"), UNBIASED_INIT, 6, [0, 1]),
+        (CoinParams.from_degrees(0.0), (1.0, 0.0), 30, range(31)),
+        (CoinParams.from_degrees(90.0), (1.0, 0.0), 30, range(31)),
+        (named_coin("hadamard"), UNBIASED_INIT, 0, [0]),
+    ],
+    ids=["grover-t2", "fourier-t1", "theta-0-head", "theta-90-head", "zero-steps"],
+)
+def test_origin_series_keeps_product_states_exact(params, init, steps, product_times):
+    ranks = _assert_series_agree(make_coin(params), *init, steps)
+    assert np.all(ranks[list(product_times)] == 1)
+
+
+# The T -> infinity limit of the Hadamard walk from a head start: the start
+# state's density matrix dephased in the eigenbasis of U(q), averaged over q
+# (the non-oscillating term of the series).  The integrand is analytic and
+# periodic, so the midpoint rule on 1024 points is exact to rounding; it
+# reads 0.8724293 bits, the plateau of Carneiro et al., New J. Phys. 7, 156
+# (2005) and Abal et al., PRA 73, 042302 (2006).
+def _hadamard_plateau(points=1024):
+    q = 2.0 * math.pi * (np.arange(points) + 0.5) / points
+    hadamard = make_coin(named_coin("hadamard"))
+    step = np.empty((points, 2, 2), dtype=complex)
+    step[:, 0] = np.exp(-1j * q)[:, None] * hadamard[0]
+    step[:, 1] = hadamard[1]
+    _, vectors = np.linalg.eig(step)
+    overlaps = np.abs(vectors[:, 0, :]) ** 2  # |<v_k|H>|^2
+    rho = np.einsum("pk,pik,pjk->ij", overlaps, vectors, vectors.conj()) / points
+    weights = np.linalg.eigvalsh(rho)
+    return float(-np.sum(weights * np.log2(weights)))
+
+
+def test_hadamard_entropy_reaches_its_plateau():
+    plateau = _hadamard_plateau()
+    assert abs(plateau - 0.8724293) <= 1e-7
+    steps = 20_000
+    _, entropies = origin_entanglement_series(1.0, 0.0, make_coin(named_coin("hadamard")), steps)
+    # |S(t) - plateau| measured at t = T - 1 and t = T for T = 10^3, 2*10^3,
+    # 4*10^3, 8*10^3 and 1.6*10^4 fits 0.3834 t^-0.5064 at these odd t and
+    # 0.2600 t^-1.0060 at these even t (least squares in log-log).  At
+    # T = 2*10^4 the fits predict 2.545e-3 and 1.225e-5; the bounds are twice
+    # the fits.
+    odd, even = steps - 1, steps
+    assert abs(entropies[odd] - plateau) <= 2 * 0.3834 * odd**-0.5064
+    assert abs(entropies[even] - plateau) <= 2 * 0.2600 * even**-1.0060

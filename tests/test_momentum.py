@@ -15,8 +15,10 @@ from coinwalk import (
     evolve,
     initial_state,
     make_coin,
+    momentum,
     momentum_state,
     named_coin,
+    origin_entanglement_series,
     run_walk,
 )
 from coinwalk.momentum import _fft_size
@@ -96,9 +98,19 @@ def test_zero_steps_return_the_initial_state():
         (*UNBIASED_INIT, make_coin(named_coin("hadamard")), -1),
     ],
 )
-def test_bad_input_raises_value_error(alpha, beta, coin, steps):
-    with pytest.raises(ValueError):
+def test_bad_input_raises_value_error(monkeypatch, alpha, beta, coin, steps):
+    # Both momentum-space entry points reject a request, with one message,
+    # before they build any array.
+    def build(*args):
+        raise AssertionError("an array was built before the request was checked")
+
+    monkeypatch.setattr(momentum, "_fft_size", build)
+    monkeypatch.setattr(momentum, "_closed_form", build)
+    with pytest.raises(ValueError) as expected:
         momentum_state(alpha, beta, coin, steps)
+    with pytest.raises(ValueError) as raised:
+        origin_entanglement_series(alpha, beta, coin, steps)
+    assert str(raised.value) == str(expected.value)
 
 
 # ------------------------------------------------------------
