@@ -21,10 +21,12 @@ verify
     by more than 1e-12.
 
 Conventions shared by all subcommands: angles are entered in degrees,
-output is deterministic (no timestamps, fixed ordering), floats carry
-17 significant digits so parsing them back reproduces the doubles
-bit-for-bit, text is UTF-8 with LF line endings.  All subcommands write
-through ``_emit``: JSON from one ``json.dumps``, CSV in blocks of rows.
+output is deterministic (no timestamps, fixed ordering), parsing a float
+back reproduces the double bit-for-bit (CSV writes 17 significant digits,
+JSON the shortest ``repr`` that round-trips, such as ``45.0``), text is
+UTF-8 with LF line endings.  All subcommands write through ``_emit``: JSON
+as the bytes of ``json.dumps(payload, indent=2)``, an array at a time, and
+CSV in blocks of rows.
 Exit codes: 0 success, 1 numeric failure, 2 usage error or unwritable output.
 """
 
@@ -32,6 +34,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import itertools
 import json
 import math
 import sys
@@ -117,18 +121,19 @@ def _check_footprint(steps: int, values: int) -> None:
     that ``verify`` holds.  ``entanglement`` holds the ``(T + 1) x 2 x 2`` Gram
     stack of its momentum-space series (64 B a step), O(M) coefficient arrays,
     chunks of at most 128 KiB and the temporaries of one batched eigenvalue
-    call: 161 B a step, and the whole op 162 to 172 B a step as CSV and 281 to
-    283 B as JSON, measured with tracemalloc at T = 2 * 10^4, 5 * 10^4 and
-    10^5, against the 672 B a step estimated here.  ``phase-diagram`` holds two
-    basis tables and their folds, at most 121 B a site measured up to
-    T = 3 * 10^5; the ``2T + 3`` values of one walk it counts cover the rest.
+    call: 161 B a step, and the whole op 162 to 170 B a step in either format,
+    measured with tracemalloc at T = 2 * 10^4, 5 * 10^4 and 10^5, against the
+    672 B a step estimated here.  ``phase-diagram`` holds two basis tables and
+    their folds, at most 121 B a site measured up to T = 3 * 10^5; the
+    ``2T + 3`` values of one walk it counts cover the rest.
     On top come 256 B for each value the op keeps and writes out (a site of a
     kept distribution, a grid point, half a step of a series): the number, at
-    most 24 B of CSV columns built from it, and JSON output, which
-    ``json.dumps`` builds whole (a Python number, a text chunk and the joined
-    text: 116 B a value measured on a walk).  CSV is written a block of
-    ``CSV_BLOCK_ROWS`` rows at a time, so its text and Python numbers take one
-    block, not a share per value.
+    most 24 B of CSV columns built from it, and JSON output, which ``_json``
+    writes an array at a time (the array's Python numbers, their text from
+    json's C encoder and its indented copy): by tracemalloc on a walk, the JSON
+    writer peaks at 125 B a value at T = 2 * 10^4 and 65 B at 10^5, the whole
+    op at 141 and 81 B.  CSV is written a block of ``CSV_BLOCK_ROWS`` rows at a
+    time, so its text and Python numbers take one block, not a share per value.
     """
     if 32 * (2 * steps + 3) + 96 * (steps + 1) + 256 * values > MAX_OP_BYTES:
         raise _UsageError(
@@ -192,21 +197,54 @@ def _csv(header: str, *columns: np.ndarray) -> Iterator[str]:
     """CSV text of equal-length ``columns`` under ``header``, a block of rows per string.
 
     Integer columns print with ``%d``, float columns with ``%.17g``, the same
-    text as ``format(value, ".17g")``.  Mixed with float columns, integer
-    columns pass through float64, which is exact below ``2**53``.
+    text as ``format(value, ".17g")``.  Each column passes through ``tolist``
+    on its own, so integer cells stay Python ints, exact at any size.
     """
     template = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    k = len(columns)
     yield header + "\n"
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in columns])
-        yield template * len(block) % tuple(block.ravel().tolist())
+        parts = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in columns]
+        cells = [None] * (k * len(parts[0]))
+        for j, part in enumerate(parts):
+            cells[j::k] = part
+        yield template * len(parts[0]) % tuple(cells)
+
+
+def _json(obj: object, level: int = 0) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2)`` in chunks, at nesting depth ``level``.
+
+    ``obj`` holds dicts with string keys, lists, numpy arrays and scalars.
+    ``indent`` would send every number through json's pure-Python encoder;
+    here each non-empty 1-D numeric array is one chunk whose numbers the C
+    encoder formats, and a deeper array is written a row at a time.
+    """
+    pad = "\n" + "  " * (level + 1)
+    is_array = isinstance(obj, np.ndarray) and obj.ndim > 0
+    if is_array and obj.ndim == 1 and obj.dtype.kind in "biuf" and obj.size:
+        yield "[" + pad + json.dumps(obj.tolist())[1:-1].replace(", ", "," + pad) + pad[:-2] + "]"
+    elif isinstance(obj, dict) and obj:
+        opener = "{"
+        for key, value in obj.items():
+            yield opener + pad + json.dumps(key) + ": "
+            yield from _json(value, level + 1)
+            opener = ","
+        yield pad[:-2] + "}"
+    elif (is_array or isinstance(obj, (list, tuple))) and len(obj):
+        opener = "["
+        for item in obj:
+            yield opener + pad
+            yield from _json(item, level + 1)
+            opener = ","
+        yield pad[:-2] + "]"
+    else:
+        yield json.dumps(obj, default=lambda a: a.tolist())
 
 
 def _emit(args: argparse.Namespace, payload: object, header: str, *columns: np.ndarray) -> None:
     """Write ``payload`` as JSON, or ``columns`` as CSV under ``header``, as --format asks."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2, default=lambda a: a.tolist())
-        _write((text, "\n"), args.out)
+        _write(itertools.chain(_json(payload), "\n"), args.out)
     else:
         _write(_csv(header, *columns), args.out)
 
@@ -435,7 +473,9 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of all subcommands, built once a process: ``parse_args`` keeps no state."""
     parser = argparse.ArgumentParser(
         prog="coinwalk",
         description="Discrete-time quantum walk on a line with a general three-parameter coin.",

@@ -7,6 +7,7 @@ criteria use fixed seeds so the gate is reproducible.
 """
 
 import math
+import statistics
 import time
 
 import numpy as np
@@ -359,4 +360,24 @@ def test_c11c_entanglement_series_floor(tmp_path):
         "entanglement-floor",
         code == 0 and rows == 20001 and elapsed < 2.0,
         f"CLI entanglement series of 20000 steps: {elapsed:.3f} s",
+    )
+
+
+def test_c11d_json_output_costs_at_most_1_8_csv_runs(tmp_path):
+    # A ratio of CPU times rides out the host's speed and the time spent waiting
+    # for a CPU on a shared host.  JSON numbers come from the C encoder;
+    # json.dumps(indent=2) formatted them in Python and took 2.3x the CSV run.
+    argv = ["walk", "--coin", "hadamard", "--steps", "100000", "--out", str(tmp_path / "walk")]
+    cpu = {"csv": [], "json": []}
+    for _ in range(5):
+        for fmt, samples in cpu.items():
+            started = time.process_time()
+            assert main([*argv, "--format", fmt]) == 0
+            samples.append(time.process_time() - started)
+    json_s, csv_s = statistics.median(cpu["json"]), statistics.median(cpu["csv"])
+    _report(
+        "json-output-ratio",
+        json_s <= 1.8 * csv_s,
+        f"walk of 100000 steps, median CPU time of 5: JSON {json_s:.3f} s, CSV {csv_s:.3f} s, "
+        f"ratio {json_s / csv_s:.2f}",
     )

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coinwalk import (
     UNBIASED_INIT,
@@ -614,6 +615,54 @@ def test_csv_writer_formats_blocks_of_integer_and_float_rows():
     chunks = list(cli._csv("n", rows))
     assert len(chunks) == 3  # the header, one full block, one row
     assert "".join(chunks) == "n\n" + "".join(f"{n}\n" for n in range(rows.size))
+    # An integer beside a float column stays exact above 2**53.
+    assert "".join(cli._csv("i,f", np.array([2**53 + 1]), np.array([0.5]))) == (
+        "i,f\n9007199254740993,0.5\n"
+    )
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf])
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    _EDGE_FLOATS,
+    st.text(max_size=4),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    hnp.arrays(
+        st.sampled_from([np.int8, np.int64, np.uint64, np.float32, np.float64, np.bool_]),
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+    ),
+    st.lists(_EDGE_FLOATS, max_size=5).map(np.array),
+    st.just(np.array(["a, b", "c"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+))
+def test_json_writer_matches_indented_json_dumps(payload):
+    expected = json.dumps(payload, indent=2, default=lambda a: a.tolist())
+    assert "".join(cli._json(payload)) == expected
+
+
+def test_a_reused_parser_leaks_nothing_between_calls(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    angles = ("--theta-deg", "30", "--phi1-deg", "20", "--phi2-deg", "10")
+    assert _run(capsys, "walk", *angles, "--steps", "4")[0] == 0
+    # A --theta-deg or phase left over from the first call would conflict with --coin.
+    code, _, err = _run(capsys, "walk", "--coin", "hadamard", "--steps", "4")
+    assert code == 0 and err == ""
+    assert _run(capsys, "sweep-theta", "--theta-grid", "0:90:90", "--steps", "2")[0] == 0
+    code, out, _ = _run(capsys, "sweep-theta", "--steps", "2")
+    _, rows = _csv_rows(out)
+    assert code == 0 and sorted({float(r[0]) for r in rows}) == list(range(0, 360, 45))
 
 
 # ------------------------------------------------------------
