@@ -52,7 +52,7 @@ def main():
     worst = 0.0
     worst_t = 0
     # The dense series builds its operator once and yields t = 0, 1, ...
-    for t, reference in enumerate(dense_series(alpha, beta, coin, steps, steps)):
+    for t, reference in enumerate(dense_series(alpha, beta, coin, steps)):
         if t > 0:
             state = evolve(state, coin, 1)
         gap = float(np.abs(state.amplitudes[:, 1:-1] - reference).max())

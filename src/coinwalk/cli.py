@@ -61,7 +61,8 @@ VERIFY_TOL = 1e-12
 #: out-of-memory kill.
 MAX_OP_BYTES = 2**30
 
-#: Rows of CSV text formatted at once; one block of text is alive at a time.
+#: Rows of CSV text, or values of a JSON array, formatted at once; one block
+#: of text is alive at a time.
 CSV_BLOCK_ROWS = 4096
 
 #: Named initial coin states selectable with --init.
@@ -121,19 +122,19 @@ def _check_footprint(steps: int, values: int) -> None:
     that ``verify`` holds.  ``entanglement`` holds the ``(T + 1) x 2 x 2`` Gram
     stack of its momentum-space series (64 B a step), O(M) coefficient arrays,
     chunks of at most 128 KiB and the temporaries of one batched eigenvalue
-    call: 161 B a step, and the whole op 162 to 170 B a step in either format,
-    measured with tracemalloc at T = 2 * 10^4, 5 * 10^4 and 10^5, against the
-    672 B a step estimated here.  ``phase-diagram`` holds two basis tables and
-    their folds, at most 121 B a site measured up to T = 3 * 10^5; the
-    ``2T + 3`` values of one walk it counts cover the rest.
+    call: the whole op takes 170 B a step as CSV and 182 B as JSON at
+    T = 2 * 10^4, and 162 B in either format at 5 * 10^4 (tracemalloc),
+    against the 672 B a step estimated here.  ``phase-diagram`` holds two
+    basis tables and their folds, at most 121 B a site measured up to
+    T = 3 * 10^5; the ``2T + 3`` values of one walk it counts cover the rest.
     On top come 256 B for each value the op keeps and writes out (a site of a
-    kept distribution, a grid point, half a step of a series): the number, at
-    most 24 B of CSV columns built from it, and JSON output, which ``_json``
-    writes an array at a time (the array's Python numbers, their text from
-    json's C encoder and its indented copy): by tracemalloc on a walk, the JSON
-    writer peaks at 125 B a value at T = 2 * 10^4 and 65 B at 10^5, the whole
-    op at 141 and 81 B.  CSV is written a block of ``CSV_BLOCK_ROWS`` rows at a
-    time, so its text and Python numbers take one block, not a share per value.
+    kept distribution, a grid point, half a step of a series): the number and
+    at most 24 B of CSV columns built from it.  Both formats are written a
+    block of ``CSV_BLOCK_ROWS`` rows or array values at a time, so their text
+    and Python numbers take one block, not a share per value: by tracemalloc on
+    a walk, the JSON writer peaks at 0.57 MB at T = 2 * 10^4 and at 10^5
+    (14 and 3 B a value), and the whole op at 63 and 57 B a value as JSON and
+    57 B as CSV.
     """
     if 32 * (2 * steps + 3) + 96 * (steps + 1) + 256 * values > MAX_OP_BYTES:
         raise _UsageError(
@@ -216,13 +217,19 @@ def _json(obj: object, level: int = 0) -> Iterator[str]:
 
     ``obj`` holds dicts with string keys, lists, numpy arrays and scalars.
     ``indent`` would send every number through json's pure-Python encoder;
-    here each non-empty 1-D numeric array is one chunk whose numbers the C
-    encoder formats, and a deeper array is written a row at a time.
+    here the C encoder formats the numbers of each non-empty 1-D numeric
+    array, a block of ``CSV_BLOCK_ROWS`` values per chunk, and a deeper array
+    is written a row at a time.
     """
     pad = "\n" + "  " * (level + 1)
     is_array = isinstance(obj, np.ndarray) and obj.ndim > 0
     if is_array and obj.ndim == 1 and obj.dtype.kind in "biuf" and obj.size:
-        yield "[" + pad + json.dumps(obj.tolist())[1:-1].replace(", ", "," + pad) + pad[:-2] + "]"
+        opener, comma = "[" + pad, "," + pad
+        for start in range(0, obj.size, CSV_BLOCK_ROWS):
+            text = json.dumps(obj[start : start + CSV_BLOCK_ROWS].tolist())[1:-1]
+            yield opener + text.replace(", ", comma)
+            opener = comma
+        yield pad[:-2] + "]"
     elif isinstance(obj, dict) and obj:
         opener = "{"
         for key, value in obj.items():
@@ -392,7 +399,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # unitarity guard (1e-10), large enough to trip the 1e-12 comparison.
         dense_coin[0, 0] += 3e-11
     state = initial_state(alpha, beta, LatticeSpec(steps))
-    references = dense_series(alpha, beta, dense_coin, steps, steps)
+    references = dense_series(alpha, beta, dense_coin, steps)
     next(references)  # t = 0: both engines start from the same table
     worst: tuple[float, int, int, str] | None = None  # (discrepancy, t, x, engine)
 

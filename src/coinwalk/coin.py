@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+#: Largest entry of ``M^dagger M - I`` that :func:`check_unitary` accepts.
+_UNITARY_TOL = 1e-12
+
 
 def _wrap(value: float, modulus: float) -> float:
     """Reduce into [0, modulus); float ``%`` of a tiny negative can land on the modulus."""
@@ -159,22 +162,11 @@ def check_coin_matrix(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """Check whether a 2x2 matrix is unitary within an absolute tolerance.
+def check_unitary(matrix: np.ndarray) -> bool:
+    """True iff a (2, 2) matrix is unitary: no entry of ``M^dagger M - I`` exceeds 1e-12.
 
-    Parameters
-    ----------
-    matrix : array_like
-        A (2, 2) complex matrix (see :func:`check_coin_matrix`).
-    tol : float, optional
-        Maximum allowed absolute deviation of any entry of ``M^dagger M``
-        from the identity.
-
-    Returns
-    -------
-    bool
-        True iff ``max(|M^dagger M - I|) <= tol``.
+    Raises ValueError unless the shape is (2, 2) (see :func:`check_coin_matrix`).
     """
     m = check_coin_matrix(matrix)
     residual = m.conj().T @ m - np.eye(2)
-    return bool(np.max(np.abs(residual)) <= tol)
+    return bool(np.max(np.abs(residual)) <= _UNITARY_TOL)

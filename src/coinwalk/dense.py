@@ -14,12 +14,14 @@ The shift matrix ``M`` is the cyclic one-step down-shift permutation of the
 window (``M[i, j] = 1`` iff ``i = (j+1) mod (2N+1)``); the conditional shift
 moves head amplitude right via ``M`` and tail amplitude left via ``M^T``.
 The wraparound entries make the operator exactly unitary, and they are never
-exercised as long as ``steps <= N`` — which the public entry point enforces —
-so the cyclic window agrees exactly with the infinite line.
+exercised as long as ``steps <= N``.  ``dense_series`` sizes the window by
+the walk, ``N = max(steps, 1)`` as for the lattice of
+:func:`coinwalk.momentum.momentum_state`, so the cyclic window agrees
+exactly with the infinite line.
 
 Being O(N^2) per step in time and O(N^2) in memory, this path is for
-validation, not production; it refuses half-widths above
-``DENSE_HALF_WIDTH_CAP`` (200).
+validation, not production; it refuses walks of more than
+``DENSE_HALF_WIDTH_CAP`` (200) steps.
 """
 
 from __future__ import annotations
@@ -30,18 +32,11 @@ from typing import Iterator
 import numpy as np
 
 from .coin import check_coin_matrix
-from .state import ProbabilityDistribution, check_coin_state, check_half_width
+from .state import check_coin_state, check_half_width
 
-__all__ = [
-    "StepUnitary",
-    "build_shift_matrix",
-    "build_step_unitary",
-    "dense_series",
-    "dense_amplitudes",
-    "evolve_dense",
-]
+__all__ = ["StepUnitary", "build_shift_matrix", "build_step_unitary", "dense_series"]
 
-#: Largest window half-width the dense engine accepts.
+#: Most steps, and so the largest window half-width, the dense engine accepts.
 DENSE_HALF_WIDTH_CAP = 200
 
 _UNITARY_TOL = 1e-10
@@ -125,17 +120,14 @@ def build_step_unitary(coin: np.ndarray, half_width: int) -> StepUnitary:
 
 
 def dense_series(
-    alpha: complex,
-    beta: complex,
-    coin: np.ndarray,
-    half_width: int,
-    steps: int,
+    alpha: complex, beta: complex, coin: np.ndarray, steps: int
 ) -> Iterator[np.ndarray]:
     """Evolve by repeated dense matrix-vector products, yielding every amplitude table.
 
-    The step operator is built (and checked unitary) once; the generator then
-    yields the table at ``t = 0, 1, ..., steps``, one mat-vec apart.  The
-    arguments are validated when iteration starts.
+    The window has half-width ``N = max(steps, 1)``, so the cyclic wraparound
+    never fires.  The step operator is built (and checked unitary) once; the
+    generator then yields the table at ``t = 0, 1, ..., steps``, one mat-vec
+    apart.  The arguments are validated when iteration starts.
 
     Parameters
     ----------
@@ -143,11 +135,8 @@ def dense_series(
         Normalized initial coin amplitudes at the origin.
     coin : numpy.ndarray
         The (2, 2) coin matrix.
-    half_width : int
-        Window half-width ``N``, at most ``DENSE_HALF_WIDTH_CAP`` (200).
     steps : int
-        Number of steps; must satisfy ``0 <= steps <= half_width`` so the
-        cyclic wraparound never fires.
+        Number of steps, from 0 to ``DENSE_HALF_WIDTH_CAP`` (200).
 
     Yields
     ------
@@ -155,18 +144,13 @@ def dense_series(
         Complex ``(2, 2N+1)`` arrays: row 0 head amplitudes, row 1 tail
         amplitudes, columns ordered by position ``-N .. N``.
     """
-    n = check_half_width(half_width)
-    if n > DENSE_HALF_WIDTH_CAP:
+    if not 0 <= steps <= DENSE_HALF_WIDTH_CAP:
         raise ValueError(
-            f"dense engine refuses half_width={n} > {DENSE_HALF_WIDTH_CAP}; "
+            f"dense engine takes 0 to {DENSE_HALF_WIDTH_CAP} steps, got {steps}; "
             f"this path is O(N^2) per step and meant for validation runs"
         )
-    if not 0 <= steps <= n:
-        raise ValueError(
-            f"dense engine requires 0 <= steps <= half_width so the cyclic "
-            f"window never wraps; got steps={steps}, half_width={n}"
-        )
     alpha, beta = check_coin_state(alpha, beta)
+    n = max(steps, 1)
     w = 2 * n + 1
     step = build_step_unitary(coin, n)
     vec = np.zeros(2 * w, dtype=np.complex128)
@@ -176,30 +160,3 @@ def dense_series(
     for _ in range(steps):
         vec = step.matrix @ vec
         yield vec.reshape(2, w)
-
-
-def dense_amplitudes(
-    alpha: complex,
-    beta: complex,
-    coin: np.ndarray,
-    half_width: int,
-    steps: int,
-) -> np.ndarray:
-    """The amplitude table after ``steps`` steps: the last table of :func:`dense_series`."""
-    for table in dense_series(alpha, beta, coin, half_width, steps):
-        pass
-    return table
-
-
-def evolve_dense(
-    alpha: complex,
-    beta: complex,
-    coin: np.ndarray,
-    half_width: int,
-    steps: int,
-) -> ProbabilityDistribution:
-    """Dense-engine walk, measured: the distribution over positions ``-N .. N``."""
-    amp = dense_amplitudes(alpha, beta, coin, half_width, steps)
-    probs = np.sum(np.abs(amp) ** 2, axis=0)
-    positions = np.arange(-half_width, half_width + 1)
-    return ProbabilityDistribution(positions, probs, time=steps)

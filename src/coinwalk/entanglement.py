@@ -33,13 +33,19 @@ from .state import WalkerState
 __all__ = [
     "SchmidtSpectrum",
     "schmidt_spectrum",
-    "is_separable",
     "entanglement_entropy",
     "entanglement_series",
     "origin_entanglement_series",
 ]
 
-_DEFAULT_RANK_TOL = 1e-10
+#: Relative rank cutoff: a Schmidt weight (squared singular value) at most
+#: this times the largest does not count towards the rank.  The cutoff
+#: compares weights because that is the resolution the Gram route has:
+#: forming ``A A^dagger`` rounds the weights at machine epsilon, so an
+#: exactly separable state shows a spurious second weight of about 1e-16
+#: times the first (a spurious singular value of about 1e-8 times the
+#: first).  In the weights, 1e-10 cleanly separates that noise from signal.
+_RANK_TOL = 1e-10
 
 
 def _gram(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -64,19 +70,19 @@ def _check_spectra(values: np.ndarray, ranks: np.ndarray) -> None:
         raise ValueError(f"rank {ranks[bad][0]} inconsistent with {values.shape[-1]} values")
 
 
-def _spectra(grams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spectra(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular values, ranks and entropies (bits) of a stack of ``(2, 2)`` Gram matrices.
 
-    The one home of the rank cutoff (weights above ``tol`` times the largest;
-    rank 0 for the zero state) and of the rule that rank <= 1 has entropy
-    exactly 0: rounding leaves a product state's single weight a few ulps off
-    1, which would otherwise read as an entropy of about 1e-16.
+    The one home of the rank cutoff (weights above ``_RANK_TOL`` times the
+    largest; rank 0 for the zero state) and of the rule that rank <= 1 has
+    entropy exactly 0: rounding leaves a product state's single weight a few
+    ulps off 1, which would otherwise read as an entropy of about 1e-16.
     """
     # eigvalsh is ascending and can return tiny negatives for a PSD matrix.
     weights = np.clip(np.linalg.eigvalsh(grams)[..., ::-1], 0.0, None)
     values = np.sqrt(weights)
     top = weights[..., :1]
-    ranks = np.where(top[..., 0] > 0.0, np.count_nonzero(weights > tol * top, axis=-1), 0)
+    ranks = np.where(top[..., 0] > 0.0, np.count_nonzero(weights > _RANK_TOL * top, axis=-1), 0)
     squares = values**2
     logs = np.log2(squares, out=np.zeros_like(squares), where=squares > 0.0)
     entropies = np.where(ranks >= 2, -np.sum(squares * logs, axis=-1), 0.0)
@@ -84,8 +90,8 @@ def _spectra(grams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _series(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks and entropies of a stack of Gram matrices, at the default cutoff."""
-    values, ranks, entropies = _spectra(grams, _DEFAULT_RANK_TOL)
+    """Ranks and entropies of a stack of Gram matrices."""
+    values, ranks, entropies = _spectra(grams)
     _check_spectra(values, ranks)
     return ranks, entropies
 
@@ -100,8 +106,8 @@ class SchmidtSpectrum:
         At most two non-negative singular values, descending; their squares
         sum to the state's total probability.
     rank : int
-        Number of Schmidt terms that survived the relative cutoff used at
-        computation time; 0 only for the zero state.
+        Number of Schmidt terms that survive the relative cutoff
+        ``_RANK_TOL``; 0 only for the zero state.
     """
 
     values: np.ndarray = field(repr=False)
@@ -115,45 +121,21 @@ class SchmidtSpectrum:
         object.__setattr__(self, "values", v)
 
 
-def schmidt_spectrum(state: WalkerState, tol: float = _DEFAULT_RANK_TOL) -> SchmidtSpectrum:
+def schmidt_spectrum(state: WalkerState) -> SchmidtSpectrum:
     """Schmidt singular values of the state across the coin/position split.
 
-    Parameters
-    ----------
-    state : WalkerState
-        Any walker state (normalization is not required; the squared values
-        then sum to the state's total probability instead of 1).
-    tol : float, optional
-        Relative rank cutoff, applied to the Schmidt weights: a weight
-        (squared singular value) at most ``tol`` times the largest weight
-        does not count towards the rank.  The zero state has rank 0.
-
-        The cutoff compares squared values because that is the resolution the
-        Gram route actually has: forming ``A A^dagger`` already rounds the
-        weights at machine epsilon, so an exactly-separable state shows a
-        spurious second weight of about 1e-16 times the first (a spurious
-        *singular value* of about 1e-8 times the first).  A cutoff in the
-        singular values themselves would have to sit above that square-root
-        noise floor to be usable; in the weights, 1e-10 cleanly separates
-        noise from signal.
+    Any walker state is accepted; normalization is not required (the squared
+    values then sum to the state's total probability instead of 1).  The
+    rank counts the weights (squared singular values) above 1e-10 times the
+    largest, ``_RANK_TOL``; the zero state has rank 0.
 
     Returns
     -------
     SchmidtSpectrum
         Both singular values (descending) and the effective rank.
     """
-    if tol < 0.0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
-    values, ranks, _ = _spectra(_gram(state.amplitudes), tol)
+    values, ranks, _ = _spectra(_gram(state.amplitudes))
     return SchmidtSpectrum(values, int(ranks))
-
-
-def is_separable(state: WalkerState, tol: float = _DEFAULT_RANK_TOL) -> bool:
-    """True iff the state is a coin-state/position-state product (rank <= 1).
-
-    ``tol`` has the weight-domain semantics of :func:`schmidt_spectrum`.
-    """
-    return schmidt_spectrum(state, tol).rank <= 1
 
 
 def entanglement_entropy(state: WalkerState) -> float:
@@ -165,7 +147,7 @@ def entanglement_entropy(state: WalkerState) -> float:
     normalized state the result lies in [0, 1]; it is invariant under a
     global phase of the state.
     """
-    _, _, entropy = _spectra(_gram(state.amplitudes), _DEFAULT_RANK_TOL)
+    _, _, entropy = _spectra(_gram(state.amplitudes))
     return float(entropy)
 
 
@@ -184,7 +166,7 @@ def entanglement_series(
     Returns
     -------
     ranks : numpy.ndarray
-        ``steps + 1`` integer Schmidt ranks (default cutoff of
+        ``steps + 1`` integer Schmidt ranks (the cutoff of
         :func:`schmidt_spectrum`).
     entropies : numpy.ndarray
         ``steps + 1`` entropies, exactly 0 wherever the rank is at most 1.

@@ -14,20 +14,20 @@ from the origin, which is what :func:`run_walk` measures, comes from the
 O(T log T) momentum-space engine of :mod:`coinwalk.momentum`.
 
 One kernel reads a source buffer and writes a destination buffer, leaving
-the input state untouched.  ``step_recurrence`` runs it once into a fresh
-array.  ``iter_steps`` swaps two buffers every step, computes only the light
-cone (the columns the walk can have reached) and yields each table as it is
-written; ``evolve`` and the per-step series all run on it.
+the input state untouched.  ``iter_steps`` swaps two buffers every step,
+computes only the light cone (the columns the walk can have reached) and
+yields each table as it is written; ``evolve`` and the per-step series all
+run on it.
 
 The amplitudes in the tails of a long walk decay exponentially and, left
 alone, pass through the subnormal range of doubles, where arithmetic is many
 times slower (on x86-64, a T=3000 walk with theta near 60 degrees took 4x as
 long as one near 35 degrees).  So every ``_FLUSH_EVERY`` steps of walk time,
-both stepping functions set to zero each real or imaginary part smaller
-than ``_FLUSH_BELOW``.  The square of such a part underflows to zero, so
+the stepping loop sets to zero each real or imaginary part smaller than
+``_FLUSH_BELOW``.  The square of such a part underflows to zero, so
 probabilities and Schmidt weights do not see it.  The schedule follows the
-walk time, so ``iter_steps`` still matches a loop of ``step_recurrence`` bit
-for bit.
+walk time, so a walk taken one step at a time matches the same walk taken
+at once bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .coin import CoinParams, check_coin_matrix, make_coin
 from .momentum import momentum_state
 from .state import LatticeExhaustedError, ProbabilityDistribution, WalkerState, distribution
 
-__all__ = ["step_recurrence", "iter_steps", "evolve", "run_walk"]
+__all__ = ["iter_steps", "evolve", "run_walk"]
 
 #: Real and imaginary parts below this magnitude are set to zero by the
 #: flush.  Far above the subnormal range (below 2.2e-308), so a flushed tail
@@ -49,17 +49,6 @@ __all__ = ["step_recurrence", "iter_steps", "evolve", "run_walk"]
 _FLUSH_BELOW = 1e-250
 #: The flush runs after every step that ends at a multiple of this walk time.
 _FLUSH_EVERY = 32
-
-
-def _check_request(state: WalkerState, coin: np.ndarray, steps: int) -> np.ndarray:
-    """Refuse ``steps`` more steps past the lattice or a malformed coin; return the coin."""
-    n = state.lattice.half_width
-    if state.time + steps > n:
-        raise LatticeExhaustedError(
-            f"lattice with half_width={n} supports {n} steps; the walker at t={state.time} cannot "
-            f"take {steps} more, so rebuild the walk on a lattice with a larger half_width"
-        )
-    return check_coin_matrix(coin)
 
 
 def _advance(
@@ -94,42 +83,6 @@ def _flush(table: np.ndarray, lo: int, hi: int, scratch: np.ndarray, tiny: np.nd
         np.copyto(parts, 0.0, where=mask)
 
 
-def step_recurrence(state: WalkerState, coin: np.ndarray) -> WalkerState:
-    """Advance the walker by one coin-then-shift step.
-
-    Parameters
-    ----------
-    state : WalkerState
-        Current state; ``state.time`` must be below the lattice half-width,
-        otherwise amplitude would spill into the guard sites.
-    coin : numpy.ndarray
-        The (2, 2) complex coin matrix.
-
-    Returns
-    -------
-    WalkerState
-        A new state at ``time + 1``; the input is not modified.  When
-        ``time + 1`` is a multiple of ``_FLUSH_EVERY`` the new table is
-        flushed (see the module docstring).
-
-    Raises
-    ------
-    LatticeExhaustedError
-        If the lattice window is used up (``time >= half_width``).
-    """
-    c = _check_request(state, coin, 1)
-    amp = state.amplitudes
-    out = np.zeros_like(amp)
-    # Interior columns 1..n-2 receive from their left/right neighbours; the
-    # guard columns stay exactly zero.
-    hi = amp.shape[1] - 1
-    scratch = np.empty_like(amp[0])
-    _advance(amp, out, c, 1, hi, scratch)
-    if (state.time + 1) % _FLUSH_EVERY == 0:
-        _flush(out, 1, hi, scratch, np.empty(2 * hi, dtype=bool))
-    return WalkerState(out, state.lattice, state.time + 1)
-
-
 def iter_steps(
     state: WalkerState, coin: np.ndarray, steps: int
 ) -> Iterator[tuple[np.ndarray, int, int]]:
@@ -139,8 +92,8 @@ def iter_steps(
     written and the light-cone columns ``lo .. hi-1`` outside which it is
     exactly zero.  Two buffers take turns, so a table is valid only until the
     next step overwrites it; copy it to keep it.  The input state is not
-    modified, and the tables match a loop of :func:`step_recurrence` bit for
-    bit, guard columns zero whatever the input held.
+    modified, and the tables match a loop of one-step walks bit for bit,
+    guard columns zero whatever the input held.
 
     The request is checked when this is called, before the first step.
 
@@ -153,8 +106,13 @@ def iter_steps(
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
-    c = _check_request(state, coin, steps)
-    return _steps(state.amplitudes, c, state.time, steps)
+    n = state.lattice.half_width
+    if state.time + steps > n:
+        raise LatticeExhaustedError(
+            f"lattice with half_width={n} supports {n} steps; the walker at t={state.time} cannot "
+            f"take {steps} more, so rebuild the walk on a lattice with a larger half_width"
+        )
+    return _steps(state.amplitudes, check_coin_matrix(coin), state.time, steps)
 
 
 def _steps(
@@ -181,8 +139,9 @@ def _steps(
 def evolve(state: WalkerState, coin: np.ndarray, steps: int) -> WalkerState:
     """Apply ``steps`` walk steps; ``steps=0`` returns the state unchanged.
 
-    Equals ``steps`` calls of :func:`step_recurrence` bit for bit, so the
-    guard columns come out zero whatever the input held.
+    The last table of :func:`iter_steps`, so ``steps`` one-step calls give
+    the same state bit for bit, and the guard columns come out zero whatever
+    the input held.
 
     Raises
     ------

@@ -31,10 +31,7 @@ __all__ = [
     "check_coin_state",
     "check_unit_interval",
     "initial_state",
-    "position_index",
-    "probability_at",
     "distribution",
-    "total_probability",
 ]
 
 #: Head/tail amplitudes (1/sqrt(2), -i/sqrt(2)) of the unbiased start state,
@@ -117,23 +114,6 @@ class LatticeSpec:
     def positions(self) -> np.ndarray:
         """All stored positions ``-(N+1) .. N+1`` in increasing order."""
         return np.arange(-(self.half_width + 1), self.half_width + 2)
-
-
-def position_index(x: int, lattice: LatticeSpec) -> int:
-    """Map a position label to its zero-based column index, ``x + N + 1``.
-
-    Raises
-    ------
-    IndexError
-        If ``|x| > N + 1`` (outside the stored window).
-    """
-    n = lattice.half_width
-    if x < -(n + 1) or x > n + 1:
-        raise IndexError(
-            f"position {x} is outside the stored window [{-(n + 1)}, {n + 1}] "
-            f"of a lattice with half_width={n}"
-        )
-    return x + n + 1
 
 
 @dataclass(frozen=True)
@@ -230,18 +210,6 @@ def initial_state(alpha: complex, beta: complex, lattice: LatticeSpec) -> Walker
     amp[0, lattice.origin_index] = alpha
     amp[1, lattice.origin_index] = beta
     return WalkerState(amp, lattice, time=0)
-
-
-def probability_at(state: WalkerState, x: int) -> float:
-    """Probability of finding the walker at position ``x``, coin traced out."""
-    idx = position_index(x, state.lattice)
-    col = state.amplitudes[:, idx]
-    return float(np.sum(np.abs(col) ** 2))
-
-
-def total_probability(state: WalkerState) -> float:
-    """Sum of ``|amplitude|^2`` over the whole table (1 for a physical state)."""
-    return float(np.sum(np.abs(state.amplitudes) ** 2))
 
 
 def distribution(state: WalkerState) -> ProbabilityDistribution:

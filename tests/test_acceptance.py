@@ -18,20 +18,18 @@ from coinwalk import (
     CoinParams,
     LatticeSpec,
     build_step_unitary,
-    dense_amplitudes,
+    dense_series,
     entanglement_entropy,
     evolve,
     initial_state,
+    iter_steps,
     make_coin,
     named_coin,
     peak_gap,
     phase_diagram,
-    position_index,
     run_walk,
     schmidt_spectrum,
-    step_recurrence,
     symmetry_deviation,
-    total_probability,
 )
 from coinwalk.cli import main
 
@@ -56,9 +54,8 @@ def test_c01_norm_preserved_for_500_random_walks():
     for _ in range(500):
         coin = make_coin(CoinParams(*random_coin_angles(rng)))
         state = initial_state(*normalized_pair(rng), LatticeSpec(steps))
-        for _t in range(steps):
-            state = step_recurrence(state, coin)
-            worst = max(worst, abs(total_probability(state) - 1.0))
+        for table, lo, hi in iter_steps(state, coin, steps):
+            worst = max(worst, abs(float(np.sum(np.abs(table[:, lo:hi]) ** 2)) - 1.0))
     elapsed = time.perf_counter() - started
     _report(
         "norm-preservation-500x200",
@@ -80,17 +77,18 @@ def test_c02_golden_amplitudes_one_and_two_steps():
         c, s = math.cos(theta), math.sin(theta)
         coin = make_coin(CoinParams(theta, phi1, phi2))
         lat = LatticeSpec(3)
-        one = step_recurrence(initial_state(1.0, 0.0, lat), coin)
+        at = lat.origin_index  # the column of position 0
+        one = evolve(initial_state(1.0, 0.0, lat), coin, 1)
         expected_one = np.zeros((2, lat.size), dtype=complex)
-        expected_one[0, position_index(1, lat)] = c
-        expected_one[1, position_index(-1, lat)] = np.exp(1j * phi2) * s
+        expected_one[0, at + 1] = c
+        expected_one[1, at - 1] = np.exp(1j * phi2) * s
         worst = max(worst, float(np.max(np.abs(one.amplitudes - expected_one))))
-        two = step_recurrence(one, coin)
+        two = evolve(one, coin, 1)
         expected_two = np.zeros((2, lat.size), dtype=complex)
-        expected_two[0, position_index(2, lat)] = c * c
-        expected_two[0, position_index(0, lat)] = np.exp(1j * (phi1 + phi2)) * s * s
-        expected_two[1, position_index(0, lat)] = np.exp(1j * phi2) * s * c
-        expected_two[1, position_index(-2, lat)] = -np.exp(1j * (phi1 + 2 * phi2)) * s * c
+        expected_two[0, at + 2] = c * c
+        expected_two[0, at] = np.exp(1j * (phi1 + phi2)) * s * s
+        expected_two[1, at] = np.exp(1j * phi2) * s * c
+        expected_two[1, at - 2] = -np.exp(1j * (phi1 + 2 * phi2)) * s * c
         worst = max(worst, float(np.max(np.abs(two.amplitudes - expected_two))))
     _report("golden-amplitudes-20-triples", worst <= 1e-14, f"max |diff| = {worst:.3e}")
 
@@ -213,13 +211,11 @@ def test_c08a_engines_agree_for_50_random_walks():
         theta, phi1, phi2 = random_coin_angles(rng)
         alpha, beta = normalized_pair(rng)
         coin = make_coin(CoinParams(theta, phi1, phi2))
-        state = initial_state(alpha, beta, LatticeSpec(n))
-        for t in range(1, n + 1):
-            state = step_recurrence(state, coin)
-            reference = dense_amplitudes(alpha, beta, coin, n, t)
-            worst = max(
-                worst, float(np.max(np.abs(state.amplitudes[:, 1:-1] - reference)))
-            )
+        walk = iter_steps(initial_state(alpha, beta, LatticeSpec(n)), coin, n)
+        references = dense_series(alpha, beta, coin, n)
+        next(references)  # t = 0: both engines start from the same table
+        for (table, _, _), reference in zip(walk, references):
+            worst = max(worst, float(np.max(np.abs(table[:, 1:-1] - reference))))
     _report("engine-agreement-50x20", worst <= 1e-12, f"max |amp diff| = {worst:.3e}")
 
 
@@ -268,14 +264,14 @@ def test_c09_schmidt_rank_and_entropy():
     coin45 = make_coin(CoinParams.from_degrees(45.0))
     state = initial_state(1.0, 0.0, LatticeSpec(20))
     rank0 = schmidt_spectrum(state).rank
-    state1 = step_recurrence(state, coin45)
+    state1 = evolve(state, coin45, 1)
     rank1 = schmidt_spectrum(state1).rank
     entropy1 = entanglement_entropy(state1)
     swap_ok = True
     swap_state = initial_state(1.0, 0.0, LatticeSpec(20))
     coin90 = make_coin(CoinParams.from_degrees(90.0))
     for _ in range(20):
-        swap_state = step_recurrence(swap_state, coin90)
+        swap_state = evolve(swap_state, coin90, 1)
         swap_ok &= schmidt_spectrum(swap_state).rank == 1
     _report(
         "schmidt-rank-entropy",

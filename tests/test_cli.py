@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -551,7 +551,7 @@ def _entanglement_reference(coin, init, steps):
 def _verify_reference(theta, phi1, steps):
     coin = make_coin(CoinParams.from_degrees(theta, phi1, 0.0))
     state = initial_state(*UNBIASED_INIT, LatticeSpec(steps))
-    references = dense_series(*UNBIASED_INIT, coin, steps, steps)
+    references = dense_series(*UNBIASED_INIT, coin, steps)
     next(references)
     gaps = []
     for (table, _, _), reference in zip(iter_steps(state, coin, steps), references):
@@ -640,7 +640,12 @@ _JSON_LEAVES = st.one_of(
 )
 
 
+# Arrays of more than two blocks: one full block, another, and a part block.
+_LONG = 2 * cli.CSV_BLOCK_ROWS + 7
+
+
 @settings(max_examples=300, deadline=None)
+@example(payload={"t": np.arange(_LONG), "rows": [np.linspace(-1.0, 1.0, _LONG)]})
 @given(payload=st.recursive(
     _JSON_LEAVES,
     lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)

@@ -13,12 +13,12 @@ from coinwalk import (
     NAMED_COINS,
     build_step_unitary,
     check_unitary,
+    evolve,
     initial_state,
     iter_steps,
     make_coin,
     momentum_state,
     named_coin,
-    step_recurrence,
 )
 
 from conftest import angles
@@ -126,7 +126,7 @@ def test_entry_relations(theta, phi1, phi2):
 
 @given(theta=angles, phi1=angles, phi2=angles)
 def test_coin_is_unitary(theta, phi1, phi2):
-    assert check_unitary(make_coin(CoinParams(theta, phi1, phi2)), tol=1e-12)
+    assert check_unitary(make_coin(CoinParams(theta, phi1, phi2)))
 
 
 @given(theta=angles, phi1=angles, phi2=angles)
@@ -187,7 +187,7 @@ def test_identity_is_unitary():
 
 
 def test_projector_is_not_unitary():
-    assert not check_unitary(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex), tol=1e-12)
+    assert not check_unitary(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_derived_case_33_70_10_degrees():
@@ -200,13 +200,13 @@ def test_derived_case_33_70_10_degrees():
             expected = 1.0 if i == j else 0.0
             worst = max(worst, abs(entry - expected))
     assert worst <= 1e-12
-    assert check_unitary(m, tol=1e-12)
+    assert check_unitary(m)
 
 
 def test_tolerance_is_respected():
-    nearly = np.array([[1.0 + 5e-9, 0.0], [0.0, 1.0]], dtype=complex)
-    assert check_unitary(nearly, tol=1e-6)
-    assert not check_unitary(nearly, tol=1e-12)
+    # |1 + e|^2 - 1 is about 2e: the tolerance on M^dagger M - I is 1e-12.
+    assert check_unitary(np.diag([1.0 + 4e-13, 1.0]))
+    assert not check_unitary(np.diag([1.0 + 6e-13, 1.0]))
 
 
 _START = initial_state(*UNBIASED_INIT, LatticeSpec(2))
@@ -217,11 +217,11 @@ _START = initial_state(*UNBIASED_INIT, LatticeSpec(2))
     [
         check_unitary,
         lambda coin: iter_steps(_START, coin, 1),
-        lambda coin: step_recurrence(_START, coin),
+        lambda coin: evolve(_START, coin, 1),
         lambda coin: build_step_unitary(coin, 2),
         lambda coin: momentum_state(*UNBIASED_INIT, coin, 2),
     ],
-    ids=["check_unitary", "iter_steps", "step_recurrence", "build_step_unitary", "momentum_state"],
+    ids=["check_unitary", "iter_steps", "evolve", "build_step_unitary", "momentum_state"],
 )
 def test_a_non_2x2_coin_is_rejected_with_one_message(use_coin):
     with pytest.raises(ValueError) as err:

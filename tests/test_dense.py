@@ -12,10 +12,8 @@ from coinwalk import (
     StepUnitary,
     build_shift_matrix,
     build_step_unitary,
-    dense_amplitudes,
     dense_series,
     evolve,
-    evolve_dense,
     initial_state,
     make_coin,
     named_coin,
@@ -130,20 +128,27 @@ def test_step_unitary_validates_its_shape():
 # ------------------------------------------------------------
 
 
+def _dense_final(alpha, beta, coin, steps):
+    """The last table of a dense series: positions -max(steps, 1) .. max(steps, 1)."""
+    for table in dense_series(alpha, beta, coin, steps):
+        pass
+    return table
+
+
 @pytest.mark.parametrize("theta, phi1, phi2", [(0.3, 0.7, 1.1), (1.9, 2.1, 0.4)])
 def test_one_dense_step_from_head(theta, phi1, phi2):
     p = CoinParams(theta, phi1, phi2)
-    amp = dense_amplitudes(1.0, 0.0, make_coin(p), half_width=2, steps=1)
-    expected = np.zeros((2, 5), dtype=complex)
-    expected[0, 3] = math.cos(p.theta)  # head at x=+1
-    expected[1, 1] = np.exp(1j * p.phi2) * math.sin(p.theta)  # tail at x=-1
+    amp = _dense_final(1.0, 0.0, make_coin(p), 1)
+    expected = np.zeros((2, 3), dtype=complex)
+    expected[0, 2] = math.cos(p.theta)  # head at x=+1
+    expected[1, 0] = np.exp(1j * p.phi2) * math.sin(p.theta)  # tail at x=-1
     assert np.max(np.abs(amp - expected)) <= 1e-15
 
 
 @pytest.mark.parametrize("theta, phi1, phi2", [(0.3, 0.7, 1.1), (1.9, 2.1, 0.4)])
 def test_two_dense_steps_from_head(theta, phi1, phi2):
     p = CoinParams(theta, phi1, phi2)
-    amp = dense_amplitudes(1.0, 0.0, make_coin(p), half_width=2, steps=2)
+    amp = _dense_final(1.0, 0.0, make_coin(p), 2)
     c, s = math.cos(p.theta), math.sin(p.theta)
     expected = np.zeros((2, 5), dtype=complex)
     expected[0, 4] = c * c
@@ -154,17 +159,15 @@ def test_two_dense_steps_from_head(theta, phi1, phi2):
 
 
 def test_zero_dense_steps_returns_the_start():
-    amp = dense_amplitudes(*UNBIASED_INIT, make_coin(named_coin("fourier")), 3, 0)
-    expected = np.zeros((2, 7), dtype=complex)
-    expected[0, 3], expected[1, 3] = UNBIASED_INIT
+    amp = _dense_final(*UNBIASED_INIT, make_coin(named_coin("fourier")), 0)
+    expected = np.zeros((2, 3), dtype=complex)
+    expected[0, 1], expected[1, 1] = UNBIASED_INIT
     assert np.array_equal(amp, expected)
 
 
 def test_dense_two_step_hadamard_distribution():
-    dist = evolve_dense(1.0, 0.0, make_coin(named_coin("hadamard")), half_width=2, steps=2)
-    assert np.array_equal(dist.positions, np.arange(-2, 3))
-    assert dist.probs == pytest.approx([0.25, 0.0, 0.5, 0.0, 0.25], abs=1e-15)
-    assert dist.time == 2
+    amp = _dense_final(1.0, 0.0, make_coin(named_coin("hadamard")), 2)
+    assert np.sum(np.abs(amp) ** 2, axis=0) == pytest.approx([0.25, 0.0, 0.5, 0.0, 0.25], abs=1e-15)
 
 
 # ------------------------------------------------------------
@@ -172,23 +175,16 @@ def test_dense_two_step_hadamard_distribution():
 # ------------------------------------------------------------
 
 
-def test_steps_beyond_the_window_are_refused():
-    coin = make_coin(named_coin("hadamard"))
-    with pytest.raises(ValueError, match="steps <= half_width"):
-        evolve_dense(*UNBIASED_INIT, coin, half_width=5, steps=6)
-    with pytest.raises(ValueError, match="steps <= half_width"):
-        dense_amplitudes(*UNBIASED_INIT, coin, half_width=5, steps=-1)
-
-
 def test_the_size_cap_is_enforced():
     coin = make_coin(named_coin("hadamard"))
-    with pytest.raises(ValueError, match="refuses half_width=201 > 200"):
-        evolve_dense(*UNBIASED_INIT, coin, half_width=201, steps=1)
+    for steps in (201, -1):
+        with pytest.raises(ValueError, match=f"takes 0 to 200 steps, got {steps}"):
+            next(dense_series(*UNBIASED_INIT, coin, steps))
 
 
 def test_dense_rejects_unnormalized_start():
     with pytest.raises(ValueError, match="normalized"):
-        dense_amplitudes(1.0, 1.0, make_coin(named_coin("hadamard")), 3, 1)
+        next(dense_series(1.0, 1.0, make_coin(named_coin("hadamard")), 1))
 
 
 # ------------------------------------------------------------
@@ -198,6 +194,7 @@ def test_dense_rejects_unnormalized_start():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_engines_agree_amplitude_by_amplitude(seed):
+    # A fresh dense walk of each length t, on its own window of half-width t.
     rng = np.random.default_rng(1000 + seed)
     theta, phi1, phi2 = random_coin_angles(rng)
     alpha, beta = normalized_pair(rng)
@@ -206,25 +203,30 @@ def test_engines_agree_amplitude_by_amplitude(seed):
     state = initial_state(alpha, beta, LatticeSpec(n))
     for t in range(1, n + 1):
         state = evolve(state, coin, 1)
-        reference = dense_amplitudes(alpha, beta, coin, n, t)
-        assert np.max(np.abs(state.amplitudes[:, 1:-1] - reference)) <= 1e-12
+        reference = _dense_final(alpha, beta, coin, t)
+        window = state.amplitudes[:, n + 1 - t : n + 2 + t]
+        assert np.max(np.abs(window - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_dense_series_matches_dense_amplitudes_at_every_step(seed):
+def test_dense_series_takes_one_matvec_per_step(seed):
     rng = np.random.default_rng(2000 + seed)
     alpha, beta = normalized_pair(rng)
     coin = make_coin(CoinParams(*random_coin_angles(rng)))
     n = 9
-    tables = list(dense_series(alpha, beta, coin, n, n))
+    step = build_step_unitary(coin, n).matrix
+    tables = list(dense_series(alpha, beta, coin, n))
     assert len(tables) == n + 1
-    for t, table in enumerate(tables):
-        assert np.array_equal(table, dense_amplitudes(alpha, beta, coin, n, t))
+    start = np.zeros((2, 2 * n + 1), dtype=complex)
+    start[:, n] = alpha, beta
+    assert np.array_equal(tables[0], start)
+    for before, after in zip(tables, tables[1:]):
+        assert np.array_equal(after.ravel(), step @ before.ravel())
 
 
 def test_dense_distribution_matches_run_walk_window():
     p = CoinParams(2.2, 1.3, 0.4)
     steps = 15
     from_walk = run_walk(p, *UNBIASED_INIT, steps)
-    from_dense = evolve_dense(*UNBIASED_INIT, make_coin(p), steps, steps)
-    assert np.max(np.abs(from_walk.probs[1:-1] - from_dense.probs)) <= 1e-12
+    from_dense = np.sum(np.abs(_dense_final(*UNBIASED_INIT, make_coin(p), steps)) ** 2, axis=0)
+    assert np.max(np.abs(from_walk.probs[1:-1] - from_dense)) <= 1e-12

@@ -1,4 +1,4 @@
-"""Tests for Schmidt spectra, separability and coin-position entropy."""
+"""Tests for Schmidt spectra, ranks and coin-position entropy."""
 
 import math
 
@@ -17,13 +17,10 @@ from coinwalk import (
     entanglement_series,
     evolve,
     initial_state,
-    is_separable,
     make_coin,
     named_coin,
     origin_entanglement_series,
     schmidt_spectrum,
-    step_recurrence,
-    total_probability,
 )
 
 from conftest import angles, normalized_pair, random_coin_angles
@@ -53,7 +50,6 @@ def test_initial_states_are_separable(alpha, beta):
     # The raw second value sits on the Gram-matrix noise floor (~sqrt(eps)),
     # not at an exact zero; the rank cutoff is what certifies separability.
     assert spectrum.values[1] <= 1e-7
-    assert is_separable(state)
     assert entanglement_entropy(state) <= 1e-12
 
 
@@ -62,7 +58,6 @@ def test_zero_state_has_rank_zero():
     spectrum = schmidt_spectrum(state)
     assert spectrum.rank == 0
     assert np.array_equal(spectrum.values, np.zeros(2))
-    assert is_separable(state)
     assert entanglement_entropy(state) == 0.0
 
 
@@ -72,17 +67,16 @@ def test_zero_state_has_rank_zero():
 
 
 def test_one_hadamard_step_is_maximally_entangled():
-    state = step_recurrence(initial_state(1.0, 0.0, LatticeSpec(3)), make_coin(named_coin("hadamard")))
+    state = evolve(initial_state(1.0, 0.0, LatticeSpec(3)), make_coin(named_coin("hadamard")), 1)
     spectrum = schmidt_spectrum(state)
     assert spectrum.rank == 2
     assert spectrum.values == pytest.approx([math.sqrt(0.5), math.sqrt(0.5)], abs=1e-12)
-    assert not is_separable(state)
     assert entanglement_entropy(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_one_step_spectrum_is_cos_sin_of_theta():
     theta = CoinParams.from_degrees(30.0)
-    state = step_recurrence(initial_state(1.0, 0.0, LatticeSpec(3)), make_coin(theta))
+    state = evolve(initial_state(1.0, 0.0, LatticeSpec(3)), make_coin(theta), 1)
     spectrum = schmidt_spectrum(state)
     assert spectrum.values == pytest.approx([math.cos(theta.theta), math.sin(theta.theta)], abs=1e-12)
     assert entanglement_entropy(state) == pytest.approx(ENTROPY_THETA_30, abs=1e-12)
@@ -92,24 +86,24 @@ def test_swap_coin_never_entangles_a_head_start():
     coin = make_coin(named_coin("grover"))
     state = initial_state(1.0, 0.0, LatticeSpec(20))
     for _ in range(20):
-        state = step_recurrence(state, coin)
+        state = evolve(state, coin, 1)
         assert schmidt_spectrum(state).rank == 1
         assert entanglement_entropy(state) <= 1e-12
 
 
 # ------------------------------------------------------------
-# Rank tolerance semantics
+# The rank cutoff
 # ------------------------------------------------------------
 
 
 def test_rank_uses_the_relative_weight_cutoff():
-    # Second Schmidt weight is 1e-8 of the first: counted at the default
-    # cutoff, dropped at a coarse one.
-    state = _state_from_rows([1.0], [0.0, 1e-4], half_width=2)
-    assert schmidt_spectrum(state, tol=1e-10).rank == 2
-    assert schmidt_spectrum(state, tol=1e-6).rank == 1
-    assert not is_separable(state, tol=1e-10)
-    assert is_separable(state, tol=1e-6)
+    # The cutoff is 1e-10 in the weights: a second weight of 1e-8 times the
+    # first counts, one of 1e-12 times the first does not.
+    counted = _state_from_rows([1.0], [0.0, 1e-4], half_width=2)
+    dropped = _state_from_rows([1.0], [0.0, 1e-6], half_width=2)
+    assert schmidt_spectrum(counted).rank == 2
+    assert schmidt_spectrum(dropped).rank == 1
+    assert schmidt_spectrum(dropped).values[1] == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_separability_is_robust_for_generic_product_states():
@@ -117,13 +111,6 @@ def test_separability_is_robust_for_generic_product_states():
     # noise near machine epsilon; the rank must not count it.
     state = initial_state(complex(0.6, -0.1), complex(0.2, 0.7681145747868607), LatticeSpec(2))
     assert schmidt_spectrum(state).rank == 1
-    assert is_separable(state)
-
-
-def test_negative_tolerance_is_rejected():
-    state = initial_state(1.0, 0.0, LatticeSpec(2))
-    with pytest.raises(ValueError, match="non-negative"):
-        schmidt_spectrum(state, tol=-1.0)
 
 
 def test_spectrum_validation():
@@ -157,7 +144,7 @@ def test_series_matches_the_per_state_functions(params, init, steps):
     assert ranks.shape == entropies.shape == (steps + 1,)
     for t in range(steps + 1):
         if t > 0:
-            state = step_recurrence(state, coin)
+            state = evolve(state, coin, 1)
         assert ranks[t] == schmidt_spectrum(state).rank
         assert abs(entropies[t] - entanglement_entropy(state)) <= 1e-14
         if ranks[t] <= 1:
@@ -177,7 +164,8 @@ def test_squared_values_sum_to_the_total_probability(seed, steps):
     state = initial_state(alpha, beta, LatticeSpec(15))
     state = evolve(state, make_coin(CoinParams(*random_coin_angles(rng))), steps)
     spectrum = schmidt_spectrum(state)
-    assert np.sum(spectrum.values**2) == pytest.approx(total_probability(state), abs=1e-10)
+    total_probability = np.sum(np.abs(state.amplitudes) ** 2)
+    assert np.sum(spectrum.values**2) == pytest.approx(total_probability, abs=1e-10)
     assert spectrum.values[0] >= spectrum.values[1] >= 0.0
 
 
@@ -200,10 +188,14 @@ def test_entropy_ignores_a_global_phase(seed, steps, chi):
 
 
 def _assert_series_agree(coin, alpha, beta, steps):
-    """Identical ranks, exact-zero entropies at the same t, entropies within 1e-12."""
+    """Identical ranks, exact-zero entropies at the same t, entropies within 1e-12.
+
+    Both series start from a product state: rank 1 and entropy exactly 0 at t = 0.
+    """
     state = initial_state(alpha, beta, LatticeSpec(max(steps, 1)))
     ranks, entropies = entanglement_series(state, coin, steps)
     origin_ranks, origin_entropies = origin_entanglement_series(alpha, beta, coin, steps)
+    assert ranks[0] == origin_ranks[0] == 1 and entropies[0] == origin_entropies[0] == 0.0
     assert np.array_equal(origin_ranks, ranks)
     assert np.array_equal(origin_entropies == 0.0, entropies == 0.0)
     assert np.max(np.abs(origin_entropies - entropies)) <= 1e-12

@@ -21,9 +21,7 @@ from coinwalk import (
     iter_steps,
     make_coin,
     named_coin,
-    position_index,
     run_walk,
-    step_recurrence,
 )
 
 from conftest import normalized_pair, random_coin_angles
@@ -32,7 +30,7 @@ TRIPLES = [(0.3, 0.7, 1.1), (1.2, 0.0, 2.6), (4.4, 2.9, 0.5)]
 
 
 def _amp(state, row, x):
-    return state.amplitudes[row, position_index(x, state.lattice)]
+    return state.amplitudes[row, state.lattice.origin_index + x]
 
 
 # ------------------------------------------------------------
@@ -43,15 +41,15 @@ def _amp(state, row, x):
 @pytest.mark.parametrize("theta, phi1, phi2", TRIPLES)
 def test_one_step_from_head(theta, phi1, phi2):
     p = CoinParams(theta, phi1, phi2)
-    state = step_recurrence(initial_state(1.0, 0.0, LatticeSpec(3)), make_coin(p))
+    state = evolve(initial_state(1.0, 0.0, LatticeSpec(3)), make_coin(p), 1)
     c, s = math.cos(p.theta), math.sin(p.theta)
     assert abs(_amp(state, 0, 1) - c) <= 1e-15
     assert abs(_amp(state, 1, -1) - np.exp(1j * p.phi2) * s) <= 1e-15
     assert state.time == 1
     # nothing anywhere else: every other entry is an exact zero
     rest = state.amplitudes.copy()
-    rest[0, position_index(1, state.lattice)] = 0.0
-    rest[1, position_index(-1, state.lattice)] = 0.0
+    rest[0, state.lattice.origin_index + 1] = 0.0
+    rest[1, state.lattice.origin_index - 1] = 0.0
     assert np.all(rest == 0.0)
 
 
@@ -59,7 +57,7 @@ def test_one_step_from_head(theta, phi1, phi2):
 def test_one_step_general_coin_state(theta, phi1, phi2):
     p = CoinParams(theta, phi1, phi2)
     alpha, beta = 0.6, -0.8j
-    state = step_recurrence(initial_state(alpha, beta, LatticeSpec(3)), make_coin(p))
+    state = evolve(initial_state(alpha, beta, LatticeSpec(3)), make_coin(p), 1)
     c, s = math.cos(p.theta), math.sin(p.theta)
     e1, e2 = np.exp(1j * p.phi1), np.exp(1j * p.phi2)
     assert abs(_amp(state, 0, 1) - (alpha * c + beta * e1 * s)) <= 1e-15
@@ -88,11 +86,11 @@ def test_swap_coin_exchanges_and_shifts():
     # alpha|T>|-1> + beta|H>|+1>.
     alpha, beta = 0.6, 0.8j
     coin = make_coin(named_coin("grover"))
-    state = step_recurrence(initial_state(alpha, beta, LatticeSpec(2)), coin)
+    state = evolve(initial_state(alpha, beta, LatticeSpec(2)), coin, 1)
     assert abs(_amp(state, 1, -1) - alpha) <= 1e-15
     assert abs(_amp(state, 0, 1) - beta) <= 1e-15
     # and two steps bring the walker home up to the (-1) tail sign
-    state = step_recurrence(state, coin)
+    state = evolve(state, coin, 1)
     assert abs(_amp(state, 0, 0) - alpha) <= 1e-15
     assert abs(_amp(state, 1, 0) - beta) <= 1e-15
 
@@ -128,7 +126,7 @@ def test_negative_steps_are_rejected():
 def test_step_does_not_mutate_its_input():
     state = initial_state(*UNBIASED_INIT, LatticeSpec(3))
     before = state.amplitudes.copy()
-    step_recurrence(state, make_coin(named_coin("hadamard")))
+    evolve(state, make_coin(named_coin("hadamard")), 1)
     assert np.array_equal(state.amplitudes, before)
     assert state.time == 0
 
@@ -137,7 +135,7 @@ def test_walk_past_the_window_is_refused():
     coin = make_coin(named_coin("hadamard"))
     state = evolve(initial_state(*UNBIASED_INIT, LatticeSpec(4)), coin, 4)
     with pytest.raises(LatticeExhaustedError, match="larger half_width"):
-        step_recurrence(state, coin)
+        evolve(state, coin, 1)
     with pytest.raises(LatticeExhaustedError):
         evolve(initial_state(*UNBIASED_INIT, LatticeSpec(4)), coin, 5)
 
@@ -160,7 +158,7 @@ def test_iter_steps_checks_the_request_when_called():
 def _assert_same_walk(state, coin, steps):
     expected = state
     for table, lo, hi in iter_steps(state, coin, steps):
-        expected = step_recurrence(expected, coin)
+        expected = evolve(expected, coin, 1)
         assert np.array_equal(table, expected.amplitudes)
         assert np.all(table[:, [0, -1]] == 0.0)
         assert 1 <= lo <= hi <= table.shape[1] - 1
@@ -188,7 +186,7 @@ def test_evolve_equals_stepping_from_an_off_origin_start(seed):
     alpha, beta = normalized_pair(rng)
     lattice = LatticeSpec(25)
     amp = np.zeros((2, lattice.size), dtype=complex)
-    amp[:, position_index(-9, lattice)] = alpha, beta
+    amp[:, lattice.origin_index - 9] = alpha, beta
     _assert_same_walk(WalkerState(amp, lattice), coin, 20)
 
 

@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coinwalk import (
     NAMED_COINS,
     UNBIASED_INIT,
     CoinParams,
     LatticeSpec,
-    dense_amplitudes,
+    dense_series,
     evolve,
     initial_state,
     make_coin,
@@ -23,7 +25,7 @@ from coinwalk import (
 )
 from coinwalk.momentum import _fft_size
 
-from conftest import normalized_pair, random_coin_angles
+from conftest import angles, normalized_pair, random_coin_angles
 
 # T + 1 = 8 fits the window exactly; 61 and 101 are prime (windows 64 and
 # 108); 201 = 3 * 67 pads to 216.
@@ -42,7 +44,8 @@ def _assert_matches_the_other_engines(alpha, beta, coin, steps):
     assert state.lattice == LatticeSpec(steps)
     recurrence = evolve(initial_state(alpha, beta, LatticeSpec(steps)), coin, steps)
     assert np.max(np.abs(state.amplitudes - recurrence.amplitudes)) <= 1e-12
-    dense = dense_amplitudes(alpha, beta, coin, steps, steps)
+    for dense in dense_series(alpha, beta, coin, steps):
+        pass
     assert np.max(np.abs(state.amplitudes[:, 1:-1] - dense)) <= 1e-12
 
 
@@ -114,9 +117,10 @@ def test_bad_input_raises_value_error(monkeypatch, alpha, beta, coin, steps):
 
 
 # ------------------------------------------------------------
-# Long walks (Konno, J. Math. Soc. Japan 57, 2005: X_T / T converges
-# weakly to a law on (-|cos theta|, |cos theta|) with second moment
-# 1 - |sin theta|, for every initial coin state and phase)
+# Long walks (Konno, J. Math. Soc. Japan 57, 1179 (2005): X_T / T
+# converges weakly to a law on (-|cos theta|, |cos theta|) with second
+# moment 1 - |sin theta|, for every initial coin state and phase, and with
+# a first moment that depends on both)
 # ------------------------------------------------------------
 
 LONG = 10_000
@@ -133,6 +137,36 @@ def test_long_walks_follow_the_weak_limit(theta_deg, phi1, phi2, init):
     assert abs(second_moment - (1.0 - abs(math.sin(theta)))) <= 1e-5
     beyond = np.abs(dist.positions) > (abs(math.cos(theta)) + 0.05) * LONG
     assert float(np.sum(dist.probs[beyond])) <= 1e-12
+
+
+def _konno_drift(coin, alpha, beta):
+    """Konno's limit of E[X_T / T], ``k (1 - sqrt(1 - |a|^2))`` with ``a = C00``, ``b = C01``.
+
+    ``k = |alpha|^2 - |beta|^2 + 2 Re(a alpha conj(b) conj(beta)) / |a|^2``.
+    """
+    a, b = coin[0, 0], coin[0, 1]
+    cross = (a * alpha * np.conj(b) * np.conj(beta)).real
+    k = abs(alpha) ** 2 - abs(beta) ** 2 + 2.0 * cross / abs(a) ** 2
+    return k * (1.0 - math.sqrt(1.0 - abs(a) ** 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(theta=angles, phi1=angles, phi2=angles, seed=st.integers(0, 2**32 - 1))
+def test_first_moment_follows_konnos_limit(theta, phi1, phi2, seed):
+    # Unlike the second moment, the drift depends on phi1, alpha and beta.
+    assume(abs(math.cos(theta)) >= 0.05)  # the drift divides by |a|^2 = cos^2 theta
+    params = CoinParams(theta, phi1, phi2, normalize=False)
+    alpha, beta = normalized_pair(np.random.default_rng(seed))
+    drift = _konno_drift(make_coin(params), alpha, beta)
+    # |E[X_T / T] - drift| falls as 1/T: over 3000 random draws with
+    # |cos theta| >= 0.05, |E[X_T / T] - drift| * T was at most 0.62 at T = 500
+    # and 0.52 at T = 2000, and stayed below 0.7 from T = 200 to 2 * 10^4,
+    # for theta near 0 and near 90 degrees too.  The bound is twice the worst
+    # at T = 500.
+    for steps in (500, 2000):
+        dist = run_walk(params, alpha, beta, steps)
+        mean = float(np.sum(dist.probs * dist.positions)) / steps
+        assert abs(mean - drift) <= 1.25 / steps
 
 
 def test_long_hadamard_walk_peaks_near_one_over_root_two():

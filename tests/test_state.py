@@ -18,16 +18,13 @@ from coinwalk import (
     initial_state,
     make_coin,
     named_coin,
-    position_index,
-    probability_at,
-    total_probability,
 )
 
 from conftest import normalized_pair
 
 
 # ------------------------------------------------------------
-# LatticeSpec and position_index
+# LatticeSpec: position x lives at column x + half_width + 1
 # ------------------------------------------------------------
 
 
@@ -48,19 +45,15 @@ def test_invalid_half_width_is_rejected(bad):
 
 @pytest.mark.parametrize("x, expected", [(0, 3), (-2, 1), (-3, 0), (3, 6), (2, 5)])
 def test_position_index_examples(x, expected):
-    assert position_index(x, LatticeSpec(2)) == expected
-
-
-@pytest.mark.parametrize("x", [-4, 4, 100])
-def test_position_outside_window_is_an_index_error(x):
-    with pytest.raises(IndexError, match="outside"):
-        position_index(x, LatticeSpec(2))
+    lat = LatticeSpec(2)
+    assert lat.origin_index + x == expected
+    assert lat.positions[expected] == x
 
 
 def test_indices_cover_the_window_in_order():
     lat = LatticeSpec(7)
-    indices = [position_index(x, lat) for x in range(-8, 9)]
-    assert indices == list(range(lat.size))
+    assert lat.positions.tolist() == list(range(-8, 9))
+    assert [lat.origin_index + x for x in lat.positions] == list(range(lat.size))
 
 
 # ------------------------------------------------------------
@@ -85,12 +78,12 @@ def test_unbiased_start():
     origin = state.lattice.origin_index
     assert state.amplitudes[0, origin] == alpha
     assert state.amplitudes[1, origin] == beta
-    assert abs(total_probability(state) - 1.0) <= 1e-15
+    assert abs(distribution(state).probs.sum() - 1.0) <= 1e-15
 
 
 def test_complex_components_are_accepted():
     state = initial_state(0.6, 0.8j, LatticeSpec(3))
-    assert probability_at(state, 0) == pytest.approx(1.0, abs=1e-15)
+    assert distribution(state).probability(0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_unnormalized_state_reports_the_deficit():
@@ -108,7 +101,7 @@ def test_non_finite_amplitudes_are_rejected(alpha):
 def test_random_normalized_pairs_are_accepted(seed):
     alpha, beta = normalized_pair(np.random.default_rng(seed))
     state = initial_state(alpha, beta, LatticeSpec(2))
-    assert abs(total_probability(state) - 1.0) <= 1e-12
+    assert abs(distribution(state).probs.sum() - 1.0) <= 1e-12
 
 
 # ------------------------------------------------------------
@@ -127,28 +120,23 @@ def test_negative_time_is_rejected():
 
 
 # ------------------------------------------------------------
-# probability_at / total_probability / distribution
+# distribution
 # ------------------------------------------------------------
 
 
 def test_one_step_probabilities_at_theta_30():
     state = initial_state(1.0, 0.0, LatticeSpec(3))
-    state = evolve(state, make_coin(CoinParams.from_degrees(30.0)), 1)
-    assert probability_at(state, 1) == pytest.approx(0.75, abs=1e-15)  # cos^2(30)
-    assert probability_at(state, -1) == pytest.approx(0.25, abs=1e-15)  # sin^2(30)
-    assert probability_at(state, 0) == 0.0
+    dist = distribution(evolve(state, make_coin(CoinParams.from_degrees(30.0)), 1))
+    assert dist.probability(1) == pytest.approx(0.75, abs=1e-15)  # cos^2(30)
+    assert dist.probability(-1) == pytest.approx(0.25, abs=1e-15)  # sin^2(30)
+    assert dist.probability(0) == 0.0
 
 
 def test_one_step_unbiased_hadamard_splits_evenly():
     state = initial_state(*UNBIASED_INIT, LatticeSpec(3))
-    state = evolve(state, make_coin(named_coin("hadamard")), 1)
-    assert probability_at(state, 1) == pytest.approx(0.5, abs=1e-15)
-    assert probability_at(state, -1) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_total_probability_of_the_zero_state_is_zero():
-    state = WalkerState(np.zeros((2, 7), dtype=complex), LatticeSpec(2))
-    assert total_probability(state) == 0.0
+    dist = distribution(evolve(state, make_coin(named_coin("hadamard")), 1))
+    assert dist.probability(1) == pytest.approx(0.5, abs=1e-15)
+    assert dist.probability(-1) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_distribution_covers_the_full_stored_window():
@@ -206,19 +194,19 @@ def test_guard_sites_stay_exactly_zero(steps):
 @pytest.mark.parametrize("steps", [1, 2, 9, 16])
 def test_origin_walks_have_exact_parity_support(steps):
     state = initial_state(*UNBIASED_INIT, LatticeSpec(16))
-    state = evolve(state, make_coin(CoinParams(0.7, 1.0, 0.2)), steps)
+    dist = distribution(evolve(state, make_coin(CoinParams(0.7, 1.0, 0.2)), steps))
     for x in range(-17, 18):
         if (x - steps) % 2 != 0:
-            assert probability_at(state, x) == 0.0
+            assert dist.probability(x) == 0.0
 
 
 @pytest.mark.parametrize("steps", [3, 10])
 def test_amplitude_never_outruns_the_step_count(steps):
     state = initial_state(*UNBIASED_INIT, LatticeSpec(12))
-    state = evolve(state, make_coin(named_coin("hadamard")), steps)
+    dist = distribution(evolve(state, make_coin(named_coin("hadamard")), steps))
     for x in range(-13, 14):
         if abs(x) > steps:
-            assert probability_at(state, x) == 0.0
+            assert dist.probability(x) == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -229,4 +217,4 @@ def test_norm_is_preserved_along_the_walk(seed, steps):
     theta, phi1, phi2 = rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi), rng.uniform(0, math.pi)
     state = initial_state(alpha, beta, LatticeSpec(25))
     state = evolve(state, make_coin(CoinParams(theta, phi1, phi2)), steps)
-    assert abs(total_probability(state) - 1.0) <= 1e-10
+    assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= 1e-10
