@@ -122,20 +122,14 @@ def theta_sweep(
     alpha: complex,
     beta: complex,
     steps: int,
-    normalize: bool = True,
 ) -> list[tuple[float, ProbabilityDistribution]]:
     """Run one walk per rotation angle; distributions in input order.
 
-    An empty angle list yields an empty result.  ``normalize=False`` passes
-    the angles to the coin without modular reduction.
+    The angles reach the coin as given.  An empty angle list yields an empty
+    result.
     """
     return [
-        (
-            float(theta),
-            run_walk(
-                CoinParams(float(theta), phi1, phi2, normalize=normalize), alpha, beta, steps
-            ),
-        )
+        (float(theta), run_walk(CoinParams(float(theta), phi1, phi2), alpha, beta, steps))
         for theta in np.asarray(thetas, dtype=np.float64)
     ]
 
@@ -147,22 +141,16 @@ def phase_diagram(
     alpha: complex,
     beta: complex,
     steps: int,
-    normalize: bool = True,
 ) -> PhaseDiagram:
     """Peak gap of the walk at every point of a (phi1, phi2) grid, from two walks.
 
     ``delta[i, j]`` is ``peak_gap(run_walk(CoinParams(theta, phi1_grid[i],
-    phi2_grid[j], normalize=normalize), alpha, beta, steps))`` up to rounding.
-    As ``P(x; theta, phi1, phi2, alpha, beta) = P(x; theta, 0, 0, alpha,
-    e^{i phi1} beta)`` (Tregenna, Flanagan, Maile & Kendon, New J. Phys. 5, 83
-    (2003); see the README), row ``i`` is the peak gap of ``|alpha H + e^{i
-    phi1} beta T|^2`` for the walks ``H`` and ``T`` of the coin ``R(theta)``
-    from a head and a tail start, repeated along phi2.  phi1 is taken as
-    ``CoinParams`` keeps it: ``normalize=True`` reduces it mod pi, which flips
-    the sign of ``e^{i phi1}``.
-
-    ``normalize=False`` passes the grid angles to the coin without modular
-    reduction (matters for phases of 180 degrees and above).
+    phi2_grid[j]), alpha, beta, steps))`` up to rounding, with the angles as
+    given.  As ``P(x; theta, phi1, phi2, alpha, beta) = P(x; theta, 0, 0,
+    alpha, e^{i phi1} beta)`` (Tregenna, Flanagan, Maile & Kendon, New J.
+    Phys. 5, 83 (2003); see the README), row ``i`` is the peak gap of
+    ``|alpha H + e^{i phi1} beta T|^2`` for the walks ``H`` and ``T`` of the
+    coin ``R(theta)`` from a head and a tail start, repeated along phi2.
 
     Raises
     ------
@@ -174,18 +162,19 @@ def phase_diagram(
     p2 = np.asarray(phi2_grid, dtype=np.float64)
     if p1.size == 0 or p2.size == 0:
         raise ValueError("phase grids must be non-empty")
-    phases = [CoinParams(theta, phi1, 0.0, normalize=normalize).phi1 for phi1 in p1]
-    for phi2 in p2:  # phi2 reaches no coin, but is checked like the angles that do
+    for phi1 in p1:  # every grid angle is checked as a coin angle before any walk
+        CoinParams(theta, phi1, 0.0)
+    for phi2 in p2:
         CoinParams(theta, 0.0, phi2)
     alpha, beta = check_coin_state(alpha, beta)
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    coin = make_coin(CoinParams(theta, 0.0, 0.0, normalize=normalize))
+    coin = make_coin(CoinParams(theta, 0.0, 0.0))
     head = alpha * momentum_state(1.0, 0.0, coin, steps).amplitudes
     tail = beta * momentum_state(0.0, 1.0, coin, steps).amplitudes
     # |head + e^{i phi1} tail|^2 summed over the coin, expanded: a head or a
     # tail start has cross = 0 exactly, so all its rows are equal bit for bit.
     base = np.sum(np.abs(head) ** 2 + np.abs(tail) ** 2, axis=0)
     cross = 2.0 * np.sum(head.conj() * tail, axis=0)
-    gaps = np.array([_gap(base + (cmath.exp(1j * phi1) * cross).real) for phi1 in phases])
+    gaps = np.array([_gap(base + (cmath.exp(1j * phi1) * cross).real) for phi1 in p1])
     return PhaseDiagram(float(theta), steps, p1, p2, np.repeat(gaps[:, None], p2.size, axis=1))

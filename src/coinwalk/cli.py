@@ -154,7 +154,9 @@ def _given(args: argparse.Namespace, named: str, flags: Sequence[str]) -> list[s
 def _coin_params(args: argparse.Namespace) -> tuple[CoinParams, tuple[float, float, float]]:
     """Resolve --coin / --theta-deg flags to CoinParams plus the degree triple.
 
-    A subcommand without --phi1-deg/--phi2-deg (``phase-diagram``) gets phases 0.
+    The angles reach the coin as given, so the degree triple labels the coin
+    that is simulated.  A subcommand without --phi1-deg/--phi2-deg
+    (``phase-diagram``) gets phases 0.
     """
     _given(args, "--coin", ("--theta-deg", "--phi1-deg", "--phi2-deg"))
     if args.coin is not None:
@@ -170,7 +172,7 @@ def _coin_params(args: argparse.Namespace) -> tuple[CoinParams, tuple[float, flo
     phases = (getattr(args, name, None) or 0.0 for name in ("phi1_deg", "phi2_deg"))
     degrees = (args.theta_deg, *phases)
     try:
-        params = CoinParams.from_degrees(*degrees, normalize=not args.no_normalize_angles)
+        params = CoinParams.from_degrees(*degrees)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     return params, degrees
@@ -318,7 +320,6 @@ def cmd_sweep_theta(args: argparse.Namespace) -> int:
             alpha,
             beta,
             steps,
-            normalize=not args.no_normalize_angles,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -342,13 +343,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
     _check_footprint(steps, 2 * steps + 3 + phi1s[2] * phi2s[2] + phi1s[2] + phi2s[2])
     phi1_deg, phi2_deg = _grid_values(phi1s), _grid_values(phi2s)
     diagram = phase_diagram(
-        params.theta,
-        np.radians(phi1_deg),
-        np.radians(phi2_deg),
-        alpha,
-        beta,
-        steps,
-        normalize=not args.no_normalize_angles,
+        params.theta, np.radians(phi1_deg), np.radians(phi2_deg), alpha, beta, steps
     )
     payload = {
         "theta_deg": degrees[0],
@@ -444,20 +439,13 @@ def _add_coin_flags(parser: argparse.ArgumentParser, phases: bool = True) -> Non
         help="named coin (conflicts with the explicit angle flags)",
     )
     parser.add_argument("--theta-deg", type=float, help="rotation angle in degrees")
-    _add_phase_flags(parser, phases)
-
-
-def _add_phase_flags(parser: argparse.ArgumentParser, phases: bool = True) -> None:
-    """--phi1-deg and --phi2-deg unless ``phases`` is False, then --no-normalize-angles."""
     if phases:
-        for flag, nth in (("--phi1-deg", "first"), ("--phi2-deg", "second")):
-            parser.add_argument(flag, type=float, help=f"{nth} phase angle in degrees (default 0)")
-    parser.add_argument(
-        "--no-normalize-angles",
-        action="store_true",
-        help="use the angles exactly as given instead of reducing theta into "
-        "[0,360) and the phases into [0,180)",
-    )
+        _add_phase_flags(parser)
+
+
+def _add_phase_flags(parser: argparse.ArgumentParser) -> None:
+    for flag, nth in (("--phi1-deg", "first"), ("--phi2-deg", "second")):
+        parser.add_argument(flag, type=float, help=f"{nth} phase angle in degrees (default 0)")
 
 
 def _add_init_flags(parser: argparse.ArgumentParser) -> None:

@@ -9,15 +9,16 @@ The general coin is a three-parameter unitary
     C(theta, phi1, phi2) = [[ cos(theta),              e^{i phi1} sin(theta) ],
                             [ e^{i phi2} sin(theta),  -e^{i (phi1+phi2)} cos(theta) ]]
 
-with the rotation angle ``theta`` taken in [0, 2*pi) and the two phase
-angles ``phi1``, ``phi2`` in [0, pi).  All angles are in radians; degree
-conversion is a concern of the command-line layer only.
+with the angles used as given: the formula has period 2*pi in each, and no
+reduction into a smaller range happens (phi1 -> phi1 + pi is a different
+coin).  All angles are in radians; degree conversion is a concern of the
+command-line layer only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +31,8 @@ __all__ = [
     "check_unitary",
 ]
 
-_TWO_PI = 2.0 * math.pi
 #: Largest entry of ``M^dagger M - I`` that :func:`check_unitary` accepts.
 _UNITARY_TOL = 1e-12
-
-
-def _wrap(value: float, modulus: float) -> float:
-    """Reduce into [0, modulus); float ``%`` of a tiny negative can land on the modulus."""
-    reduced = value % modulus
-    return 0.0 if reduced == modulus else reduced
 
 
 #: Parameter triples (theta, phi1, phi2) of the coins referred to by name.
@@ -56,16 +50,12 @@ class CoinParams:
     Parameters
     ----------
     theta : float
-        Rotation angle in radians.  Normalized into [0, 2*pi) unless
-        ``normalize=False``.
+        Rotation angle in radians, kept as given.  ``theta + pi`` only flips
+        the sign of the coin, a global phase.
     phi1, phi2 : float
-        Phase angles in radians.  Normalized into [0, pi) unless
-        ``normalize=False``.
-    normalize : bool, optional
-        When True (default) the angles are reduced modulo their canonical
-        ranges at construction.  Raw mode keeps them as given, which matters
-        for phases in [pi, 2*pi): those produce coins that are not equal to
-        any coin with phases in the canonical range.
+        Phase angles in radians, kept as given.  ``phi1 + pi`` is not the
+        same coin: it flips the sign of the start state's relative phase,
+        which mirrors the walk from the unbiased start.
 
     Raises
     ------
@@ -76,34 +66,20 @@ class CoinParams:
     theta: float
     phi1: float
     phi2: float
-    normalize: InitVar[bool] = True
 
-    def __post_init__(self, normalize: bool) -> None:
+    def __post_init__(self) -> None:
         for name in ("theta", "phi1", "phi2"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"coin angle {name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
-        if normalize:
-            object.__setattr__(self, "theta", _wrap(self.theta, _TWO_PI))
-            object.__setattr__(self, "phi1", _wrap(self.phi1, math.pi))
-            object.__setattr__(self, "phi2", _wrap(self.phi2, math.pi))
 
     @classmethod
     def from_degrees(
-        cls,
-        theta_deg: float,
-        phi1_deg: float = 0.0,
-        phi2_deg: float = 0.0,
-        normalize: bool = True,
+        cls, theta_deg: float, phi1_deg: float = 0.0, phi2_deg: float = 0.0
     ) -> "CoinParams":
         """Build a parameter triple from angles given in degrees."""
-        return cls(
-            math.radians(theta_deg),
-            math.radians(phi1_deg),
-            math.radians(phi2_deg),
-            normalize=normalize,
-        )
+        return cls(math.radians(theta_deg), math.radians(phi1_deg), math.radians(phi2_deg))
 
 
 def make_coin(params: CoinParams) -> np.ndarray:

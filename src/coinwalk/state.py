@@ -79,9 +79,9 @@ def check_unit_interval(values: np.ndarray, what: str) -> None:
     """ValueError unless every entry of ``values`` lies in [0, 1] within 1e-10.
 
     The tolerance admits the rounding of a sum of squares: a probability of 1
-    can come out as 1 + 2e-16.
+    can come out as 1 + 2e-16.  NaN fails the test.
     """
-    if values.size and (np.min(values) < -_NORM_TOL or np.max(values) > 1.0 + _NORM_TOL):
+    if values.size and not (np.min(values) >= -_NORM_TOL and np.max(values) <= 1.0 + _NORM_TOL):
         raise ValueError(f"{what} must lie in [0, 1]")
 
 
@@ -179,7 +179,7 @@ class ProbabilityDistribution:
             raise ValueError("positions must be strictly increasing")
         check_unit_interval(p, "probabilities")
         total = float(np.sum(p))
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "probs", p)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Finite angles well beyond the canonical ranges, so modular normalization
-# gets exercised too.  Radians.
+# Finite angles over several turns, used as given: the coin has period 2*pi
+# in each angle, and nothing reduces them into one turn.  Radians.
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 
 
@@ -22,7 +22,7 @@ def normalized_pair(rng: np.random.Generator) -> tuple[complex, complex]:
 
 
 def random_coin_angles(rng: np.random.Generator) -> tuple[float, float, float]:
-    """Draw (theta, phi1, phi2) uniformly from the canonical ranges."""
+    """Draw theta uniformly from [0, 2*pi) and phi1, phi2 from [0, pi)."""
     return (
         float(rng.uniform(0.0, 2.0 * math.pi)),
         float(rng.uniform(0.0, math.pi)),

@@ -6,6 +6,7 @@ prints a single ``ACCEPTANCE <name>: PASS/FAIL`` line (visible with
 criteria use fixed seeds so the gate is reproducible.
 """
 
+import json
 import math
 import statistics
 import time
@@ -17,6 +18,7 @@ from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     LatticeSpec,
+    ProbabilityDistribution,
     build_step_unitary,
     dense_series,
     entanglement_entropy,
@@ -173,27 +175,38 @@ def test_c06_half_turn_shift_of_theta():
 
 
 # ------------------------------------------------------------------
-# 7. phi1 skews the walk, maximally at 90 degrees
+# 7. phi1 skews the walk as Konno's limit says, maximally at 90 degrees
 # ------------------------------------------------------------------
 
 
-def test_c07_phi1_controls_the_asymmetry():
-    grid = [float(v) for v in range(0, 181, 30)]
-    sym = {}
-    gap = {}
+def test_c07_phi1_controls_the_asymmetry(capsys):
+    # Konno's limit of E[X/T] from the unbiased start at theta = 45 deg is
+    # k (1 - sqrt(1 - |a|^2)) with k = tan(theta) sin(phi1) and |a| = cos(theta),
+    # that is sin(phi1) (1 - 1/sqrt(2)), over the whole circle of phi1 as given.
+    steps = 100
+    grid = [float(v) for v in range(0, 331, 30)]
+    sym, gap, error = {}, {}, {}
     for phi1_deg in grid:
-        params = CoinParams.from_degrees(45.0, phi1_deg, normalize=False)
-        dist = run_walk(params, *UNBIASED_INIT, steps=100)
+        argv = ["walk", "--theta-deg", "45", "--phi1-deg", repr(phi1_deg), "--steps", str(steps)]
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["phi1_deg"] == phi1_deg
+        dist = ProbabilityDistribution(np.array(payload["positions"]), np.array(payload["probs"]))
         sym[phi1_deg] = symmetry_deviation(dist)
         gap[phi1_deg] = peak_gap(dist)
+        mean = float(np.sum(dist.probs * dist.positions)) / steps
+        error[phi1_deg] = mean - math.sin(math.radians(phi1_deg)) * (1.0 - 1.0 / math.sqrt(2.0))
+    half = [v for v in grid if v <= 180.0]
     symmetric_ends = sym[0.0] <= 1e-12 and sym[180.0] <= 1e-12
-    sym_max_at_90 = all(sym[90.0] > sym[v] for v in grid if v != 90.0)
-    gap_max_at_90 = all(gap[90.0] > gap[v] for v in grid if v != 90.0)
+    sym_max_at_90 = all(sym[90.0] > sym[v] for v in half if v != 90.0)
+    gap_max_at_90 = all(gap[90.0] > gap[v] for v in half if v != 90.0)
+    worst = max(abs(e) for e in error.values())
     _report(
         "phi1-asymmetry-grid",
-        symmetric_ends and sym_max_at_90 and gap_max_at_90,
+        symmetric_ends and sym_max_at_90 and gap_max_at_90 and worst <= 1.25 / steps,
         f"sym(0)={sym[0.0]:.2e}, sym(180)={sym[180.0]:.2e}, "
-        f"sym(90)={sym[90.0]:.4f}, gap(90)={gap[90.0]:.4f}",
+        f"sym(90)={sym[90.0]:.4f}, gap(90)={gap[90.0]:.4f}, "
+        f"worst |E[X/T] - Konno| * T = {worst * steps:.3f} over phi1 = 0..330 deg",
     )
 
 

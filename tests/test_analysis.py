@@ -92,12 +92,10 @@ def test_phi1_90_makes_the_walk_asymmetric():
 
 
 def test_phi1_180_restores_the_symmetric_distribution():
-    # Raw mode keeps phi1 = pi distinct from phi1 = 0; the walk distribution
-    # must nevertheless match the phi1 = 0 one.
+    # phi1 = pi is a different coin from phi1 = 0; the walk distribution from
+    # the unbiased start must nevertheless match the phi1 = 0 one.
     base = run_walk(CoinParams.from_degrees(45.0, 0.0), *UNBIASED_INIT, steps=100)
-    restored = run_walk(
-        CoinParams.from_degrees(45.0, 180.0, normalize=False), *UNBIASED_INIT, steps=100
-    )
+    restored = run_walk(CoinParams.from_degrees(45.0, 180.0), *UNBIASED_INIT, steps=100)
     assert np.max(np.abs(base.probs - restored.probs)) <= 1e-12
 
 
@@ -198,21 +196,22 @@ def test_phase_diagram_checks_its_input_before_walking(monkeypatch, bad, match):
         phase_diagram(**(request | bad))
 
 
-@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("negative", [True, False])
 @pytest.mark.parametrize("start", [(1.0, 0.0), (0.0, 1.0)])
-def test_basis_start_gives_a_constant_diagram(start, normalize):
-    # From a head or a tail start the phase e^{i phi1} is a global phase.
-    grid = np.radians(np.arange(0.0, 360.0, 15.0))
-    delta = phase_diagram(0.7, grid, grid[:5], *start, steps=150, normalize=normalize).delta
+def test_basis_start_gives_a_constant_diagram(start, negative):
+    # From a head or a tail start the phase e^{i phi1} is a global phase, for
+    # angles over a whole turn either way, used as given.
+    grid = np.radians(np.arange(0.0, 360.0, 15.0)) * (-1.0 if negative else 1.0)
+    delta = phase_diagram(0.7, grid, grid[:5], *start, steps=150).delta
     assert np.all(delta == delta[0, 0])
 
 
-def _phase_diagram_oracle(theta, phi1_grid, phi2_grid, alpha, beta, steps, normalize):
+def _phase_diagram_oracle(theta, phi1_grid, phi2_grid, alpha, beta, steps):
     """One ``run_walk`` per grid point: the reference ``phase_diagram`` must reproduce."""
     return np.array(
         [
             [
-                peak_gap(run_walk(CoinParams(theta, phi1, phi2, normalize=normalize), alpha, beta, steps))
+                peak_gap(run_walk(CoinParams(theta, phi1, phi2), alpha, beta, steps))
                 for phi2 in phi2_grid
             ]
             for phi1 in phi1_grid
@@ -227,20 +226,12 @@ def _phase_diagram_oracle(theta, phi1_grid, phi2_grid, alpha, beta, steps, norma
     phi2=angles,
     seed=st.integers(0, 2**32 - 1),
     steps=st.integers(1, 400),
-    normalize=st.booleans(),
 )
-def test_coin_phases_act_as_a_start_state_phase(theta, phi1, phi2, seed, steps, normalize):
-    # P(x; theta, phi1, phi2, alpha, beta) = P(x; theta, 0, 0, alpha, e^{i phi1} beta),
-    # with phi1 as the coin keeps it.
+def test_coin_phases_act_as_a_start_state_phase(theta, phi1, phi2, seed, steps):
+    # P(x; theta, phi1, phi2, alpha, beta) = P(x; theta, 0, 0, alpha, e^{i phi1} beta).
     alpha, beta = normalized_pair(np.random.default_rng(seed))
-    params = CoinParams(theta, phi1, phi2, normalize=normalize)
-    walk = run_walk(params, alpha, beta, steps)
-    rotated = run_walk(
-        CoinParams(theta, 0.0, 0.0, normalize=normalize),
-        alpha,
-        cmath.exp(1j * params.phi1) * beta,
-        steps,
-    )
+    walk = run_walk(CoinParams(theta, phi1, phi2), alpha, beta, steps)
+    rotated = run_walk(CoinParams(theta, 0.0, 0.0), alpha, cmath.exp(1j * phi1) * beta, steps)
     assert np.array_equal(walk.positions, rotated.positions)
     assert np.max(np.abs(walk.probs - rotated.probs)) <= 1e-12
 
@@ -253,15 +244,12 @@ def test_coin_phases_act_as_a_start_state_phase(theta, phi1, phi2, seed, steps, 
     phi2s=st.lists(angles, min_size=1, max_size=3),
     seed=st.integers(0, 2**32 - 1),
     steps=st.integers(1, 400),
-    normalize=st.booleans(),
 )
-def test_phase_diagram_matches_one_walk_per_point(
-    theta, phi1s, phi1_late, phi2s, seed, steps, normalize
-):
+def test_phase_diagram_matches_one_walk_per_point(theta, phi1s, phi1_late, phi2s, seed, steps):
     phi1_grid = [*phi1s, phi1_late]  # always one phi1 of 180 degrees or more
     alpha, beta = normalized_pair(np.random.default_rng(seed))
-    diagram = phase_diagram(theta, phi1_grid, phi2s, alpha, beta, steps, normalize=normalize)
-    expected = _phase_diagram_oracle(theta, phi1_grid, phi2s, alpha, beta, steps, normalize)
+    diagram = phase_diagram(theta, phi1_grid, phi2s, alpha, beta, steps)
+    expected = _phase_diagram_oracle(theta, phi1_grid, phi2s, alpha, beta, steps)
     assert np.max(np.abs(diagram.delta - expected)) <= 1e-12
 
 
@@ -270,6 +258,8 @@ def test_phase_diagram_validates_delta():
         PhaseDiagram(1.0, 5, np.zeros(2), np.zeros(2), np.zeros((2, 3)))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         PhaseDiagram(1.0, 5, np.zeros(1), np.zeros(1), np.array([[1.5]]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        PhaseDiagram(1.0, 5, np.zeros(1), np.zeros(1), np.array([[math.nan]]))
     # A peak of probability 1 can round to 1 + 2e-16; delta takes the same 1e-10
     # tolerance as a probability.
     diagram = PhaseDiagram(1.0, 5, np.zeros(1), np.zeros(1), np.array([[1.0 + 2e-16]]))

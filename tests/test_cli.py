@@ -335,7 +335,6 @@ def test_phase_diagram_of_a_basis_start_is_constant(capsys, init):
         "--phi1-grid", "0:350:10",
         "--phi2-grid", "0:170:10",
         "--steps", "120",
-        "--no-normalize-angles",
     )
     assert code == 0
     _, rows = _csv_rows(out)
@@ -470,40 +469,30 @@ def test_verify_json_reports_ok(capsys):
 
 
 # ------------------------------------------------------------
-# raw-angle mode
+# angles as given
 # ------------------------------------------------------------
 
 
 def test_raw_phases_differ_from_normalized_ones(capsys):
-    # phi1 = 270 deg normalizes to 90 deg; raw mode keeps it, and the two
-    # walks are mirror images rather than equal.
-    _, normalized, _ = _run(
-        capsys, "walk", "--theta-deg", "45", "--phi1-deg", "270", "--steps", "30"
-    )
-    _, raw, _ = _run(
-        capsys,
-        "walk",
-        "--theta-deg", "45",
-        "--phi1-deg", "270",
-        "--steps", "30",
-        "--no-normalize-angles",
-    )
-    _, rows_norm = _csv_rows(normalized)
+    # phi1 = 270 deg is used as given, not reduced mod 180 to 90 deg: from the
+    # unbiased start phi1 + 180 deg mirrors the walk, so the two walks are
+    # mirror images rather than equal.
+    _, reduced, _ = _run(capsys, "walk", "--theta-deg", "45", "--phi1-deg", "90", "--steps", "30")
+    _, raw, _ = _run(capsys, "walk", "--theta-deg", "45", "--phi1-deg", "270", "--steps", "30")
+    _, rows_reduced = _csv_rows(reduced)
     _, rows_raw = _csv_rows(raw)
-    p_norm = np.array([float(r[1]) for r in rows_norm])
+    p_reduced = np.array([float(r[1]) for r in rows_reduced])
     p_raw = np.array([float(r[1]) for r in rows_raw])
-    assert np.max(np.abs(p_norm - p_raw)) > 0.01
-    assert np.max(np.abs(p_norm - p_raw[::-1])) <= 1e-12
+    assert np.max(np.abs(p_reduced - p_raw)) > 0.01
+    assert np.max(np.abs(p_reduced - p_raw[::-1])) <= 1e-12
 
 
 def test_raw_theta_mod_two_pi_is_physically_identical(capsys):
     _, base, _ = _run(capsys, "walk", "--theta-deg", "45", "--steps", "20")
-    _, wrapped, _ = _run(
-        capsys, "walk", "--theta-deg", "405", "--steps", "20", "--no-normalize-angles"
-    )
+    _, turned, _ = _run(capsys, "walk", "--theta-deg", "405", "--steps", "20")
     _, rows_base = _csv_rows(base)
-    _, rows_wrapped = _csv_rows(wrapped)
-    diff = np.array([float(a[1]) - float(b[1]) for a, b in zip(rows_base, rows_wrapped)])
+    _, rows_turned = _csv_rows(turned)
+    diff = np.array([float(a[1]) - float(b[1]) for a, b in zip(rows_base, rows_turned)])
     assert np.max(np.abs(diff)) <= 1e-12
 
 
@@ -712,6 +701,8 @@ _VALUES = st.one_of(
     st.integers(-400, 400).map(str),
     st.sampled_from(["nan", "inf", "-inf", "1e308", "", "x"]),
 )
+# Angles over several turns, which every subcommand uses as given.
+_ANGLES = st.one_of(st.floats(-720.0, 720.0).map(repr), _VALUES)
 _GRID_JUNK = [
     "0:90", "a:b:c", "90:0:45", "0:90:-1", "nan:1:1", "0:inf:1", "0:1e9:1e-9", "0:1e300:1e-300",
 ]
@@ -741,11 +732,9 @@ def _argvs(draw):
             argv += ["--coin", draw(st.sampled_from(["hadamard", "grover", "fourier", "nope"]))]
     for flag in flags:
         if draw(st.integers(0, 3)) == 0:
-            argv += [flag, draw(_VALUES)]
+            argv += [flag, draw(_ANGLES if flag.endswith("-deg") else _VALUES)]
     if draw(st.integers(0, 3)) == 0:
         argv += ["--init", draw(st.sampled_from(["head", "tail", "unbiased"]))]
-    if draw(st.integers(0, 3)) == 0:
-        argv.append("--no-normalize-angles")
     if command == "sweep-theta":
         argv += ["--theta-grid", draw(_grids())]
     if command == "phase-diagram":

@@ -1,4 +1,4 @@
-"""Tests for the three-parameter coin: entries, unitarity, normalization."""
+"""Tests for the three-parameter coin: angles, entries, unitarity."""
 
 import math
 
@@ -24,11 +24,10 @@ from coinwalk import (
 from conftest import angles
 
 S2 = 1.0 / math.sqrt(2.0)
-TWO_PI = 2.0 * math.pi
 
 
 # ------------------------------------------------------------
-# CoinParams: validation and normalization
+# CoinParams: validation and angles as given
 # ------------------------------------------------------------
 
 
@@ -41,28 +40,8 @@ def test_params_reject_non_finite_angles(bad, slot):
         CoinParams(*values)
 
 
-def test_theta_normalized_into_two_pi():
-    assert CoinParams(TWO_PI + 0.25, 0.0, 0.0).theta == pytest.approx(0.25, abs=1e-15)
-    assert CoinParams(-0.25, 0.0, 0.0).theta == pytest.approx(TWO_PI - 0.25, abs=1e-15)
-    assert CoinParams(TWO_PI, 0.0, 0.0).theta == 0.0
-
-
-def test_phases_normalized_into_pi():
-    p = CoinParams(0.0, math.pi + 0.5, -0.5)
-    assert p.phi1 == pytest.approx(0.5, abs=1e-15)
-    assert p.phi2 == pytest.approx(math.pi - 0.5, abs=1e-15)
-
-
-@given(theta=angles, phi1=angles, phi2=angles)
-def test_normalized_angles_land_in_canonical_ranges(theta, phi1, phi2):
-    p = CoinParams(theta, phi1, phi2)
-    assert 0.0 <= p.theta < TWO_PI
-    assert 0.0 <= p.phi1 < math.pi
-    assert 0.0 <= p.phi2 < math.pi
-
-
 def test_raw_mode_keeps_angles_as_given():
-    p = CoinParams(7.0, 4.0, -1.0, normalize=False)
+    p = CoinParams(7.0, 4.0, -1.0)
     assert (p.theta, p.phi1, p.phi2) == (7.0, 4.0, -1.0)
 
 

@@ -206,7 +206,7 @@ def _assert_series_agree(coin, alpha, beta, steps):
 @given(theta=angles, phi1=angles, phi2=angles, seed=st.integers(0, 2**32 - 1),
        steps=st.integers(0, 400))
 def test_origin_series_matches_the_recurrence(theta, phi1, phi2, seed, steps):
-    coin = make_coin(CoinParams(theta, phi1, phi2, normalize=False))
+    coin = make_coin(CoinParams(theta, phi1, phi2))
     _assert_series_agree(coin, *normalized_pair(np.random.default_rng(seed)), steps)
 
 

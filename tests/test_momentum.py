@@ -139,15 +139,31 @@ def test_long_walks_follow_the_weak_limit(theta_deg, phi1, phi2, init):
     assert float(np.sum(dist.probs[beyond])) <= 1e-12
 
 
-def _konno_drift(coin, alpha, beta):
-    """Konno's limit of E[X_T / T], ``k (1 - sqrt(1 - |a|^2))`` with ``a = C00``, ``b = C01``.
+def _konno_k(coin, alpha, beta):
+    """Konno's asymmetry ``k = |alpha|^2 - |beta|^2 + 2 Re(a alpha conj(b) conj(beta)) / |a|^2``.
 
-    ``k = |alpha|^2 - |beta|^2 + 2 Re(a alpha conj(b) conj(beta)) / |a|^2``.
+    ``a = C00`` and ``b = C01``.
     """
     a, b = coin[0, 0], coin[0, 1]
     cross = (a * alpha * np.conj(b) * np.conj(beta)).real
-    k = abs(alpha) ** 2 - abs(beta) ** 2 + 2.0 * cross / abs(a) ** 2
-    return k * (1.0 - math.sqrt(1.0 - abs(a) ** 2))
+    return abs(alpha) ** 2 - abs(beta) ** 2 + 2.0 * cross / abs(a) ** 2
+
+
+def _konno_drift(coin, alpha, beta):
+    """Konno's limit of E[X_T / T], ``k (1 - sqrt(1 - |a|^2))`` with ``a = C00``."""
+    return _konno_k(coin, alpha, beta) * (1.0 - math.sqrt(1.0 - abs(coin[0, 0]) ** 2))
+
+
+def _konno_cdf(v, a, k):
+    """Konno's limiting CDF of X_T / T at ``v``, for ``|a| = |C00|`` in (0, 1).
+
+    With ``B = sqrt(1 - |a|^2)`` and ``u = arcsin(v / |a|)`` on ``|v| < |a|``:
+    ``F(v) = 1/2 + arctan(B tan u) / pi - (k / pi) arctan(|a| cos u / B)``.
+    """
+    b = math.sqrt(1.0 - a**2)
+    u = np.arcsin(np.clip(v / a, -1.0, 1.0))
+    inside = 0.5 + np.arctan(b * np.tan(u)) / np.pi - k / np.pi * np.arctan(a * np.cos(u) / b)
+    return np.where(np.abs(v) < a, inside, np.where(v > 0.0, 1.0, 0.0))
 
 
 @settings(max_examples=50, deadline=None)
@@ -155,7 +171,7 @@ def _konno_drift(coin, alpha, beta):
 def test_first_moment_follows_konnos_limit(theta, phi1, phi2, seed):
     # Unlike the second moment, the drift depends on phi1, alpha and beta.
     assume(abs(math.cos(theta)) >= 0.05)  # the drift divides by |a|^2 = cos^2 theta
-    params = CoinParams(theta, phi1, phi2, normalize=False)
+    params = CoinParams(theta, phi1, phi2)
     alpha, beta = normalized_pair(np.random.default_rng(seed))
     drift = _konno_drift(make_coin(params), alpha, beta)
     # |E[X_T / T] - drift| falls as 1/T: over 3000 random draws with
@@ -167,6 +183,29 @@ def test_first_moment_follows_konnos_limit(theta, phi1, phi2, seed):
         dist = run_walk(params, alpha, beta, steps)
         mean = float(np.sum(dist.probs * dist.positions)) / steps
         assert abs(mean - drift) <= 1.25 / steps
+
+
+@settings(max_examples=50, deadline=None)
+@given(theta=angles, phi1=angles, phi2=angles, seed=st.integers(0, 2**32 - 1))
+def test_limiting_cdf_follows_konnos_law(theta, phi1, phi2, seed):
+    # The Kolmogorov distance between the CDF of X_T / T and Konno's limit
+    # falls with T; the k term carries phi1, alpha and beta.
+    assume(min(abs(math.cos(theta)), abs(math.sin(theta))) >= 0.05)
+    params = CoinParams(theta, phi1, phi2)
+    alpha, beta = normalized_pair(np.random.default_rng(seed))
+    coin = make_coin(params)
+    a, k = abs(coin[0, 0]), _konno_k(coin, alpha, beta)
+    distance = {}
+    for steps in (500, 2000):
+        dist = run_walk(params, alpha, beta, steps)
+        limit = _konno_cdf(dist.positions / steps, a, k)
+        after = np.cumsum(dist.probs)  # the CDF just after each jump; minus it, just before
+        before = after - dist.probs
+        distance[steps] = max(np.max(np.abs(after - limit)), np.max(np.abs(before - limit)))
+    # Over about 2 * 10^4 random draws (a targeted search near |sin theta| = 0.085
+    # included) D(2000) / D(500) was at most 0.85, median 0.54; its median was
+    # 0.996 with the k term dropped and 0.998 with its sign flipped.
+    assert distance[2000] <= 0.9 * distance[500]
 
 
 def test_long_hadamard_walk_peaks_near_one_over_root_two():

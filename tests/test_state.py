@@ -171,6 +171,8 @@ def test_probabilities_must_sum_to_one():
 def test_probabilities_must_stay_in_range():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         ProbabilityDistribution(np.array([-1, 0, 1]), np.array([1.5, -0.5, 0.0]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ProbabilityDistribution(np.array([0, 1]), np.array([math.nan, math.nan]))
 
 
 def test_mismatched_lengths_are_rejected():
