@@ -117,16 +117,17 @@ def _check_footprint(steps: int, values: int) -> None:
     The estimate is the momentum engine's working set for ``walk``,
     ``sweep-theta`` and ``phase-diagram``: the amplitude table, ``2 * (2T + 3)``
     amplitudes of 16 B, plus at most three FFT arrays of ``M < 2(T + 1)``
-    amplitudes, which also covers the temporaries of measuring the table.  It
-    exceeds the recurrence's two step buffers (``4 * (2T + 3)`` amplitudes)
-    that ``verify`` holds.  ``entanglement`` holds the ``(T + 1) x 2 x 2`` Gram
-    stack of its momentum-space series (64 B a step), O(M) coefficient arrays,
-    chunks of at most 128 KiB and the temporaries of one batched eigenvalue
-    call: the whole op takes 170 B a step as CSV and 182 B as JSON at
-    T = 2 * 10^4, and 162 B in either format at 5 * 10^4 (tracemalloc),
-    against the 672 B a step estimated here.  ``phase-diagram`` holds two
-    basis tables and their folds, at most 121 B a site measured up to
-    T = 3 * 10^5; the ``2T + 3`` values of one walk it counts cover the rest.
+    amplitudes, which also covers the temporaries of measuring the table.
+    ``verify`` is bounded by ``DENSE_HALF_WIDTH_CAP`` instead; its recurrence
+    holds at most two tables and a row temporary at a time.  ``entanglement``
+    holds the ``(T + 1) x 2 x 2`` Gram stack of its momentum-space series
+    (64 B a step), O(M) coefficient arrays, chunks of at most 128 KiB and the
+    temporaries of one batched eigenvalue call: the whole op takes 170 B a
+    step as CSV and 182 B as JSON at T = 2 * 10^4, and 162 B in either format
+    at 5 * 10^4 (tracemalloc), against the 672 B a step estimated here.
+    ``phase-diagram`` holds two basis tables and their folds, at most 121 B a
+    site measured up to T = 3 * 10^5; the ``2T + 3`` values of one walk it
+    counts cover the rest.
     On top come 256 B for each value the op keeps and writes out (a site of a
     kept distribution, a grid point, half a step of a series): the number and
     at most 24 B of CSV columns built from it.  Both formats are written a
@@ -408,7 +409,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     gaps = np.empty(steps)
     walk = iter_steps(state, coin, steps)
-    for t, ((table, _, _), reference) in enumerate(zip(walk, references), start=1):
+    for t, (table, reference) in enumerate(zip(walk, references), start=1):
         gaps[t - 1] = compare("recurrence", table, reference, t)
     # The momentum engine has no intermediate times: it joins at t = steps.
     final = momentum_state(alpha, beta, coin, steps).amplitudes

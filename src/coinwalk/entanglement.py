@@ -14,7 +14,7 @@ in bits is the entanglement entropy, ranging from 0 (product state) to 1
 ``schmidt_spectrum`` and ``entanglement_entropy`` describe one state.
 Two series describe a whole walk, t = 0..steps, and solve all its Gram
 matrices in one batched eigenvalue call.  ``entanglement_series`` steps from
-any start state and fills one Gram matrix per step over the light cone.
+any start state and fills one Gram matrix per step over the whole table.
 ``origin_entanglement_series`` serves a walk from the origin: it takes the
 Gram matrices from :func:`coinwalk.momentum._origin_grams`, one exact sum of
 sines and cosines over the wavenumbers, several times faster.
@@ -48,17 +48,11 @@ __all__ = [
 _RANK_TOL = 1e-10
 
 
-def _gram(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The Gram matrix ``rows @ rows^dagger`` of a ``(2, m)`` table, written into ``out``."""
-    if out is None:
-        out = np.empty((2, 2), dtype=np.complex128)
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """The Gram matrix ``rows @ rows^dagger`` of a ``(2, m)`` table."""
     head, tail = rows
     cross = np.vdot(head, tail)  # sum conj(head) * tail, the (1, 0) entry
-    out[0, 0] = np.vdot(head, head)
-    out[1, 1] = np.vdot(tail, tail)
-    out[1, 0] = cross
-    out[0, 1] = cross.conjugate()
-    return out
+    return np.array([[np.vdot(head, head), cross.conjugate()], [cross, np.vdot(tail, tail)]])
 
 
 def _check_spectra(values: np.ndarray, ranks: np.ndarray) -> None:
@@ -158,10 +152,9 @@ def entanglement_series(
 
     Element ``t`` of each array equals ``schmidt_spectrum(s).rank`` and
     ``entanglement_entropy(s)`` of the state ``s`` after ``t`` steps, up to
-    rounding in the entropy (the sums run over the light cone only).  The
-    walk runs once through :func:`~coinwalk.evolution.iter_steps`; each step
-    adds one ``(2, 2)`` Gram matrix, and one batched eigenvalue call solves
-    them all at the end.
+    rounding in the entropy.  The walk runs once through
+    :func:`~coinwalk.evolution.iter_steps`; each table adds one ``(2, 2)``
+    Gram matrix, and one batched eigenvalue call solves them all at the end.
 
     Returns
     -------
@@ -176,12 +169,8 @@ def entanglement_series(
     ValueError, LatticeExhaustedError
         As :func:`~coinwalk.evolution.iter_steps`.
     """
-    walk = iter_steps(state, coin, steps)  # checks the request before the stack is allocated
-    grams = np.empty((steps + 1, 2, 2), dtype=np.complex128)
-    _gram(state.amplitudes, grams[0])
-    for t, (table, lo, hi) in enumerate(walk, start=1):
-        _gram(table[:, lo:hi], grams[t])
-    return _series(grams)
+    walk = iter_steps(state, coin, steps)  # checks the request before the first Gram matrix
+    return _series(np.array([_gram(state.amplitudes), *map(_gram, walk)]))
 
 
 def origin_entanglement_series(

@@ -6,28 +6,14 @@ amplitudes depend only on the two coin components of the neighbouring sites:
     alpha_x(t+1) = C00 * alpha_{x-1}(t) + C01 * beta_{x-1}(t)
     beta_x(t+1)  = C10 * alpha_{x+1}(t) + C11 * beta_{x+1}(t)
 
-so a step is two shifted axpy operations on the ``(2, n)`` amplitude table —
-O(n) work and no operator matrix at all, O(T^2) for a walk of T steps.  This
-engine serves the per-step series (the entanglement module, CLI ``verify``)
-and start states other than a walker at the origin; the endpoint of a walk
-from the origin, which is what :func:`run_walk` measures, comes from the
-O(T log T) momentum-space engine of :mod:`coinwalk.momentum`.
-
-One kernel reads a source buffer and writes a destination buffer, leaving
-the input state untouched.  ``iter_steps`` swaps two buffers every step,
-computes only the light cone (the columns the walk can have reached) and
-yields each table as it is written; ``evolve`` and the per-step series all
-run on it.
-
-The amplitudes in the tails of a long walk decay exponentially and, left
-alone, pass through the subnormal range of doubles, where arithmetic is many
-times slower (on x86-64, a T=3000 walk with theta near 60 degrees took 4x as
-long as one near 35 degrees).  So every ``_FLUSH_EVERY`` steps of walk time,
-the stepping loop sets to zero each real or imaginary part smaller than
-``_FLUSH_BELOW``.  The square of such a part underflows to zero, so
-probabilities and Schmidt weights do not see it.  The schedule follows the
-walk time, so a walk taken one step at a time matches the same walk taken
-at once bit for bit.
+so a step is two shifted axpy operations on the ``(2, n)`` amplitude table,
+O(n) work and no operator matrix at all: O(T * N) for a walk of T steps on
+a lattice of half-width N.  This is the reference engine: CLI ``verify``
+checks it against the dense operator, and it serves the per-step series of
+:func:`coinwalk.entanglement.entanglement_series` and start states other
+than a walker at the origin.  The endpoint of a walk from the origin, which
+is what :func:`run_walk` measures, comes from the O(T log T) momentum-space
+engine of :mod:`coinwalk.momentum`.
 """
 
 from __future__ import annotations
@@ -42,116 +28,68 @@ from .state import LatticeExhaustedError, ProbabilityDistribution, WalkerState, 
 
 __all__ = ["iter_steps", "evolve", "run_walk"]
 
-#: Real and imaginary parts below this magnitude are set to zero by the
-#: flush.  Far above the subnormal range (below 2.2e-308), so a flushed tail
-#: cannot grow back into it before the next flush, and far below the
-#: smallest amplitude with a nonzero square (about 1.5e-162).
-_FLUSH_BELOW = 1e-250
-#: The flush runs after every step that ends at a multiple of this walk time.
-_FLUSH_EVERY = 32
 
+def iter_steps(state: WalkerState, coin: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """Walk ``steps`` steps from ``state``, yielding the ``(2, n)`` amplitude table after each one.
 
-def _advance(
-    src: np.ndarray, dst: np.ndarray, c: np.ndarray, lo: int, hi: int, scratch: np.ndarray
-) -> None:
-    """One step from ``src`` into columns ``lo .. hi-1`` (``1 <= lo``, ``hi <= n-1``) of ``dst``.
+    Each table is a new array, so it stays valid after the next step.  The
+    input state is not modified, and the tables match a loop of one-step
+    walks bit for bit.
 
-    Writes through ``out=`` and ``scratch`` (at least ``hi - lo`` long), so a
-    step allocates no arrays.
-    """
-    tmp = scratch[: hi - lo]
-    # Head amplitude (row 0) arrives from the left neighbour, tail from the right.
-    for row, shift in ((0, -1), (1, 1)):
-        out = dst[row, lo:hi]
-        np.multiply(c[row, 0], src[0, lo + shift : hi + shift], out=out)
-        np.multiply(c[row, 1], src[1, lo + shift : hi + shift], out=tmp)
-        np.add(out, tmp, out=out)
-
-
-def _flush(table: np.ndarray, lo: int, hi: int, scratch: np.ndarray, tiny: np.ndarray) -> None:
-    """Zero every real or imaginary part below ``_FLUSH_BELOW`` in columns ``lo .. hi-1``.
-
-    ``scratch`` (complex) and ``tiny`` (bool) are at least ``hi - lo`` and
-    ``2 * (hi - lo)`` long, so the flush allocates no arrays.
-    """
-    m = 2 * (hi - lo)
-    mags, mask = scratch.view(np.float64)[:m], tiny[:m]
-    for row in table:
-        parts = row[lo:hi].view(np.float64)
-        np.abs(parts, out=mags)
-        np.less(mags, _FLUSH_BELOW, out=mask)
-        np.copyto(parts, 0.0, where=mask)
-
-
-def iter_steps(
-    state: WalkerState, coin: np.ndarray, steps: int
-) -> Iterator[tuple[np.ndarray, int, int]]:
-    """Walk ``steps`` steps from ``state``, yielding the amplitude table after each one.
-
-    Each item is ``(table, lo, hi)``: the ``(2, n)`` amplitude buffer just
-    written and the light-cone columns ``lo .. hi-1`` outside which it is
-    exactly zero.  Two buffers take turns, so a table is valid only until the
-    next step overwrites it; copy it to keep it.  The input state is not
-    modified, and the tables match a loop of one-step walks bit for bit,
-    guard columns zero whatever the input held.
-
-    The request is checked when this is called, before the first step.
+    The request is checked when this is called, before the first step.  The
+    support of a state grows by at most one site a step on each side, and
+    the guard columns are never written, so a walk is refused unless its
+    occupied columns stay off both guard columns for all ``steps`` steps
+    (see :attr:`coinwalk.state.LatticeSpec.half_width`).
 
     Raises
     ------
     ValueError
         If ``steps`` is negative or the coin is not a (2, 2) matrix.
     LatticeExhaustedError
-        If the walk would run past the end of the lattice window.
+        If the walk would reach a guard column of the lattice window.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     n = state.lattice.half_width
-    if state.time + steps > n:
+    occupied = np.flatnonzero(np.any(state.amplitudes != 0, axis=0)) - (n + 1)  # positions x
+    if steps and occupied.size and max(-occupied[0], occupied[-1]) + steps > n:
+        first, last = occupied[0], occupied[-1]
         raise LatticeExhaustedError(
-            f"lattice with half_width={n} supports {n} steps; the walker at t={state.time} cannot "
-            f"take {steps} more, so rebuild the walk on a lattice with a larger half_width"
+            f"the walker occupies x = {first} .. {last} and can reach x = {first - steps} .. "
+            f"{last + steps} within steps={steps}, past the sites x = {-n} .. {n} of the lattice "
+            f"with half_width={n}; rebuild the walk on a lattice with a larger half_width"
         )
-    return _steps(state.amplitudes, check_coin_matrix(coin), state.time, steps)
+    return _steps(state.amplitudes, check_coin_matrix(coin), steps)
 
 
-def _steps(
-    src: np.ndarray, c: np.ndarray, time: int, steps: int
-) -> Iterator[tuple[np.ndarray, int, int]]:
-    n = src.shape[1]
-    occupied = np.flatnonzero(np.any(src != 0, axis=0))
-    lo, hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (1, 1)
-    # Two buffers that only ever hold kernel output, so their guard columns
-    # and everything outside the light cone stay zero.  Separate arrays, so a
-    # table kept after the walk does not keep the other buffer alive.
-    buffers = [np.zeros(src.shape, dtype=np.complex128) for _ in range(2)]
-    scratch = np.empty_like(src[0])
-    tiny = np.empty(2 * n, dtype=bool)
-    for t in range(steps):
-        lo, hi = max(lo - 1, 1), min(hi + 1, n - 1)
-        _advance(src, buffers[t % 2], c, lo, hi, scratch)
-        src = buffers[t % 2]
-        if (time + t + 1) % _FLUSH_EVERY == 0:
-            _flush(src, lo, hi, scratch, tiny)
-        yield src, lo, hi
+def _steps(table: np.ndarray, c: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    for _ in range(steps):
+        a, b = table
+        table = np.zeros_like(table)
+        # Head amplitude (row 0) arrives from the left neighbour, tail from the right.
+        for row, src in ((0, slice(None, -2)), (1, slice(2, None))):
+            out = table[row, 1:-1]
+            np.multiply(c[row, 0], a[src], out=out)
+            out += c[row, 1] * b[src]
+        yield table
 
 
 def evolve(state: WalkerState, coin: np.ndarray, steps: int) -> WalkerState:
     """Apply ``steps`` walk steps; ``steps=0`` returns the state unchanged.
 
     The last table of :func:`iter_steps`, so ``steps`` one-step calls give
-    the same state bit for bit, and the guard columns come out zero whatever
-    the input held.
+    the same state bit for bit.
 
     Raises
     ------
     ValueError
         If ``steps`` is negative.
     LatticeExhaustedError
-        If the walk would run past the end of the lattice window.
+        If the walk would reach a guard column of the lattice window.
     """
     table = None
-    for table, _, _ in iter_steps(state, coin, steps):
+    for table in iter_steps(state, coin, steps):
         pass
     if table is None:
         return state

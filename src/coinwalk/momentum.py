@@ -25,10 +25,10 @@ The power has a closed form.  Write ``det C = e^{i delta}`` and
 ``sqrt(1 - cos^2 omega)``, which loses all precision near ``omega = 0`` or
 ``pi``; where it is exactly 0 the ratio takes its limit
 ``T cos((T-1) omega)``.  The work is O(M log M) whatever the coin, against
-O(T^2) for the recurrence of :mod:`coinwalk.evolution`.  ``M`` is the
-smallest 2-3-5-smooth size ``>= T+1``: a prime length sends the FFT to a
-Bluestein transform several times slower, and a power of two can pad the
-window to twice its size.
+O(T * N) for the recurrence of :mod:`coinwalk.evolution` on a window of
+half-width ``N >= T``.  ``M`` is the smallest 2-3-5-smooth size ``>= T+1``:
+a prime length sends the FFT to a Bluestein transform several times slower,
+and a power of two can pad the window to twice its size.
 
 The same pieces give the coin's Gram matrix at every ``t = 0 .. T`` without
 stepping (``_origin_grams``, the engine of
@@ -229,8 +229,8 @@ def _origin_grams(alpha: complex, beta: complex, coin: np.ndarray, steps: int) -
 
     ``A`` is the ``(2, n)`` amplitude table after ``t`` steps, so the result,
     of shape ``(steps + 1, 2, 2)``, matches the Gram matrices that
-    :func:`coinwalk.entanglement.entanglement_series` sums over the light
-    cone, up to rounding.  By Parseval on the window of
+    :func:`coinwalk.entanglement.entanglement_series` sums over the whole
+    table, up to rounding.  By Parseval on the window of
     :func:`momentum_state`, ``G(t) = (1/M) sum_q phi phi^dagger`` with
     ``phi = V^t (alpha, beta)``: the phase ``s^t`` cancels.  With
     ``V^t psi = cos(t omega) psi + sin(t omega) w`` and

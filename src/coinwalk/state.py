@@ -8,9 +8,9 @@ holds the head (|H>, historically "alpha") amplitudes and row 1 the tail
 (|T>, "beta") amplitudes.  Position ``x`` lives at zero-based column
 ``x + N + 1``; the origin sits at column ``N + 1``.
 
-The guard columns (0 and ``n - 1``) hold exact zeros for every time
-``t <= N``, which is what makes the finite window an exact representation of
-the infinite line for walks of at most ``N`` steps.
+The recurrence never writes the guard columns (0 and ``n - 1``), and it
+refuses a walk whose occupied sites could reach them, so the finite window
+is an exact representation of the infinite line for every walk it takes.
 """
 
 from __future__ import annotations
@@ -92,7 +92,11 @@ class LatticeSpec:
     Parameters
     ----------
     half_width : int
-        Maximum number of steps ``N`` the lattice supports (positive).
+        The window holds the sites ``|x| <= N`` for ``N = half_width``
+        (positive).  A step moves amplitude by at most one site, so a state
+        occupying ``a .. b`` may take ``s`` more steps while
+        ``max(-a, b) + s <= N``: ``N`` steps for a walker at the origin.
+        Other requests raise :class:`LatticeExhaustedError`.
     """
 
     half_width: int

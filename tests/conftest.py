@@ -22,12 +22,8 @@ def normalized_pair(rng: np.random.Generator) -> tuple[complex, complex]:
 
 
 def random_coin_angles(rng: np.random.Generator) -> tuple[float, float, float]:
-    """Draw theta uniformly from [0, 2*pi) and phi1, phi2 from [0, pi)."""
-    return (
-        float(rng.uniform(0.0, 2.0 * math.pi)),
-        float(rng.uniform(0.0, math.pi)),
-        float(rng.uniform(0.0, math.pi)),
-    )
+    """Draw theta, phi1 and phi2 uniformly from [0, 2*pi), the whole circle of each."""
+    return tuple(float(angle) for angle in rng.uniform(0.0, 2.0 * math.pi, size=3))
 
 
 def src_env() -> dict[str, str]:

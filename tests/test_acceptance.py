@@ -56,8 +56,8 @@ def test_c01_norm_preserved_for_500_random_walks():
     for _ in range(500):
         coin = make_coin(CoinParams(*random_coin_angles(rng)))
         state = initial_state(*normalized_pair(rng), LatticeSpec(steps))
-        for table, lo, hi in iter_steps(state, coin, steps):
-            worst = max(worst, abs(float(np.sum(np.abs(table[:, lo:hi]) ** 2)) - 1.0))
+        for table in iter_steps(state, coin, steps):
+            worst = max(worst, abs(float(np.sum(np.abs(table) ** 2)) - 1.0))
     elapsed = time.perf_counter() - started
     _report(
         "norm-preservation-500x200",
@@ -227,7 +227,7 @@ def test_c08a_engines_agree_for_50_random_walks():
         walk = iter_steps(initial_state(alpha, beta, LatticeSpec(n)), coin, n)
         references = dense_series(alpha, beta, coin, n)
         next(references)  # t = 0: both engines start from the same table
-        for (table, _, _), reference in zip(walk, references):
+        for table, reference in zip(walk, references):
             worst = max(worst, float(np.max(np.abs(table[:, 1:-1] - reference))))
     _report("engine-agreement-50x20", worst <= 1e-12, f"max |amp diff| = {worst:.3e}")
 

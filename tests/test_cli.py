@@ -543,7 +543,7 @@ def _verify_reference(theta, phi1, steps):
     references = dense_series(*UNBIASED_INIT, coin, steps)
     next(references)
     gaps = []
-    for (table, _, _), reference in zip(iter_steps(state, coin, steps), references):
+    for table, reference in zip(iter_steps(state, coin, steps), references):
         gaps.append(float(np.max(np.abs(table[:, 1:-1] - reference))))
     final = momentum_state(*UNBIASED_INIT, coin, steps).amplitudes
     gaps[-1] = max(gaps[-1], float(np.max(np.abs(final[:, 1:-1] - reference))))

@@ -1,4 +1,5 @@
-"""The shipped docs and demos: every demo script runs, and the README lists the public names."""
+"""The shipped docs and demos: every demo script and README example runs, and the README lists
+the public names."""
 
 import importlib
 import re
@@ -22,6 +23,17 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_python_blocks_run(capsys):
+    # The blocks build on each other, so they share one namespace, in order.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(ROOT / "README.md"), "exec"), namespace)
+    assert capsys.readouterr().out.strip()
 
 
 def test_readme_modules_table_lists_each_modules_public_names():

@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import coinwalk.evolution
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     LatticeExhaustedError,
     LatticeSpec,
     WalkerState,
-    distribution,
-    entanglement_series,
     evolve,
     initial_state,
     iter_steps,
@@ -150,19 +147,40 @@ def test_iter_steps_checks_the_request_when_called():
     assert list(iter_steps(state, coin, 0)) == []
 
 
+def test_a_walk_that_would_reach_a_guard_column_is_refused():
+    # A head amplitude on the last site of the window moves onto the guard
+    # column in one step; a tail amplitude on the first site likewise.
+    coin = make_coin(named_coin("hadamard"))
+    lattice = LatticeSpec(4)
+    for row, x in ((0, 4), (1, -4)):
+        amp = np.zeros((2, lattice.size), dtype=complex)
+        amp[row, lattice.origin_index + x] = 1.0
+        state = WalkerState(amp, lattice)
+        with pytest.raises(LatticeExhaustedError, match="larger half_width"):
+            evolve(state, coin, 1)
+    # One site further in, one step fits and keeps the norm.
+    amp = np.zeros((2, lattice.size), dtype=complex)
+    amp[:, lattice.origin_index + 3] = UNBIASED_INIT
+    one_step = evolve(WalkerState(amp, lattice), coin, 1)
+    assert abs(np.sum(np.abs(one_step.amplitudes) ** 2) - 1.0) <= 1e-15
+    with pytest.raises(LatticeExhaustedError):
+        evolve(WalkerState(amp, lattice), coin, 2)
+
+
 # ------------------------------------------------------------
 # iter_steps and evolve against a loop of single steps
 # ------------------------------------------------------------
 
 
 def _assert_same_walk(state, coin, steps):
+    # All tables are kept before any is checked: each must be its own array.
+    tables = list(iter_steps(state, coin, steps))
+    assert len(tables) == steps
     expected = state
-    for table, lo, hi in iter_steps(state, coin, steps):
+    for table in tables:
         expected = evolve(expected, coin, 1)
         assert np.array_equal(table, expected.amplitudes)
         assert np.all(table[:, [0, -1]] == 0.0)
-        assert 1 <= lo <= hi <= table.shape[1] - 1
-        assert not np.any(table[:, :lo]) and not np.any(table[:, hi:])
     assert expected.time == state.time + steps
     evolved = evolve(state, coin, steps)
     assert evolved.time == expected.time
@@ -187,46 +205,39 @@ def test_evolve_equals_stepping_from_an_off_origin_start(seed):
     lattice = LatticeSpec(25)
     amp = np.zeros((2, lattice.size), dtype=complex)
     amp[:, lattice.origin_index - 9] = alpha, beta
-    _assert_same_walk(WalkerState(amp, lattice), coin, 20)
+    state = WalkerState(amp, lattice)
+    # From x = -9, 20 steps could reach x = -29, past the window's x = -25.
+    with pytest.raises(LatticeExhaustedError, match="larger half_width"):
+        iter_steps(state, coin, 20)
+    _assert_same_walk(state, coin, 16)
+    assert abs(np.sum(np.abs(evolve(state, coin, 16).amplitudes) ** 2) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_evolve_zeroes_nonzero_guard_columns(seed):
+    # A state with amplitude on a guard column cannot take a step: the
+    # recurrence never writes the guards, so that amplitude would be lost.
     rng = np.random.default_rng(5000 + seed)
     coin = make_coin(CoinParams(*random_coin_angles(rng)))
     lattice = LatticeSpec(8)
     amp = rng.normal(size=(2, lattice.size)) + 1j * rng.normal(size=(2, lattice.size))
-    for steps in (1, 2, 3, 8):
-        _assert_same_walk(WalkerState(amp, lattice), coin, steps)
     guards_only = np.zeros_like(amp)
     guards_only[:, [0, -1]] = amp[:, [0, -1]]
-    _assert_same_walk(WalkerState(guards_only, lattice), coin, 5)
+    for table in (amp, guards_only):
+        state = WalkerState(table, lattice)
+        for steps in (1, 2, 3, 8):
+            with pytest.raises(LatticeExhaustedError, match="larger half_width"):
+                evolve(state, coin, steps)
+        assert evolve(state, coin, 0) is state
+        assert list(iter_steps(state, coin, 0)) == []
 
 
-def _subnormal_parts(amplitudes):
-    parts = np.abs(amplitudes.view(np.float64))
-    return np.count_nonzero((parts > 0.0) & (parts < np.finfo(np.float64).tiny))
-
-
-def test_flush_keeps_the_tails_out_of_the_subnormal_range(monkeypatch):
-    # theta = 85 deg: the tails shrink by about 0.087 a step, so unflushed
-    # they reach the subnormal range long before T = 400.  The walk starts
-    # off the flush schedule (t = 5) and passes through a dozen flushes.
+def test_evolve_equals_stepping_on_a_long_walk_with_tiny_tails():
+    # theta = 85 deg: the tails shrink by about 0.087 a step and pass through
+    # the subnormal doubles long before T = 400.  The walk starts at t = 5.
     coin = make_coin(CoinParams(math.radians(85.0), 0.4, 1.3))
     state = evolve(initial_state(*UNBIASED_INIT, LatticeSpec(400)), coin, 5)
     _assert_same_walk(state, coin, 395)
-    flushed = evolve(state, coin, 395)
-    ranks, entropies = entanglement_series(state, coin, 395)
-    monkeypatch.setattr(coinwalk.evolution, "_FLUSH_EVERY", 10**9)
-    unflushed = evolve(state, coin, 395)
-    assert _subnormal_parts(unflushed.amplitudes) > 0
-    assert _subnormal_parts(flushed.amplitudes) == 0
-    # What the flush zeroes squares to zero: no probability or Schmidt
-    # weight moves by a single bit.
-    assert np.array_equal(distribution(flushed).probs, distribution(unflushed).probs)
-    unflushed_ranks, unflushed_entropies = entanglement_series(state, coin, 395)
-    assert np.array_equal(ranks, unflushed_ranks)
-    assert np.array_equal(entropies, unflushed_entropies)
 
 
 def test_evolve_keeps_the_zero_state_zero():
@@ -237,7 +248,7 @@ def test_evolve_keeps_the_zero_state_zero():
 
 @pytest.mark.parametrize("steps", [1, 2, 7])
 def test_the_evolved_state_keeps_only_its_own_table_alive(steps):
-    # The result owns its table: it is not a view that pins the second step buffer.
+    # The result owns its table: it is not a view of a larger array.
     lattice = LatticeSpec(10)
     state = evolve(initial_state(*UNBIASED_INIT, lattice), make_coin(named_coin("hadamard")), steps)
     assert state.amplitudes.base is None
