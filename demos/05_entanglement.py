@@ -20,7 +20,6 @@ import numpy as np
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
-    LatticeSpec,
     entanglement_entropy,
     entanglement_series,
     evolve,
@@ -38,7 +37,7 @@ HADAMARD_PLATEAU = 0.8724293
 
 def trace(params, steps, init=UNBIASED_INIT):
     coin = make_coin(params)
-    state = initial_state(*init, LatticeSpec(max(steps, 1)))
+    state = initial_state(*init, max(steps, 1))
     rows = []
     for t in range(steps + 1):
         spectrum = schmidt_spectrum(state)
@@ -70,7 +69,7 @@ def main():
     print(f"Hadamard walk, head start, {steps} steps, two series engines:")
     coin = make_coin(named_coin("hadamard"))
     started = time.perf_counter()
-    ranks, entropies = entanglement_series(initial_state(1.0, 0.0, LatticeSpec(steps)), coin, steps)
+    ranks, entropies = entanglement_series(initial_state(1.0, 0.0, steps), coin, steps)
     stepped_s = time.perf_counter() - started
     started = time.perf_counter()
     origin_ranks, origin_entropies = origin_entanglement_series(1.0, 0.0, coin, steps)

@@ -49,7 +49,7 @@ from .dense import DENSE_HALF_WIDTH_CAP, dense_series
 from .entanglement import origin_entanglement_series
 from .evolution import iter_steps, run_walk
 from .momentum import momentum_state
-from .state import UNBIASED_INIT, LatticeSpec, check_coin_state, initial_state
+from .state import UNBIASED_INIT, check_coin_state, initial_state
 
 __all__ = ["main"]
 
@@ -115,9 +115,10 @@ def _check_footprint(steps: int, values: int) -> None:
     """Usage error if an op of ``steps`` steps keeping ``values`` values would pass MAX_OP_BYTES.
 
     The estimate is the momentum engine's working set for ``walk``,
-    ``sweep-theta`` and ``phase-diagram``: the amplitude table, ``2 * (2T + 3)``
-    amplitudes of 16 B, plus at most three FFT arrays of ``M < 2(T + 1)``
-    amplitudes, which also covers the temporaries of measuring the table.
+    ``sweep-theta`` and ``phase-diagram``: the amplitude table, ``2 * (2T + 1)``
+    amplitudes of 16 B (counted as ``2 * (2T + 3)``, an upper bound), plus at
+    most three FFT arrays of ``M < 2(T + 1)`` amplitudes, which also covers
+    the temporaries of measuring the table.
     ``verify`` is bounded by ``DENSE_HALF_WIDTH_CAP`` instead; its recurrence
     holds at most two tables and a row temporary at a time.  ``entanglement``
     holds the ``(T + 1) x 2 x 2`` Gram stack of its momentum-space series
@@ -279,14 +280,14 @@ def _write(chunks: Iterable[str], out_path: str | None) -> None:
 
 
 def _walk_payload(degrees: tuple[float, float, float], steps: int, dist) -> dict:
-    """One walk's angles and its 2N+1 reachable sites, without the two guard sites."""
+    """One walk's angles and its 2N+1 reachable sites."""
     return {
         "theta_deg": degrees[0],
         "phi1_deg": degrees[1],
         "phi2_deg": degrees[2],
         "steps": steps,
-        "positions": dist.positions[1:-1],
-        "probs": dist.probs[1:-1],
+        "positions": dist.positions,
+        "probs": dist.probs,
     }
 
 
@@ -394,14 +395,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # Fault-injection hook: small enough to slip past the step-operator
         # unitarity guard (1e-10), large enough to trip the 1e-12 comparison.
         dense_coin[0, 0] += 3e-11
-    state = initial_state(alpha, beta, LatticeSpec(steps))
+    state = initial_state(alpha, beta, steps)
     references = dense_series(alpha, beta, dense_coin, steps)
     next(references)  # t = 0: both engines start from the same table
     worst: tuple[float, int, int, str] | None = None  # (discrepancy, t, x, engine)
 
     def compare(engine: str, table: np.ndarray, reference: np.ndarray, t: int) -> float:
         nonlocal worst
-        diff = np.abs(table[:, 1:-1] - reference)
+        diff = np.abs(table - reference)
         gap = float(np.max(diff))
         if gap > VERIFY_TOL and (worst is None or gap > worst[0]):
             worst = (gap, t, int(np.argmax(np.max(diff, axis=0))) - steps, engine)

@@ -15,9 +15,10 @@ window (``M[i, j] = 1`` iff ``i = (j+1) mod (2N+1)``); the conditional shift
 moves head amplitude right via ``M`` and tail amplitude left via ``M^T``.
 The wraparound entries make the operator exactly unitary, and they are never
 exercised as long as ``steps <= N``.  ``dense_series`` sizes the window by
-the walk, ``N = max(steps, 1)`` as for the lattice of
-:func:`coinwalk.momentum.momentum_state`, so the cyclic window agrees
-exactly with the infinite line.
+the walk, ``N = max(steps, 1)``, and its tables have the layout of a
+:class:`coinwalk.state.WalkerState`: the same window and columns as
+:func:`coinwalk.momentum.momentum_state`, so the engines compare table for
+table, and the cyclic window agrees exactly with the infinite line.
 
 Being O(N^2) per step in time and O(N^2) in memory, this path is for
 validation, not production; it refuses walks of more than
@@ -32,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .coin import check_coin_matrix
-from .state import check_coin_state, check_half_width
+from .state import check_coin_state, check_half_width, check_steps
 
 __all__ = ["StepUnitary", "build_shift_matrix", "build_step_unitary", "dense_series"]
 
@@ -125,9 +126,9 @@ def dense_series(
     """Evolve by repeated dense matrix-vector products, yielding every amplitude table.
 
     The window has half-width ``N = max(steps, 1)``, so the cyclic wraparound
-    never fires.  The step operator is built (and checked unitary) once; the
-    generator then yields the table at ``t = 0, 1, ..., steps``, one mat-vec
-    apart.  The arguments are validated when iteration starts.
+    never fires.  The arguments are checked and the step operator is built
+    (and checked unitary) when this is called; the generator then yields the
+    table at ``t = 0, 1, ..., steps``, one mat-vec apart.
 
     Parameters
     ----------
@@ -136,7 +137,7 @@ def dense_series(
     coin : numpy.ndarray
         The (2, 2) coin matrix.
     steps : int
-        Number of steps, from 0 to ``DENSE_HALF_WIDTH_CAP`` (200).
+        Number of steps, an integer from 0 to ``DENSE_HALF_WIDTH_CAP`` (200).
 
     Yields
     ------
@@ -144,19 +145,21 @@ def dense_series(
         Complex ``(2, 2N+1)`` arrays: row 0 head amplitudes, row 1 tail
         amplitudes, columns ordered by position ``-N .. N``.
     """
-    if not 0 <= steps <= DENSE_HALF_WIDTH_CAP:
+    steps = check_steps(steps)
+    if steps > DENSE_HALF_WIDTH_CAP:
         raise ValueError(
             f"dense engine takes 0 to {DENSE_HALF_WIDTH_CAP} steps, got {steps}; "
             f"this path is O(N^2) per step and meant for validation runs"
         )
     alpha, beta = check_coin_state(alpha, beta)
     n = max(steps, 1)
-    w = 2 * n + 1
-    step = build_step_unitary(coin, n)
-    vec = np.zeros(2 * w, dtype=np.complex128)
-    vec[n] = alpha  # head block, origin
-    vec[w + n] = beta  # tail block, origin
-    yield vec.reshape(2, w)
+    start = np.zeros((2, 2 * n + 1), dtype=np.complex128)
+    start[:, n] = alpha, beta  # the origin of the head and of the tail block
+    return _products(build_step_unitary(coin, n).matrix, start, steps)
+
+
+def _products(step: np.ndarray, table: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    yield table
     for _ in range(steps):
-        vec = step.matrix @ vec
-        yield vec.reshape(2, w)
+        table = (step @ table.ravel()).reshape(table.shape)
+        yield table

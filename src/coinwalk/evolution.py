@@ -6,14 +6,14 @@ amplitudes depend only on the two coin components of the neighbouring sites:
     alpha_x(t+1) = C00 * alpha_{x-1}(t) + C01 * beta_{x-1}(t)
     beta_x(t+1)  = C10 * alpha_{x+1}(t) + C11 * beta_{x+1}(t)
 
-so a step is two shifted axpy operations on the ``(2, n)`` amplitude table,
-O(n) work and no operator matrix at all: O(T * N) for a walk of T steps on
-a lattice of half-width N.  This is the reference engine: CLI ``verify``
-checks it against the dense operator, and it serves the per-step series of
-:func:`coinwalk.entanglement.entanglement_series` and start states other
-than a walker at the origin.  The endpoint of a walk from the origin, which
-is what :func:`run_walk` measures, comes from the O(T log T) momentum-space
-engine of :mod:`coinwalk.momentum`.
+so a step is two shifted axpy operations on the ``(2, 2N + 1)`` amplitude
+table of the window ``x = -N .. N``, O(N) work and no operator matrix at
+all: O(T * N) for a walk of T steps.  This is the reference engine: CLI
+``verify`` checks it against the dense operator, and it serves the
+per-step series of :func:`coinwalk.entanglement.entanglement_series` and
+start states other than a walker at the origin.  The endpoint of a walk
+from the origin, which is what :func:`run_walk` measures, comes from the
+O(T log T) momentum-space engine of :mod:`coinwalk.momentum`.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ import numpy as np
 
 from .coin import CoinParams, check_coin_matrix, make_coin
 from .momentum import momentum_state
-from .state import LatticeExhaustedError, ProbabilityDistribution, WalkerState, distribution
+from .state import LatticeExhaustedError, ProbabilityDistribution, WalkerState
+from .state import check_steps, distribution
 
 __all__ = ["iter_steps", "evolve", "run_walk"]
 
 
 def iter_steps(state: WalkerState, coin: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """Walk ``steps`` steps from ``state``, yielding the ``(2, n)`` amplitude table after each one.
+    """Walk ``steps`` steps from ``state``, yielding the amplitude table after each one.
 
     Each table is a new array, so it stays valid after the next step.  The
     input state is not modified, and the tables match a loop of one-step
@@ -38,27 +39,26 @@ def iter_steps(state: WalkerState, coin: np.ndarray, steps: int) -> Iterator[np.
 
     The request is checked when this is called, before the first step.  The
     support of a state grows by at most one site a step on each side, and
-    the guard columns are never written, so a walk is refused unless its
-    occupied columns stay off both guard columns for all ``steps`` steps
-    (see :attr:`coinwalk.state.LatticeSpec.half_width`).
+    nothing may leave the window ``x = -N .. N``, so a walk is refused
+    unless ``max(-a, b) + steps <= N`` for the occupied sites ``a .. b``.
 
     Raises
     ------
     ValueError
-        If ``steps`` is negative or the coin is not a (2, 2) matrix.
+        If ``steps`` is not a non-negative integer or the coin is not a
+        (2, 2) matrix.
     LatticeExhaustedError
-        If the walk would reach a guard column of the lattice window.
+        If the walk could leave the window.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
-    n = state.lattice.half_width
-    occupied = np.flatnonzero(np.any(state.amplitudes != 0, axis=0)) - (n + 1)  # positions x
+    steps = check_steps(steps)
+    n = state.half_width
+    occupied = np.flatnonzero(np.any(state.amplitudes != 0, axis=0)) - n  # positions x
     if steps and occupied.size and max(-occupied[0], occupied[-1]) + steps > n:
         first, last = occupied[0], occupied[-1]
         raise LatticeExhaustedError(
             f"the walker occupies x = {first} .. {last} and can reach x = {first - steps} .. "
-            f"{last + steps} within steps={steps}, past the sites x = {-n} .. {n} of the lattice "
-            f"with half_width={n}; rebuild the walk on a lattice with a larger half_width"
+            f"{last + steps} within steps={steps}, past the sites x = {-n} .. {n} of the window "
+            f"with half_width={n}; rebuild the walk on a window with a larger half_width"
         )
     return _steps(state.amplitudes, check_coin_matrix(coin), steps)
 
@@ -68,10 +68,10 @@ def _steps(table: np.ndarray, c: np.ndarray, steps: int) -> Iterator[np.ndarray]
         a, b = table
         table = np.zeros_like(table)
         # Head amplitude (row 0) arrives from the left neighbour, tail from the right.
-        for row, src in ((0, slice(None, -2)), (1, slice(2, None))):
-            out = table[row, 1:-1]
-            np.multiply(c[row, 0], a[src], out=out)
-            out += c[row, 1] * b[src]
+        np.multiply(c[0, 0], a[:-1], out=table[0, 1:])
+        table[0, 1:] += c[0, 1] * b[:-1]
+        np.multiply(c[1, 0], a[1:], out=table[1, :-1])
+        table[1, :-1] += c[1, 1] * b[1:]
         yield table
 
 
@@ -84,16 +84,16 @@ def evolve(state: WalkerState, coin: np.ndarray, steps: int) -> WalkerState:
     Raises
     ------
     ValueError
-        If ``steps`` is negative.
+        If ``steps`` is not a non-negative integer.
     LatticeExhaustedError
-        If the walk would reach a guard column of the lattice window.
+        If the walk could leave the window.
     """
     table = None
     for table in iter_steps(state, coin, steps):
         pass
     if table is None:
         return state
-    return WalkerState(table, state.lattice, state.time + steps)
+    return WalkerState(table, state.time + steps)
 
 
 def run_walk(
@@ -105,10 +105,9 @@ def run_walk(
     """Run a fresh ``steps``-step walk from the origin and measure it.
 
     The state comes from :func:`coinwalk.momentum.momentum_state`, in
-    O(T log T).  Its lattice is sized exactly to the walk
+    O(T log T).  Its window is sized exactly to the walk
     (``half_width = steps``), so the result covers positions
-    ``-(steps+1) .. steps+1`` with the two outermost (guard) entries and the
-    sites of the wrong parity exactly zero.
+    ``-steps .. steps`` with the sites of the wrong parity exactly zero.
 
     Parameters
     ----------
@@ -124,6 +123,6 @@ def run_walk(
     ProbabilityDistribution
         The position distribution after ``steps`` steps.
     """
-    if steps < 1:
+    if check_steps(steps) < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     return distribution(momentum_state(alpha, beta, make_coin(params), steps))

@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .coin import check_unitary
-from .state import LatticeSpec, WalkerState, check_coin_state
+from .state import WalkerState, check_coin_state, check_steps
 
 __all__ = ["momentum_state"]
 
@@ -68,15 +68,13 @@ def _fft_size(n: int) -> int:
 
 def _check_request(
     alpha: complex, beta: complex, coin: np.ndarray, steps: int
-) -> tuple[complex, complex, np.ndarray]:
-    """The coin state and the coin as complex values; ValueError as :func:`momentum_state` says."""
+) -> tuple[complex, complex, np.ndarray, int]:
+    """The checked ``(alpha, beta, coin, steps)``; ValueError as :func:`momentum_state` says."""
     alpha, beta = check_coin_state(alpha, beta)
     c = np.asarray(coin, dtype=np.complex128)
     if not check_unitary(c):
         raise ValueError("the momentum-space engine needs a unitary coin")
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
-    return alpha, beta, c
+    return alpha, beta, c, check_steps(steps)
 
 
 def _closed_form(
@@ -131,23 +129,23 @@ def momentum_state(alpha: complex, beta: complex, coin: np.ndarray, steps: int) 
         The (2, 2) coin matrix; must be unitary within 1e-12, because the
         closed-form power holds only for a unitary step.
     steps : int
-        Number of steps (non-negative).
+        Number of steps (a non-negative integer).
 
     Returns
     -------
     WalkerState
-        The state at ``time = steps`` on ``LatticeSpec(max(steps, 1))``, the
-        lattice of a walk of that length.  Sites of the wrong parity and the
-        guard columns hold exact zeros.
+        The state at ``time = steps`` on the window of half-width
+        ``N = max(steps, 1)``, the window of a walk of that length.  Sites
+        of the wrong parity hold exact zeros.
 
     Raises
     ------
     ValueError
         If the coin state is not normalized, the coin is not a unitary
-        (2, 2) matrix, or ``steps`` is negative.
+        (2, 2) matrix, or ``steps`` is not a non-negative integer.
     """
-    alpha, beta, c = _check_request(alpha, beta, coin, steps)
-    lattice = LatticeSpec(max(steps, 1))
+    alpha, beta, c, steps = _check_request(alpha, beta, coin, steps)
+    n = max(steps, 1)
     m = _fft_size(steps + 1)
     half_delta, u, spec, sin_w, omega = _closed_form(alpha, beta, c, m)
     # ratio = sin(T omega) / sin(omega), with the limit T cos((T-1) omega) where sin(omega) = 0.
@@ -172,14 +170,14 @@ def momentum_state(alpha: complex, beta: complex, coin: np.ndarray, steps: int) 
     # No ``out=``: numpy 1.x lacks it, and the other arrays are freed by now.
     spec = np.fft.ifft(spec, axis=1)
 
-    amp = np.zeros((2, lattice.size), dtype=np.complex128)
-    # Position x = 2y - T sits at column x + N + 1; y sits at (y - k) mod m of spec.
-    start = lattice.origin_index - steps
+    amp = np.zeros((2, 2 * n + 1), dtype=np.complex128)
+    # Position x = 2y - T sits at column x + N; y sits at (y - k) mod m of spec.
+    start = n - steps
     k = steps // 2
     cols = amp[:, start : start + 2 * steps + 1 : 2]
     cols[:, :k] = spec[:, m - k :]
     cols[:, k:] = spec[:, : steps - k + 1]
-    return WalkerState(amp, lattice, steps)
+    return WalkerState(amp, steps)
 
 
 def _trig_sums(freq: np.ndarray, coef: np.ndarray, steps: int) -> np.ndarray:
@@ -251,7 +249,7 @@ def _origin_grams(alpha: complex, beta: complex, coin: np.ndarray, steps: int) -
     ValueError
         As :func:`momentum_state`, before any array is built.
     """
-    alpha, beta, c = _check_request(alpha, beta, coin, steps)
+    alpha, beta, c, steps = _check_request(alpha, beta, coin, steps)
     m = _fft_size(steps + 1)
     _, _, w, sin_w, omega = _closed_form(alpha, beta, c, m)
     np.divide(w, sin_w, out=w, where=sin_w > 0.0)  # where sin(omega) = 0, w is already 0

@@ -1,16 +1,15 @@
-"""Walker states on a finite, padded one-dimensional lattice.
+"""Walker states on the finite window of a one-dimensional lattice.
 
 A walk that runs for at most ``N`` steps from the origin can only reach
-positions ``x`` with ``|x| <= N``.  The lattice therefore stores the window
-``x = -(N+1) .. N+1`` — the reachable sites plus one guard site at each end —
-as ``n = 2N + 3`` columns of a ``(2, n)`` complex amplitude array.  Row 0
-holds the head (|H>, historically "alpha") amplitudes and row 1 the tail
-(|T>, "beta") amplitudes.  Position ``x`` lives at zero-based column
-``x + N + 1``; the origin sits at column ``N + 1``.
+positions ``x`` with ``|x| <= N``.  A state therefore stores the window
+``x = -N .. N`` as the ``2N + 1`` columns of a ``(2, 2N + 1)`` complex
+amplitude array.  Row 0 holds the head (|H>, historically "alpha")
+amplitudes and row 1 the tail (|T>, "beta") amplitudes.  Position ``x``
+lives at zero-based column ``x + N``; the origin sits at column ``N``.
 
-The recurrence never writes the guard columns (0 and ``n - 1``), and it
-refuses a walk whose occupied sites could reach them, so the finite window
-is an exact representation of the infinite line for every walk it takes.
+The recurrence refuses a walk whose occupied sites could leave the window,
+so the finite window is an exact representation of the infinite line for
+every walk it takes.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "LatticeExhaustedError",
-    "LatticeSpec",
     "WalkerState",
     "ProbabilityDistribution",
     "UNBIASED_INIT",
@@ -42,7 +40,7 @@ _NORM_TOL = 1e-10
 
 
 class LatticeExhaustedError(ValueError):
-    """Raised when a walk is asked to evolve beyond the steps its lattice supports."""
+    """Raised when a walk is asked to evolve beyond the steps its window supports."""
 
 
 def check_half_width(half_width: int) -> int:
@@ -52,6 +50,17 @@ def check_half_width(half_width: int) -> int:
     if half_width < 1:
         raise ValueError(f"half_width must be positive, got {half_width}")
     return int(half_width)
+
+
+def check_steps(steps: int, what: str = "steps") -> int:
+    """Return ``steps`` as an ``int``; ValueError unless it is a non-negative integer.
+
+    A Python or numpy integer is taken, a ``bool`` is not.  The one rule for
+    a step count, in every engine; ``what`` names the argument in the error.
+    """
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {steps!r}")
+    return int(steps)
 
 
 def check_coin_state(alpha: complex, beta: complex) -> tuple[complex, complex]:
@@ -86,70 +95,35 @@ def check_unit_interval(values: np.ndarray, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class LatticeSpec:
-    """Geometry of the padded walk window.
-
-    Parameters
-    ----------
-    half_width : int
-        The window holds the sites ``|x| <= N`` for ``N = half_width``
-        (positive).  A step moves amplitude by at most one site, so a state
-        occupying ``a .. b`` may take ``s`` more steps while
-        ``max(-a, b) + s <= N``: ``N`` steps for a walker at the origin.
-        Other requests raise :class:`LatticeExhaustedError`.
-    """
-
-    half_width: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "half_width", check_half_width(self.half_width))
-
-    @property
-    def size(self) -> int:
-        """Number of stored sites, ``2 * half_width + 3`` (window plus guards)."""
-        return 2 * self.half_width + 3
-
-    @property
-    def origin_index(self) -> int:
-        """Zero-based column of position 0, ``half_width + 1``."""
-        return self.half_width + 1
-
-    @property
-    def positions(self) -> np.ndarray:
-        """All stored positions ``-(N+1) .. N+1`` in increasing order."""
-        return np.arange(-(self.half_width + 1), self.half_width + 2)
-
-
-@dataclass(frozen=True)
 class WalkerState:
     """Full coin-position amplitude table of the walker at a fixed time.
 
     Attributes
     ----------
     amplitudes : numpy.ndarray
-        Complex array of shape ``(2, lattice.size)``; row 0 is the head
-        component, row 1 the tail component.
-    lattice : LatticeSpec
-        The window geometry the columns refer to.
+        Complex array of shape ``(2, 2N + 1)`` with ``N >= 1``: the window
+        ``x = -N .. N``, position ``x`` at column ``x + N``.  Row 0 is the
+        head component, row 1 the tail component.
     time : int
         Number of steps taken since the initial state (non-negative).
     """
 
     amplitudes: np.ndarray
-    lattice: LatticeSpec
     time: int = 0
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        expected = (2, self.lattice.size)
-        if amp.shape != expected:
+        if amp.ndim != 2 or amp.shape[0] != 2 or amp.shape[1] < 3 or amp.shape[1] % 2 == 0:
             raise ValueError(
-                f"amplitude array has shape {amp.shape}, expected {expected} "
-                f"for half_width={self.lattice.half_width}"
+                f"amplitude array has shape {amp.shape}, expected (2, 2N + 1) with N >= 1"
             )
-        if self.time < 0:
-            raise ValueError(f"time must be non-negative, got {self.time}")
         object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "time", check_steps(self.time, "time"))
+
+    @property
+    def half_width(self) -> int:
+        """The ``N`` of the window ``x = -N .. N``."""
+        return self.amplitudes.shape[1] // 2
 
 
 @dataclass(frozen=True)
@@ -164,7 +138,7 @@ class ProbabilityDistribution:
         Probability at each position; entries in [0, 1] and summing to 1
         (both up to a 1e-10 absolute tolerance).
     time : int
-        The step count the distribution was measured at.
+        The step count the distribution was measured at (non-negative).
     """
 
     positions: np.ndarray = field(repr=False)
@@ -187,6 +161,7 @@ class ProbabilityDistribution:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "time", check_steps(self.time, "time"))
 
     def probability(self, x: int) -> float:
         """Probability at position ``x`` (0.0 for positions outside the window)."""
@@ -194,34 +169,34 @@ class ProbabilityDistribution:
         return float(self.probs[hits[0]]) if hits.size else 0.0
 
 
-def initial_state(alpha: complex, beta: complex, lattice: LatticeSpec) -> WalkerState:
+def initial_state(alpha: complex, beta: complex, half_width: int) -> WalkerState:
     """Place the walker at the origin with coin state ``alpha |H> + beta |T>``.
 
     Parameters
     ----------
     alpha, beta : complex
         Coin amplitudes; must satisfy ``|alpha|^2 + |beta|^2 = 1`` within 1e-10.
-    lattice : LatticeSpec
-        The window to allocate.
+    half_width : int
+        The ``N`` of the window ``x = -N .. N`` to allocate (positive).  A
+        state occupying ``a .. b`` may take ``s`` more steps while
+        ``max(-a, b) + s <= N``: ``N`` steps for a walker at the origin.
 
     Raises
     ------
     ValueError
-        If the coin state fails :func:`check_coin_state`.
+        If the coin state fails :func:`check_coin_state` or ``half_width``
+        fails :func:`check_half_width`.
     """
     alpha, beta = check_coin_state(alpha, beta)
-    amp = np.zeros((2, lattice.size), dtype=np.complex128)
-    amp[0, lattice.origin_index] = alpha
-    amp[1, lattice.origin_index] = beta
-    return WalkerState(amp, lattice, time=0)
+    n = check_half_width(half_width)
+    amp = np.zeros((2, 2 * n + 1), dtype=np.complex128)
+    amp[0, n] = alpha
+    amp[1, n] = beta
+    return WalkerState(amp)
 
 
 def distribution(state: WalkerState) -> ProbabilityDistribution:
-    """Measure the walker: the position distribution over the full stored window.
-
-    Returns one entry per stored site, positions ``-(N+1) .. N+1`` — the guard
-    sites are included and carry probability 0 for any state produced by at
-    most ``N`` steps.
-    """
+    """Measure the walker: the position distribution over the window, positions ``-N .. N``."""
+    n = state.half_width
     probs = np.sum(np.abs(state.amplitudes) ** 2, axis=0)
-    return ProbabilityDistribution(state.lattice.positions, probs, time=state.time)
+    return ProbabilityDistribution(np.arange(-n, n + 1), probs, time=state.time)

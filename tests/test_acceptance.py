@@ -17,7 +17,6 @@ import pytest
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
-    LatticeSpec,
     ProbabilityDistribution,
     build_step_unitary,
     dense_series,
@@ -55,7 +54,7 @@ def test_c01_norm_preserved_for_500_random_walks():
     started = time.perf_counter()
     for _ in range(500):
         coin = make_coin(CoinParams(*random_coin_angles(rng)))
-        state = initial_state(*normalized_pair(rng), LatticeSpec(steps))
+        state = initial_state(*normalized_pair(rng), steps)
         for table in iter_steps(state, coin, steps):
             worst = max(worst, abs(float(np.sum(np.abs(table) ** 2)) - 1.0))
     elapsed = time.perf_counter() - started
@@ -78,15 +77,14 @@ def test_c02_golden_amplitudes_one_and_two_steps():
         theta, phi1, phi2 = random_coin_angles(rng)
         c, s = math.cos(theta), math.sin(theta)
         coin = make_coin(CoinParams(theta, phi1, phi2))
-        lat = LatticeSpec(3)
-        at = lat.origin_index  # the column of position 0
-        one = evolve(initial_state(1.0, 0.0, lat), coin, 1)
-        expected_one = np.zeros((2, lat.size), dtype=complex)
+        at = 3  # the column of position 0 in the window x = -3 .. 3
+        one = evolve(initial_state(1.0, 0.0, 3), coin, 1)
+        expected_one = np.zeros((2, 7), dtype=complex)
         expected_one[0, at + 1] = c
         expected_one[1, at - 1] = np.exp(1j * phi2) * s
         worst = max(worst, float(np.max(np.abs(one.amplitudes - expected_one))))
         two = evolve(one, coin, 1)
-        expected_two = np.zeros((2, lat.size), dtype=complex)
+        expected_two = np.zeros((2, 7), dtype=complex)
         expected_two[0, at + 2] = c * c
         expected_two[0, at] = np.exp(1j * (phi1 + phi2)) * s * s
         expected_two[1, at] = np.exp(1j * phi2) * s * c
@@ -224,11 +222,11 @@ def test_c08a_engines_agree_for_50_random_walks():
         theta, phi1, phi2 = random_coin_angles(rng)
         alpha, beta = normalized_pair(rng)
         coin = make_coin(CoinParams(theta, phi1, phi2))
-        walk = iter_steps(initial_state(alpha, beta, LatticeSpec(n)), coin, n)
+        walk = iter_steps(initial_state(alpha, beta, n), coin, n)
         references = dense_series(alpha, beta, coin, n)
         next(references)  # t = 0: both engines start from the same table
         for table, reference in zip(walk, references):
-            worst = max(worst, float(np.max(np.abs(table[:, 1:-1] - reference))))
+            worst = max(worst, float(np.max(np.abs(table - reference))))
     _report("engine-agreement-50x20", worst <= 1e-12, f"max |amp diff| = {worst:.3e}")
 
 
@@ -275,13 +273,13 @@ def test_c08b_assembled_operator_matches_the_explicit_matrix():
 
 def test_c09_schmidt_rank_and_entropy():
     coin45 = make_coin(CoinParams.from_degrees(45.0))
-    state = initial_state(1.0, 0.0, LatticeSpec(20))
+    state = initial_state(1.0, 0.0, 20)
     rank0 = schmidt_spectrum(state).rank
     state1 = evolve(state, coin45, 1)
     rank1 = schmidt_spectrum(state1).rank
     entropy1 = entanglement_entropy(state1)
     swap_ok = True
-    swap_state = initial_state(1.0, 0.0, LatticeSpec(20))
+    swap_state = initial_state(1.0, 0.0, 20)
     coin90 = make_coin(CoinParams.from_degrees(90.0))
     for _ in range(20):
         swap_state = evolve(swap_state, coin90, 1)

@@ -18,7 +18,6 @@ from hypothesis.extra import numpy as hnp
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
-    LatticeSpec,
     cli,
     dense_series,
     initial_state,
@@ -65,7 +64,7 @@ def test_walk_csv_round_trips_the_doubles(capsys):
     code, out, _ = _run(capsys, "walk", "--coin", "fourier", "--steps", "40")
     assert code == 0
     _, rows = _csv_rows(out)
-    expected = run_walk(named_coin("fourier"), *UNBIASED_INIT, 40).probs[1:-1]
+    expected = run_walk(named_coin("fourier"), *UNBIASED_INIT, 40).probs
     parsed = np.array([float(r[1]) for r in rows])
     assert np.array_equal(parsed, expected)  # bit-for-bit
 
@@ -80,7 +79,7 @@ def test_walk_json_round_trips_the_doubles(capsys):
     assert payload["phi1_deg"] == 0.0 and payload["phi2_deg"] == 0.0
     assert payload["steps"] == 25
     assert payload["positions"] == list(range(-25, 26))
-    expected = run_walk(named_coin("hadamard"), *UNBIASED_INIT, 25).probs[1:-1]
+    expected = run_walk(named_coin("hadamard"), *UNBIASED_INIT, 25).probs
     assert np.array_equal(np.array(payload["probs"]), expected)
 
 
@@ -443,7 +442,7 @@ def test_verify_compares_the_momentum_engine_at_the_last_step(capsys, monkeypatc
 
     def drifting(*args):
         state = honest(*args)
-        state.amplitudes[0, 1] += 1e-9  # the leftmost site of the light cone
+        state.amplitudes[0, 0] += 1e-9  # the leftmost site of the light cone
         return state
 
     monkeypatch.setattr(cli, "momentum_state", drifting)
@@ -503,7 +502,7 @@ def test_raw_theta_mod_two_pi_is_physically_identical(capsys):
 
 def _walk_reference(theta, phi1, phi2, steps):
     dist = run_walk(CoinParams.from_degrees(theta, phi1, phi2), *UNBIASED_INIT, steps)
-    positions, probs = dist.positions[1:-1].tolist(), dist.probs[1:-1].tolist()
+    positions, probs = dist.positions.tolist(), dist.probs.tolist()
     payload = {"theta_deg": theta, "phi1_deg": phi1, "phi2_deg": phi2, "steps": steps,
                "positions": positions, "probs": probs}
     return "position,probability", list(zip(positions, probs)), payload
@@ -539,14 +538,14 @@ def _entanglement_reference(coin, init, steps):
 
 def _verify_reference(theta, phi1, steps):
     coin = make_coin(CoinParams.from_degrees(theta, phi1, 0.0))
-    state = initial_state(*UNBIASED_INIT, LatticeSpec(steps))
+    state = initial_state(*UNBIASED_INIT, steps)
     references = dense_series(*UNBIASED_INIT, coin, steps)
     next(references)
     gaps = []
     for table, reference in zip(iter_steps(state, coin, steps), references):
-        gaps.append(float(np.max(np.abs(table[:, 1:-1] - reference))))
+        gaps.append(float(np.max(np.abs(table - reference))))
     final = momentum_state(*UNBIASED_INIT, coin, steps).amplitudes
-    gaps[-1] = max(gaps[-1], float(np.max(np.abs(final[:, 1:-1] - reference))))
+    gaps[-1] = max(gaps[-1], float(np.max(np.abs(final - reference))))
     t = list(range(1, steps + 1))
     payload = {"tolerance": cli.VERIFY_TOL, "ok": max(gaps) <= cli.VERIFY_TOL, "t": t,
                "max_abs_discrepancy": gaps}

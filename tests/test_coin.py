@@ -9,7 +9,6 @@ from hypothesis import given
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
-    LatticeSpec,
     NAMED_COINS,
     build_step_unitary,
     check_unitary,
@@ -188,7 +187,7 @@ def test_tolerance_is_respected():
     assert not check_unitary(np.diag([1.0 + 6e-13, 1.0]))
 
 
-_START = initial_state(*UNBIASED_INIT, LatticeSpec(2))
+_START = initial_state(*UNBIASED_INIT, 2)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ import pytest
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
-    LatticeSpec,
     StepUnitary,
     build_shift_matrix,
     build_step_unitary,
@@ -176,10 +175,12 @@ def test_dense_two_step_hadamard_distribution():
 
 
 def test_the_size_cap_is_enforced():
+    # Both refusals come when dense_series is called, before any iteration.
     coin = make_coin(named_coin("hadamard"))
-    for steps in (201, -1):
-        with pytest.raises(ValueError, match=f"takes 0 to 200 steps, got {steps}"):
-            next(dense_series(*UNBIASED_INIT, coin, steps))
+    with pytest.raises(ValueError, match="takes 0 to 200 steps, got 201"):
+        dense_series(*UNBIASED_INIT, coin, 201)
+    with pytest.raises(ValueError, match="steps must be a non-negative integer, got -1"):
+        dense_series(*UNBIASED_INIT, coin, -1)
 
 
 def test_dense_rejects_unnormalized_start():
@@ -200,11 +201,11 @@ def test_engines_agree_amplitude_by_amplitude(seed):
     alpha, beta = normalized_pair(rng)
     coin = make_coin(CoinParams(theta, phi1, phi2))
     n = 12
-    state = initial_state(alpha, beta, LatticeSpec(n))
+    state = initial_state(alpha, beta, n)
     for t in range(1, n + 1):
         state = evolve(state, coin, 1)
         reference = _dense_final(alpha, beta, coin, t)
-        window = state.amplitudes[:, n + 1 - t : n + 2 + t]
+        window = state.amplitudes[:, n - t : n + t + 1]
         assert np.max(np.abs(window - reference)) <= 1e-12
 
 
@@ -229,4 +230,4 @@ def test_dense_distribution_matches_run_walk_window():
     steps = 15
     from_walk = run_walk(p, *UNBIASED_INIT, steps)
     from_dense = np.sum(np.abs(_dense_final(*UNBIASED_INIT, make_coin(p), steps)) ** 2, axis=0)
-    assert np.max(np.abs(from_walk.probs[1:-1] - from_dense)) <= 1e-12
+    assert np.max(np.abs(from_walk.probs - from_dense)) <= 1e-12

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
-    LatticeSpec,
     SchmidtSpectrum,
     WalkerState,
     entanglement_entropy,
@@ -30,10 +29,10 @@ ENTROPY_THETA_30 = 0.811278124459133
 
 
 def _state_from_rows(row_h, row_t, half_width):
-    amp = np.zeros((2, 2 * half_width + 3), dtype=complex)
+    amp = np.zeros((2, 2 * half_width + 1), dtype=complex)
     amp[0, : len(row_h)] = row_h
     amp[1, : len(row_t)] = row_t
-    return WalkerState(amp, LatticeSpec(half_width))
+    return WalkerState(amp)
 
 
 # ------------------------------------------------------------
@@ -43,7 +42,7 @@ def _state_from_rows(row_h, row_t, half_width):
 
 @pytest.mark.parametrize("alpha, beta", [UNBIASED_INIT, (1.0, 0.0), (0.6, 0.8j)])
 def test_initial_states_are_separable(alpha, beta):
-    state = initial_state(alpha, beta, LatticeSpec(4))
+    state = initial_state(alpha, beta, 4)
     spectrum = schmidt_spectrum(state)
     assert spectrum.rank == 1
     assert spectrum.values[0] == pytest.approx(1.0, abs=1e-12)
@@ -54,7 +53,7 @@ def test_initial_states_are_separable(alpha, beta):
 
 
 def test_zero_state_has_rank_zero():
-    state = WalkerState(np.zeros((2, 7), dtype=complex), LatticeSpec(2))
+    state = WalkerState(np.zeros((2, 7), dtype=complex))
     spectrum = schmidt_spectrum(state)
     assert spectrum.rank == 0
     assert np.array_equal(spectrum.values, np.zeros(2))
@@ -67,7 +66,7 @@ def test_zero_state_has_rank_zero():
 
 
 def test_one_hadamard_step_is_maximally_entangled():
-    state = evolve(initial_state(1.0, 0.0, LatticeSpec(3)), make_coin(named_coin("hadamard")), 1)
+    state = evolve(initial_state(1.0, 0.0, 3), make_coin(named_coin("hadamard")), 1)
     spectrum = schmidt_spectrum(state)
     assert spectrum.rank == 2
     assert spectrum.values == pytest.approx([math.sqrt(0.5), math.sqrt(0.5)], abs=1e-12)
@@ -76,7 +75,7 @@ def test_one_hadamard_step_is_maximally_entangled():
 
 def test_one_step_spectrum_is_cos_sin_of_theta():
     theta = CoinParams.from_degrees(30.0)
-    state = evolve(initial_state(1.0, 0.0, LatticeSpec(3)), make_coin(theta), 1)
+    state = evolve(initial_state(1.0, 0.0, 3), make_coin(theta), 1)
     spectrum = schmidt_spectrum(state)
     assert spectrum.values == pytest.approx([math.cos(theta.theta), math.sin(theta.theta)], abs=1e-12)
     assert entanglement_entropy(state) == pytest.approx(ENTROPY_THETA_30, abs=1e-12)
@@ -84,7 +83,7 @@ def test_one_step_spectrum_is_cos_sin_of_theta():
 
 def test_swap_coin_never_entangles_a_head_start():
     coin = make_coin(named_coin("grover"))
-    state = initial_state(1.0, 0.0, LatticeSpec(20))
+    state = initial_state(1.0, 0.0, 20)
     for _ in range(20):
         state = evolve(state, coin, 1)
         assert schmidt_spectrum(state).rank == 1
@@ -109,7 +108,7 @@ def test_rank_uses_the_relative_weight_cutoff():
 def test_separability_is_robust_for_generic_product_states():
     # Forming the Gram matrix of an exactly separable state leaves weight
     # noise near machine epsilon; the rank must not count it.
-    state = initial_state(complex(0.6, -0.1), complex(0.2, 0.7681145747868607), LatticeSpec(2))
+    state = initial_state(complex(0.6, -0.1), complex(0.2, 0.7681145747868607), 2)
     assert schmidt_spectrum(state).rank == 1
 
 
@@ -139,7 +138,7 @@ def test_spectrum_validation():
 )
 def test_series_matches_the_per_state_functions(params, init, steps):
     coin = make_coin(params)
-    state = initial_state(*init, LatticeSpec(max(steps, 1)))
+    state = initial_state(*init, max(steps, 1))
     ranks, entropies = entanglement_series(state, coin, steps)
     assert ranks.shape == entropies.shape == (steps + 1,)
     for t in range(steps + 1):
@@ -161,7 +160,7 @@ def test_series_matches_the_per_state_functions(params, init, steps):
 def test_squared_values_sum_to_the_total_probability(seed, steps):
     rng = np.random.default_rng(seed)
     alpha, beta = normalized_pair(rng)
-    state = initial_state(alpha, beta, LatticeSpec(15))
+    state = initial_state(alpha, beta, 15)
     state = evolve(state, make_coin(CoinParams(*random_coin_angles(rng))), steps)
     spectrum = schmidt_spectrum(state)
     total_probability = np.sum(np.abs(state.amplitudes) ** 2)
@@ -174,9 +173,9 @@ def test_squared_values_sum_to_the_total_probability(seed, steps):
 def test_entropy_ignores_a_global_phase(seed, steps, chi):
     rng = np.random.default_rng(seed)
     alpha, beta = normalized_pair(rng)
-    state = initial_state(alpha, beta, LatticeSpec(15))
+    state = initial_state(alpha, beta, 15)
     state = evolve(state, make_coin(CoinParams(*random_coin_angles(rng))), steps)
-    rotated = WalkerState(state.amplitudes * np.exp(1j * chi), state.lattice, state.time)
+    rotated = WalkerState(state.amplitudes * np.exp(1j * chi), state.time)
     entropy = entanglement_entropy(state)
     assert 0.0 <= entropy <= 1.0 + 1e-12
     assert abs(entropy - entanglement_entropy(rotated)) <= 1e-12
@@ -192,7 +191,7 @@ def _assert_series_agree(coin, alpha, beta, steps):
 
     Both series start from a product state: rank 1 and entropy exactly 0 at t = 0.
     """
-    state = initial_state(alpha, beta, LatticeSpec(max(steps, 1)))
+    state = initial_state(alpha, beta, max(steps, 1))
     ranks, entropies = entanglement_series(state, coin, steps)
     origin_ranks, origin_entropies = origin_entanglement_series(alpha, beta, coin, steps)
     assert ranks[0] == origin_ranks[0] == 1 and entropies[0] == origin_entropies[0] == 0.0

@@ -11,7 +11,6 @@ from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     LatticeExhaustedError,
-    LatticeSpec,
     WalkerState,
     evolve,
     initial_state,
@@ -27,7 +26,7 @@ TRIPLES = [(0.3, 0.7, 1.1), (1.2, 0.0, 2.6), (4.4, 2.9, 0.5)]
 
 
 def _amp(state, row, x):
-    return state.amplitudes[row, state.lattice.origin_index + x]
+    return state.amplitudes[row, state.half_width + x]
 
 
 # ------------------------------------------------------------
@@ -38,15 +37,15 @@ def _amp(state, row, x):
 @pytest.mark.parametrize("theta, phi1, phi2", TRIPLES)
 def test_one_step_from_head(theta, phi1, phi2):
     p = CoinParams(theta, phi1, phi2)
-    state = evolve(initial_state(1.0, 0.0, LatticeSpec(3)), make_coin(p), 1)
+    state = evolve(initial_state(1.0, 0.0, 3), make_coin(p), 1)
     c, s = math.cos(p.theta), math.sin(p.theta)
     assert abs(_amp(state, 0, 1) - c) <= 1e-15
     assert abs(_amp(state, 1, -1) - np.exp(1j * p.phi2) * s) <= 1e-15
     assert state.time == 1
     # nothing anywhere else: every other entry is an exact zero
     rest = state.amplitudes.copy()
-    rest[0, state.lattice.origin_index + 1] = 0.0
-    rest[1, state.lattice.origin_index - 1] = 0.0
+    rest[0, state.half_width + 1] = 0.0
+    rest[1, state.half_width - 1] = 0.0
     assert np.all(rest == 0.0)
 
 
@@ -54,7 +53,7 @@ def test_one_step_from_head(theta, phi1, phi2):
 def test_one_step_general_coin_state(theta, phi1, phi2):
     p = CoinParams(theta, phi1, phi2)
     alpha, beta = 0.6, -0.8j
-    state = evolve(initial_state(alpha, beta, LatticeSpec(3)), make_coin(p), 1)
+    state = evolve(initial_state(alpha, beta, 3), make_coin(p), 1)
     c, s = math.cos(p.theta), math.sin(p.theta)
     e1, e2 = np.exp(1j * p.phi1), np.exp(1j * p.phi2)
     assert abs(_amp(state, 0, 1) - (alpha * c + beta * e1 * s)) <= 1e-15
@@ -64,7 +63,7 @@ def test_one_step_general_coin_state(theta, phi1, phi2):
 @pytest.mark.parametrize("theta, phi1, phi2", TRIPLES)
 def test_two_steps_from_head(theta, phi1, phi2):
     p = CoinParams(theta, phi1, phi2)
-    state = evolve(initial_state(1.0, 0.0, LatticeSpec(3)), make_coin(p), 2)
+    state = evolve(initial_state(1.0, 0.0, 3), make_coin(p), 2)
     c, s = math.cos(p.theta), math.sin(p.theta)
     assert abs(_amp(state, 0, 2) - c * c) <= 1e-14
     assert abs(_amp(state, 0, 0) - np.exp(1j * (p.phi1 + p.phi2)) * s * s) <= 1e-14
@@ -83,7 +82,7 @@ def test_swap_coin_exchanges_and_shifts():
     # alpha|T>|-1> + beta|H>|+1>.
     alpha, beta = 0.6, 0.8j
     coin = make_coin(named_coin("grover"))
-    state = evolve(initial_state(alpha, beta, LatticeSpec(2)), coin, 1)
+    state = evolve(initial_state(alpha, beta, 2), coin, 1)
     assert abs(_amp(state, 1, -1) - alpha) <= 1e-15
     assert abs(_amp(state, 0, 1) - beta) <= 1e-15
     # and two steps bring the walker home up to the (-1) tail sign
@@ -97,7 +96,7 @@ def test_identity_rotation_is_ballistic(steps):
     # theta = 0: head amplitude rides right, tail amplitude rides left and
     # picks up (-1)^t.
     alpha, beta = UNBIASED_INIT
-    state = evolve(initial_state(alpha, beta, LatticeSpec(5)), make_coin(CoinParams(0.0, 0.0, 0.0)), steps)
+    state = evolve(initial_state(alpha, beta, 5), make_coin(CoinParams(0.0, 0.0, 0.0)), steps)
     assert _amp(state, 0, steps) == alpha
     assert _amp(state, 1, -steps) == (-1) ** steps * beta
     assert abs(np.abs(state.amplitudes).sum() - abs(alpha) - abs(beta)) <= 1e-15
@@ -109,19 +108,19 @@ def test_identity_rotation_is_ballistic(steps):
 
 
 def test_zero_steps_is_the_identity():
-    state = initial_state(*UNBIASED_INIT, LatticeSpec(3))
+    state = initial_state(*UNBIASED_INIT, 3)
     evolved = evolve(state, make_coin(named_coin("hadamard")), 0)
     assert evolved is state
 
 
 def test_negative_steps_are_rejected():
-    state = initial_state(*UNBIASED_INIT, LatticeSpec(3))
+    state = initial_state(*UNBIASED_INIT, 3)
     with pytest.raises(ValueError, match="non-negative"):
         evolve(state, make_coin(named_coin("hadamard")), -1)
 
 
 def test_step_does_not_mutate_its_input():
-    state = initial_state(*UNBIASED_INIT, LatticeSpec(3))
+    state = initial_state(*UNBIASED_INIT, 3)
     before = state.amplitudes.copy()
     evolve(state, make_coin(named_coin("hadamard")), 1)
     assert np.array_equal(state.amplitudes, before)
@@ -130,15 +129,15 @@ def test_step_does_not_mutate_its_input():
 
 def test_walk_past_the_window_is_refused():
     coin = make_coin(named_coin("hadamard"))
-    state = evolve(initial_state(*UNBIASED_INIT, LatticeSpec(4)), coin, 4)
+    state = evolve(initial_state(*UNBIASED_INIT, 4), coin, 4)
     with pytest.raises(LatticeExhaustedError, match="larger half_width"):
         evolve(state, coin, 1)
     with pytest.raises(LatticeExhaustedError):
-        evolve(initial_state(*UNBIASED_INIT, LatticeSpec(4)), coin, 5)
+        evolve(initial_state(*UNBIASED_INIT, 4), coin, 5)
 
 
 def test_iter_steps_checks_the_request_when_called():
-    state = initial_state(*UNBIASED_INIT, LatticeSpec(3))
+    state = initial_state(*UNBIASED_INIT, 3)
     coin = make_coin(named_coin("hadamard"))
     with pytest.raises(ValueError, match="non-negative"):
         iter_steps(state, coin, -1)
@@ -147,24 +146,24 @@ def test_iter_steps_checks_the_request_when_called():
     assert list(iter_steps(state, coin, 0)) == []
 
 
-def test_a_walk_that_would_reach_a_guard_column_is_refused():
-    # A head amplitude on the last site of the window moves onto the guard
-    # column in one step; a tail amplitude on the first site likewise.
+def test_a_walk_from_the_window_edge_is_refused():
+    # Amplitude on the edge site x = N or x = -N, in either coin row, would
+    # leave the window x = -N .. N in one step: the coin can send it outward.
     coin = make_coin(named_coin("hadamard"))
-    lattice = LatticeSpec(4)
-    for row, x in ((0, 4), (1, -4)):
-        amp = np.zeros((2, lattice.size), dtype=complex)
-        amp[row, lattice.origin_index + x] = 1.0
-        state = WalkerState(amp, lattice)
+    for row, x in ((0, 4), (1, -4), (1, 4), (0, -4)):
+        amp = np.zeros((2, 9), dtype=complex)
+        amp[row, 4 + x] = 1.0
+        state = WalkerState(amp)
         with pytest.raises(LatticeExhaustedError, match="larger half_width"):
             evolve(state, coin, 1)
     # One site further in, one step fits and keeps the norm.
-    amp = np.zeros((2, lattice.size), dtype=complex)
-    amp[:, lattice.origin_index + 3] = UNBIASED_INIT
-    one_step = evolve(WalkerState(amp, lattice), coin, 1)
+    amp = np.zeros((2, 9), dtype=complex)
+    amp[:, 4 + 3] = UNBIASED_INIT
+    one_step = evolve(WalkerState(amp), coin, 1)
     assert abs(np.sum(np.abs(one_step.amplitudes) ** 2) - 1.0) <= 1e-15
+    assert abs(one_step.amplitudes[0, -1]) > 0.0  # the head part reached x = N
     with pytest.raises(LatticeExhaustedError):
-        evolve(WalkerState(amp, lattice), coin, 2)
+        evolve(WalkerState(amp), coin, 2)
 
 
 # ------------------------------------------------------------
@@ -180,19 +179,17 @@ def _assert_same_walk(state, coin, steps):
     for table in tables:
         expected = evolve(expected, coin, 1)
         assert np.array_equal(table, expected.amplitudes)
-        assert np.all(table[:, [0, -1]] == 0.0)
     assert expected.time == state.time + steps
     evolved = evolve(state, coin, steps)
     assert evolved.time == expected.time
     assert np.array_equal(evolved.amplitudes, expected.amplitudes)
-    assert np.all(evolved.amplitudes[:, [0, -1]] == 0.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_evolve_equals_stepping_from_the_origin(seed):
     rng = np.random.default_rng(3000 + seed)
     coin = make_coin(CoinParams(*random_coin_angles(rng)))
-    state = initial_state(*normalized_pair(rng), LatticeSpec(30))
+    state = initial_state(*normalized_pair(rng), 30)
     _assert_same_walk(state, coin, 30)
     _assert_same_walk(evolve(state, coin, 7), coin, 23)
 
@@ -202,10 +199,9 @@ def test_evolve_equals_stepping_from_an_off_origin_start(seed):
     rng = np.random.default_rng(4000 + seed)
     coin = make_coin(CoinParams(*random_coin_angles(rng)))
     alpha, beta = normalized_pair(rng)
-    lattice = LatticeSpec(25)
-    amp = np.zeros((2, lattice.size), dtype=complex)
-    amp[:, lattice.origin_index - 9] = alpha, beta
-    state = WalkerState(amp, lattice)
+    amp = np.zeros((2, 51), dtype=complex)
+    amp[:, 25 - 9] = alpha, beta
+    state = WalkerState(amp)
     # From x = -9, 20 steps could reach x = -29, past the window's x = -25.
     with pytest.raises(LatticeExhaustedError, match="larger half_width"):
         iter_steps(state, coin, 20)
@@ -214,17 +210,16 @@ def test_evolve_equals_stepping_from_an_off_origin_start(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_evolve_zeroes_nonzero_guard_columns(seed):
-    # A state with amplitude on a guard column cannot take a step: the
-    # recurrence never writes the guards, so that amplitude would be lost.
+def test_evolve_refuses_amplitude_on_the_window_edges(seed):
+    # A state with amplitude on an edge site x = -N or x = N cannot take a
+    # step: the window holds no site for what the coin sends outward.
     rng = np.random.default_rng(5000 + seed)
     coin = make_coin(CoinParams(*random_coin_angles(rng)))
-    lattice = LatticeSpec(8)
-    amp = rng.normal(size=(2, lattice.size)) + 1j * rng.normal(size=(2, lattice.size))
-    guards_only = np.zeros_like(amp)
-    guards_only[:, [0, -1]] = amp[:, [0, -1]]
-    for table in (amp, guards_only):
-        state = WalkerState(table, lattice)
+    amp = rng.normal(size=(2, 17)) + 1j * rng.normal(size=(2, 17))
+    edges_only = np.zeros_like(amp)
+    edges_only[:, [0, -1]] = amp[:, [0, -1]]
+    for table in (amp, edges_only):
+        state = WalkerState(table)
         for steps in (1, 2, 3, 8):
             with pytest.raises(LatticeExhaustedError, match="larger half_width"):
                 evolve(state, coin, steps)
@@ -236,23 +231,21 @@ def test_evolve_equals_stepping_on_a_long_walk_with_tiny_tails():
     # theta = 85 deg: the tails shrink by about 0.087 a step and pass through
     # the subnormal doubles long before T = 400.  The walk starts at t = 5.
     coin = make_coin(CoinParams(math.radians(85.0), 0.4, 1.3))
-    state = evolve(initial_state(*UNBIASED_INIT, LatticeSpec(400)), coin, 5)
+    state = evolve(initial_state(*UNBIASED_INIT, 400), coin, 5)
     _assert_same_walk(state, coin, 395)
 
 
 def test_evolve_keeps_the_zero_state_zero():
-    lattice = LatticeSpec(4)
-    zero = WalkerState(np.zeros((2, lattice.size), dtype=complex), lattice, time=1)
+    zero = WalkerState(np.zeros((2, 9), dtype=complex), time=1)
     _assert_same_walk(zero, make_coin(named_coin("hadamard")), 3)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7])
 def test_the_evolved_state_keeps_only_its_own_table_alive(steps):
     # The result owns its table: it is not a view of a larger array.
-    lattice = LatticeSpec(10)
-    state = evolve(initial_state(*UNBIASED_INIT, lattice), make_coin(named_coin("hadamard")), steps)
+    state = evolve(initial_state(*UNBIASED_INIT, 10), make_coin(named_coin("hadamard")), steps)
     assert state.amplitudes.base is None
-    assert state.amplitudes.nbytes == 2 * lattice.size * 16
+    assert state.amplitudes.nbytes == 2 * 21 * 16
 
 
 # ------------------------------------------------------------
@@ -262,7 +255,7 @@ def test_the_evolved_state_keeps_only_its_own_table_alive(steps):
 
 def test_two_step_hadamard_distribution_from_head():
     dist = run_walk(named_coin("hadamard"), 1.0, 0.0, steps=2)
-    assert np.array_equal(dist.positions, np.arange(-3, 4))
+    assert np.array_equal(dist.positions, np.arange(-2, 3))
     assert dist.probability(-2) == pytest.approx(0.25, abs=1e-15)
     assert dist.probability(0) == pytest.approx(0.5, abs=1e-15)
     assert dist.probability(2) == pytest.approx(0.25, abs=1e-15)

@@ -12,7 +12,6 @@ from coinwalk import (
     NAMED_COINS,
     UNBIASED_INIT,
     CoinParams,
-    LatticeSpec,
     dense_series,
     evolve,
     initial_state,
@@ -41,12 +40,12 @@ SPECIAL_COINS = [named_coin(name) for name in sorted(NAMED_COINS)] + [
 def _assert_matches_the_other_engines(alpha, beta, coin, steps):
     state = momentum_state(alpha, beta, coin, steps)
     assert state.time == steps
-    assert state.lattice == LatticeSpec(steps)
-    recurrence = evolve(initial_state(alpha, beta, LatticeSpec(steps)), coin, steps)
+    assert state.amplitudes.shape == (2, 2 * steps + 1)
+    recurrence = evolve(initial_state(alpha, beta, steps), coin, steps)
     assert np.max(np.abs(state.amplitudes - recurrence.amplitudes)) <= 1e-12
     for dense in dense_series(alpha, beta, coin, steps):
         pass
-    assert np.max(np.abs(state.amplitudes[:, 1:-1] - dense)) <= 1e-12
+    assert np.max(np.abs(state.amplitudes - dense)) <= 1e-12
 
 
 @pytest.mark.parametrize("steps", STEPS)
@@ -75,13 +74,12 @@ def test_window_is_the_smallest_2_3_5_smooth_size():
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7, 60, 101])
-def test_wrong_parity_and_guard_columns_are_exact_zeros(steps):
+def test_wrong_parity_columns_are_exact_zeros(steps):
     rng = np.random.default_rng(8000 + steps)
     coin = make_coin(CoinParams(*random_coin_angles(rng)))
     state = momentum_state(*normalized_pair(rng), coin, steps)
     amp = state.amplitudes
-    assert np.all(amp[:, [0, -1]] == 0.0)
-    wrong_parity = (state.lattice.positions + steps) % 2 == 1
+    wrong_parity = (np.arange(-steps, steps + 1) + steps) % 2 == 1
     assert np.all(amp[:, wrong_parity] == 0.0)
 
 
@@ -89,7 +87,7 @@ def test_zero_steps_return_the_initial_state():
     alpha, beta = 0.6, 0.8j
     state = momentum_state(alpha, beta, make_coin(named_coin("hadamard")), 0)
     assert state.time == 0
-    assert np.array_equal(state.amplitudes, initial_state(alpha, beta, LatticeSpec(1)).amplitudes)
+    assert np.array_equal(state.amplitudes, initial_state(alpha, beta, 1).amplitudes)
 
 
 @pytest.mark.parametrize(
