@@ -8,9 +8,10 @@ few steps; a pure flip coin (theta = 90 deg) started on one side of the
 coin never mixes the sectors, so that state bounces between two product
 states and the rank stays pinned at 1.
 
-From the origin the whole series also has a momentum-space form, one exact
-sum of sines and cosines over the wavenumbers; it agrees with stepping the
-walk and approaches the Hadamard walk's long-time plateau of 0.872 bits.
+From the origin the whole series also has a momentum-space form, sums of
+sines and cosines over the wavenumbers that one nonuniform FFT evaluates at
+every step at once; it agrees with stepping the walk and approaches the
+Hadamard walk's long-time plateau of 0.872 bits.
 """
 
 import time

@@ -23,7 +23,7 @@ import numpy as np
 from .coin import CoinParams, make_coin
 from .evolution import run_walk
 from .momentum import momentum_state
-from .state import ProbabilityDistribution, check_coin_state, check_unit_interval
+from .state import ProbabilityDistribution, check_coin_state, check_unit_interval, check_walk_steps
 
 __all__ = [
     "PhaseDiagram",
@@ -126,8 +126,10 @@ def theta_sweep(
     """Run one walk per rotation angle; distributions in input order.
 
     The angles reach the coin as given.  An empty angle list yields an empty
-    result.
+    result, once ``steps`` is checked as :func:`~coinwalk.evolution.run_walk`
+    checks it: ValueError unless it is a positive integer.
     """
+    check_walk_steps(steps)
     return [
         (float(theta), run_walk(CoinParams(float(theta), phi1, phi2), alpha, beta, steps))
         for theta in np.asarray(thetas, dtype=np.float64)
@@ -156,7 +158,7 @@ def phase_diagram(
     ------
     ValueError
         If either grid is empty, an angle is NaN or infinite, the coin state
-        is not normalized, or ``steps`` is below 1.
+        is not normalized, or ``steps`` is not a positive integer.
     """
     p1 = np.asarray(phi1_grid, dtype=np.float64)
     p2 = np.asarray(phi2_grid, dtype=np.float64)
@@ -167,8 +169,7 @@ def phase_diagram(
     for phi2 in p2:
         CoinParams(theta, 0.0, phi2)
     alpha, beta = check_coin_state(alpha, beta)
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
+    check_walk_steps(steps)
     coin = make_coin(CoinParams(theta, 0.0, 0.0))
     head = alpha * momentum_state(1.0, 0.0, coin, steps).amplitudes
     tail = beta * momentum_state(0.0, 1.0, coin, steps).amplitudes

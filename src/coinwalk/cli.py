@@ -122,10 +122,11 @@ def _check_footprint(steps: int, values: int) -> None:
     ``verify`` is bounded by ``DENSE_HALF_WIDTH_CAP`` instead; its recurrence
     holds at most two tables and a row temporary at a time.  ``entanglement``
     holds the ``(T + 1) x 2 x 2`` Gram stack of its momentum-space series
-    (64 B a step), O(M) coefficient arrays, chunks of at most 128 KiB and the
-    temporaries of one batched eigenvalue call: the whole op takes 170 B a
-    step as CSV and 182 B as JSON at T = 2 * 10^4, and 162 B in either format
-    at 5 * 10^4 (tracemalloc), against the 672 B a step estimated here.
+    (64 B a step), O(M) coefficient arrays, the grid of its nonuniform FFT
+    (three rows of about ``2T`` amplitudes) and the temporaries of one
+    batched eigenvalue call: the whole op peaks at the inverse FFT of that
+    grid, 331 B a step at T = 2 * 10^4 and 326 B at 10^5, as CSV and as JSON
+    (tracemalloc), against the 672 B a step estimated here.
     ``phase-diagram`` holds two basis tables and their folds, at most 121 B a
     site measured up to T = 3 * 10^5; the ``2T + 3`` values of one walk it
     counts cover the rest.

@@ -16,8 +16,9 @@ Two series describe a whole walk, t = 0..steps, and solve all its Gram
 matrices in one batched eigenvalue call.  ``entanglement_series`` steps from
 any start state and fills one Gram matrix per step over the whole table.
 ``origin_entanglement_series`` serves a walk from the origin: it takes the
-Gram matrices from :func:`coinwalk.momentum._origin_grams`, one exact sum of
-sines and cosines over the wavenumbers, several times faster.
+Gram matrices from :func:`coinwalk.momentum._origin_grams`, sums of sines
+and cosines over the wavenumbers taken at every t by one nonuniform FFT, in
+O(T log T) and within 1e-13 of the exact sums.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import numpy as np
 from .coin import CoinParams, check_coin_matrix, make_coin
 from .momentum import momentum_state
 from .state import LatticeExhaustedError, ProbabilityDistribution, WalkerState
-from .state import check_steps, distribution
+from .state import check_steps, check_walk_steps, distribution
 
 __all__ = ["iter_steps", "evolve", "run_walk"]
 
@@ -123,6 +123,5 @@ def run_walk(
     ProbabilityDistribution
         The position distribution after ``steps`` steps.
     """
-    if check_steps(steps) < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
+    steps = check_walk_steps(steps)
     return distribution(momentum_state(alpha, beta, make_coin(params), steps))

@@ -63,6 +63,13 @@ def check_steps(steps: int, what: str = "steps") -> int:
     return int(steps)
 
 
+def check_walk_steps(steps: int) -> int:
+    """:func:`check_steps`, then ValueError for 0: a measured walk has at least one step."""
+    if check_steps(steps) < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
+    return int(steps)
+
+
 def check_coin_state(alpha: complex, beta: complex) -> tuple[complex, complex]:
     """Return ``(alpha, beta)`` as complex numbers; ValueError unless finite and normalized.
 

@@ -357,17 +357,20 @@ def test_c11b_phase_diagram_floor():
 
 
 def test_c11c_entanglement_series_floor(tmp_path):
-    # One momentum-space series; stepping the recurrence took 4 to 6 s on a 2-core x86-64 host.
+    # One momentum-space series; stepping the recurrence took 4 to 6 s on a
+    # 2-core x86-64 host at 20000 steps, and the exact O(T^2) sum of sines and
+    # cosines about 30 s at 100000.
     out = tmp_path / "entanglement.csv"
-    started = time.perf_counter()
-    code = main(["entanglement", "--coin", "hadamard", "--steps", "20000", "--out", str(out)])
-    elapsed = time.perf_counter() - started
-    rows = out.read_text(encoding="utf-8").count("\n") - 1
-    _report(
-        "entanglement-floor",
-        code == 0 and rows == 20001 and elapsed < 2.0,
-        f"CLI entanglement series of 20000 steps: {elapsed:.3f} s",
-    )
+    for steps, name in ((20000, "entanglement-floor"), (100000, "long-entanglement-floor")):
+        started = time.perf_counter()
+        code = main(["entanglement", "--coin", "hadamard", "--steps", str(steps), "--out", str(out)])
+        elapsed = time.perf_counter() - started
+        rows = out.read_text(encoding="utf-8").count("\n") - 1
+        _report(
+            name,
+            code == 0 and rows == steps + 1 and elapsed < 2.0,
+            f"CLI entanglement series of {steps} steps: {elapsed:.3f} s",
+        )
 
 
 def test_c11d_json_output_costs_at_most_1_8_csv_runs(tmp_path):

@@ -108,6 +108,20 @@ def test_empty_sweep_is_empty():
     assert theta_sweep([], 0.0, 0.0, *UNBIASED_INIT, steps=5) == []
 
 
+@pytest.mark.parametrize(
+    "steps, match",
+    [
+        (2.5, "steps must be a non-negative integer"),
+        ("3", "steps must be a non-negative integer"),
+        (None, "steps must be a non-negative integer"),
+        (0, "steps must be positive"),
+    ],
+)
+def test_empty_sweep_still_checks_its_steps(steps, match):
+    with pytest.raises(ValueError, match=match):
+        theta_sweep([], 0.0, 0.0, *UNBIASED_INIT, steps)
+
+
 def test_sweep_preserves_order_and_runs_each_angle():
     thetas = [0.0, math.pi / 4.0, math.pi / 2.0]
     out = theta_sweep(thetas, 0.0, 0.0, *UNBIASED_INIT, steps=10)
@@ -174,9 +188,11 @@ def test_empty_grids_are_rejected():
         ({"theta": math.nan}, "theta must be finite"),
         ({"alpha": 1.0, "beta": 1.0}, "must be normalized"),
         ({"alpha": 0.6, "beta": 0.6j}, "must be normalized"),
-        ({"steps": -3}, "steps must be positive"),
+        ({"steps": -3}, "steps must be a non-negative integer"),
         # As in run_walk, a walk has at least one step.
         ({"steps": 0}, "steps must be positive"),
+        ({"steps": "3"}, "steps must be a non-negative integer"),
+        ({"steps": None}, "steps must be a non-negative integer"),
     ],
 )
 def test_phase_diagram_checks_its_input_before_walking(monkeypatch, bad, match):

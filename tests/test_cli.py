@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,22 @@ def test_oversized_requests_name_the_memory_cap(capsys, monkeypatch, argv):
     assert out == ""
     assert f"{cli.MAX_OP_BYTES >> 20} MiB memory cap" in err
     assert "MAX_OP_BYTES" in err
+
+
+def test_entanglement_series_peaks_below_its_footprint_estimate(monkeypatch):
+    steps = 200_000
+    coin = make_coin(named_coin("hadamard"))
+    tracemalloc.start()
+    try:
+        origin_entanglement_series(*UNBIASED_INIT, coin, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The estimate that `entanglement` checks exceeds the measured peak
+    # exactly when the guard refuses the op under a cap of that peak.
+    monkeypatch.setattr(cli, "MAX_OP_BYTES", peak)
+    with pytest.raises(cli._UsageError, match="memory cap"):
+        cli._check_footprint(steps, 2 * (steps + 1))
 
 
 # ------------------------------------------------------------

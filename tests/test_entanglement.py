@@ -17,10 +17,13 @@ from coinwalk import (
     evolve,
     initial_state,
     make_coin,
+    momentum_state,
     named_coin,
     origin_entanglement_series,
     schmidt_spectrum,
 )
+from coinwalk.entanglement import _gram, _series
+from coinwalk.momentum import _origin_grams
 
 from conftest import angles, normalized_pair, random_coin_angles
 
@@ -216,6 +219,25 @@ def test_origin_series_matches_the_recurrence(theta, phi1, phi2, seed, steps):
 )
 def test_origin_series_matches_the_recurrence_at_3000_steps(params):
     _assert_series_agree(make_coin(params), 0.6, 0.8j, 3000)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [named_coin("hadamard"), CoinParams(*random_coin_angles(np.random.default_rng(12)))],
+    ids=["hadamard", "generic"],
+)
+def test_origin_grams_match_parseval_at_100000_steps(params):
+    # Each Gram matrix of the series against the one summed over the table of
+    # momentum_state, an independent route to the same state, at both ends
+    # and the middle of a series far beyond the reach of the recurrence.
+    coin = make_coin(params)
+    steps = 100_000
+    grams = _origin_grams(0.6, 0.8j, coin, steps)
+    for t in (0, 1, 2, 3, steps // 2, steps - 1, steps):
+        direct = _gram(momentum_state(0.6, 0.8j, coin, t).amplitudes)
+        assert np.max(np.abs(grams[t] - direct)) <= 1e-12
+    ranks, entropies = _series(grams[:1])
+    assert ranks[0] == 1 and entropies[0] == 0.0
 
 
 @pytest.mark.parametrize(
