@@ -10,18 +10,20 @@ Layout of the dense vector: coin block times position, head block first —
 entry ``coin * (2N+1) + (x + N)`` holds the amplitude of coin state ``coin``
 (0 = head, 1 = tail) at position ``x``.
 
-The shift matrix ``M`` is the cyclic one-step down-shift permutation of the
-window (``M[i, j] = 1`` iff ``i = (j+1) mod (2N+1)``); the conditional shift
-moves head amplitude right via ``M`` and tail amplitude left via ``M^T``.
-The wraparound entries make the operator exactly unitary, and they are never
-exercised as long as ``steps <= N``.  ``dense_series`` sizes the window by
-the walk, ``N = max(steps, 1)``, and its tables have the layout of a
-:class:`coinwalk.state.WalkerState`: the same window and columns as
-:func:`coinwalk.momentum.momentum_state`, so the engines compare table for
-table, and the cyclic window agrees exactly with the infinite line.
+The conditional shift moves head amplitude right by the cyclic one-step
+down-shift ``M`` of the window (``M[i, j] = 1`` iff ``i = (j+1) mod (2N+1)``)
+and tail amplitude left by ``M^T``.  The wraparound entries make the operator
+exactly unitary, and they are never exercised as long as ``steps <= N``.
+``dense_series`` sizes the window by the walk, ``N = max(steps, 1)``, and
+its tables have the layout of a :class:`coinwalk.state.WalkerState`: the
+same window and columns as :func:`coinwalk.momentum.momentum_state`, so the
+engines compare table for table, and the cyclic window agrees exactly with
+the infinite line.
 
-Being O(N^2) per step in time and O(N^2) in memory, this path is for
-validation, not production; it refuses walks of more than
+The operator's 4(2N+1) nonzeros are written in place, O(N^2) with the
+zero fill; its unitarity check ``U^H U`` is the O(N^3) part of the build,
+and each step is an O(N^2) mat-vec.  Being O(N^2) in memory as well, this
+path is for validation, not production; it refuses walks of more than
 ``DENSE_HALF_WIDTH_CAP`` (200) steps.
 """
 
@@ -35,7 +37,7 @@ import numpy as np
 from .coin import check_coin_matrix
 from .state import check_coin_state, check_half_width, check_steps
 
-__all__ = ["StepUnitary", "build_shift_matrix", "build_step_unitary", "dense_series"]
+__all__ = ["StepUnitary", "build_step_unitary", "dense_series"]
 
 #: Most steps, and so the largest window half-width, the dense engine accepts.
 DENSE_HALF_WIDTH_CAP = 200
@@ -68,9 +70,11 @@ class StepUnitary:
             raise ValueError(
                 f"operator for half_width={n} must have shape {(dim, dim)}, got {m.shape}"
             )
-        residual = m.conj().T @ m - np.eye(dim)
-        worst = float(np.max(np.abs(residual)))
-        if worst > _UNITARY_TOL:
+        # NaN, inf or overflowing entries give a NaN or inf residual, without a
+        # warning here; NaN fails every comparison, so the test is "not <=".
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = float(np.max(np.abs(m.conj().T @ m - np.eye(dim))))
+        if not worst <= _UNITARY_TOL:
             raise ValueError(
                 f"step operator is not unitary: max |U^H U - I| = {worst:.3e} "
                 f"exceeds {_UNITARY_TOL:.0e} (is the coin matrix unitary?)"
@@ -78,31 +82,15 @@ class StepUnitary:
         object.__setattr__(self, "matrix", m)
 
 
-def build_shift_matrix(half_width: int) -> np.ndarray:
-    """The cyclic down-shift permutation ``M`` of the ``2N+1`` window.
-
-    ``M[i, j] = 1`` iff ``i = (j+1) mod (2N+1)``: applied to a coefficient
-    vector it moves every position one site to the right, with the single
-    wraparound entry sitting in the top-right corner.
-
-    Raises
-    ------
-    ValueError
-        If ``half_width`` is not a positive integer.
-    """
-    n = check_half_width(half_width)
-    w = 2 * n + 1
-    m = np.zeros((w, w), dtype=np.complex128)
-    m[np.arange(1, w), np.arange(w - 1)] = 1.0
-    m[0, w - 1] = 1.0
-    return m
-
-
 def build_step_unitary(coin: np.ndarray, half_width: int) -> StepUnitary:
     """Assemble the one-step operator ``U = S (C kron I)`` over the window.
 
-    ``S`` shifts the head block right (``M``) and the tail block left
-    (``M^T``); ``C kron I`` applies the coin at every site.
+    ``C kron I`` applies the coin at every site; ``S`` shifts the head block
+    right (``M``) and the tail block left (``M^T``).  The product is never
+    formed: every column ``j`` of a block has its one nonzero at a known
+    row, so the four coin entries are written straight into place — ``C00``
+    and ``C01`` at head row ``(j+1) mod (2N+1)``, ``C10`` and ``C11`` at tail
+    row ``(j-1) mod (2N+1)`` — 4(2N+1) nonzeros in O(N^2) with the zero fill.
 
     Raises
     ------
@@ -110,14 +98,18 @@ def build_step_unitary(coin: np.ndarray, half_width: int) -> StepUnitary:
         If ``half_width`` is invalid, or if ``coin`` is not unitary (the
         assembled operator then fails its own unitarity check).
     """
-    m = build_shift_matrix(half_width)
+    n = check_half_width(half_width)
     c = check_coin_matrix(coin)
-    w = m.shape[0]
-    shift = np.zeros((2 * w, 2 * w), dtype=np.complex128)
-    shift[:w, :w] = m
-    shift[w:, w:] = m.T
-    step = shift @ np.kron(c, np.eye(w, dtype=np.complex128))
-    return StepUnitary(step, w // 2)
+    w = 2 * n + 1
+    col = np.arange(w)
+    head = (col + 1) % w
+    tail = w + (col - 1) % w
+    step = np.zeros((2 * w, 2 * w), dtype=np.complex128)
+    step[head, col] = c[0, 0]
+    step[head, w + col] = c[0, 1]
+    step[tail, col] = c[1, 0]
+    step[tail, w + col] = c[1, 1]
+    return StepUnitary(step, n)
 
 
 def dense_series(

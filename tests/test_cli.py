@@ -484,6 +484,22 @@ def test_verify_json_reports_ok(capsys):
     assert len(payload["max_abs_discrepancy"]) == 8
 
 
+def test_verify_at_the_dense_cap(capsys):
+    # --max-steps 200 builds the largest operator the dense engine takes.
+    argv = ("verify", "--theta-deg", "33", "--phi1-deg", "70", "--phi2-deg", "10",
+            "--max-steps", "200")
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and err == ""
+    _, rows = _csv_rows(out)
+    assert [int(r[0]) for r in rows] == list(range(1, 201))
+    assert all(float(r[1]) <= 1e-12 for r in rows)
+    # The injected 3e-11 fault still slips past the 1e-10 operator guard at
+    # this size, and the 1e-12 comparison still catches it.
+    code, _, err = _run(capsys, *argv, "--corrupt-coin")
+    assert code == 1
+    assert "the recurrence and dense engines disagree" in err
+
+
 # ------------------------------------------------------------
 # angles as given
 # ------------------------------------------------------------

@@ -9,7 +9,6 @@ from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     StepUnitary,
-    build_shift_matrix,
     build_step_unitary,
     dense_series,
     evolve,
@@ -23,8 +22,16 @@ from conftest import normalized_pair, random_coin_angles
 
 
 # ------------------------------------------------------------
-# Shift matrix
+# Shift matrix: the blocks of the theta=0 operator
 # ------------------------------------------------------------
+
+
+def _shift_blocks(half_width):
+    """Head and tail blocks of the theta=0 operator: the coin diag(1, -1) leaves only the shift."""
+    u = build_step_unitary(make_coin(CoinParams(0.0, 0.0, 0.0)), half_width).matrix
+    w = 2 * half_width + 1
+    assert not np.any(u[:w, w:]) and not np.any(u[w:, :w])
+    return u[:w, :w], u[w:, w:]
 
 
 def test_shift_matrix_half_width_2():
@@ -38,26 +45,30 @@ def test_shift_matrix_half_width_2():
         ],
         dtype=complex,
     )
-    assert np.array_equal(build_shift_matrix(2), expected)
+    head, tail = _shift_blocks(2)
+    assert np.array_equal(head, expected)
+    assert np.array_equal(tail, -expected.T)
 
 
 @pytest.mark.parametrize("half_width", [1, 3, 10])
 def test_shift_matrix_is_a_cyclic_permutation(half_width):
-    m = build_shift_matrix(half_width)
+    head, tail = _shift_blocks(half_width)
     w = 2 * half_width + 1
-    assert m.shape == (w, w)
-    assert np.array_equal(m.sum(axis=0), np.ones(w))
-    assert np.array_equal(m.sum(axis=1), np.ones(w))
+    assert head.shape == (w, w)
+    assert np.array_equal(head.sum(axis=0), np.ones(w))
+    assert np.array_equal(head.sum(axis=1), np.ones(w))
+    assert np.array_equal(tail, -head.T)
     for j in range(w):
         e = np.zeros(w)
         e[j] = 1.0
-        assert np.array_equal(m @ e, np.eye(w)[(j + 1) % w])
+        assert np.array_equal(head @ e, np.eye(w)[(j + 1) % w])
 
 
 @pytest.mark.parametrize("bad", [0, -1, 1.5])
 def test_shift_matrix_rejects_bad_half_width(bad):
+    # The shift has no builder of its own: the operator checks the half-width.
     with pytest.raises(ValueError):
-        build_shift_matrix(bad)
+        build_step_unitary(make_coin(named_coin("hadamard")), bad)
 
 
 # ------------------------------------------------------------
@@ -111,10 +122,39 @@ def test_step_unitary_is_unitary(half_width):
     assert np.max(np.abs(residual)) <= 1e-10
 
 
+@pytest.mark.parametrize("half_width", [1, 2, 7, 50])
+def test_step_unitary_equals_the_shift_times_coin_product(half_width):
+    # The paper's U = S (C kron I), with S = diag(M, M^T) built here from
+    # first principles; the engine writes the same entries without a product.
+    w = 2 * half_width + 1
+    m = np.roll(np.eye(w), 1, axis=0)
+    shift = np.block([[m, np.zeros((w, w))], [np.zeros((w, w)), m.T]])
+    rng = np.random.default_rng(3000 + half_width)
+    for _ in range(10):
+        coin = make_coin(CoinParams(*random_coin_angles(rng)))
+        u = build_step_unitary(coin, half_width).matrix
+        assert np.array_equal(u, shift @ np.kron(coin, np.eye(w)))
+        assert np.count_nonzero(u) == 4 * w
+
+
 def test_non_unitary_coin_is_caught_at_assembly():
     broken = np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)
     with pytest.raises(ValueError, match="not unitary"):
         build_step_unitary(broken, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coin_is_caught_at_assembly(bad):
+    # A NaN residual fails every tolerance comparison; the guard must still refuse it.
+    coin = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        build_step_unitary(coin, 2)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+def test_non_finite_operator_is_refused(fill):
+    with pytest.raises(ValueError, match="not unitary"):
+        StepUnitary(np.full((10, 10), fill, dtype=complex), 2)
 
 
 def test_step_unitary_validates_its_shape():
