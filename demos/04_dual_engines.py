@@ -42,7 +42,7 @@ def main():
     # the tail sector.
     op = build_step_unitary(coin, 2)
     print("one-step unitary on the 5-site window (nonzero pattern):")
-    show_structure(op.matrix)
+    show_structure(op)
     print()
 
     # Race the engines.

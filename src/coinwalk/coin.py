@@ -27,7 +27,6 @@ __all__ = [
     "NAMED_COINS",
     "make_coin",
     "named_coin",
-    "check_coin_matrix",
     "check_unitary",
 ]
 
@@ -131,17 +130,19 @@ def named_coin(name: str) -> CoinParams:
 
 
 def check_coin_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Return ``matrix`` as a complex array; ValueError unless its shape is (2, 2)."""
+    """Return ``matrix`` as a complex array; ValueError unless it is (2, 2) with finite entries."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (2, 2):
         raise ValueError(f"coin must be a (2, 2) matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"coin entries must be finite, got {m.tolist()}")
     return m
 
 
 def check_unitary(matrix: np.ndarray) -> bool:
     """True iff a (2, 2) matrix is unitary: no entry of ``M^dagger M - I`` exceeds 1e-12.
 
-    Raises ValueError unless the shape is (2, 2) (see :func:`check_coin_matrix`).
+    Raises ValueError unless the shape is (2, 2) and every entry is finite.
     """
     m = check_coin_matrix(matrix)
     residual = m.conj().T @ m - np.eye(2)

@@ -29,15 +29,14 @@ path is for validation, not production; it refuses walks of more than
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .coin import check_coin_matrix
-from .state import check_coin_state, check_half_width, check_steps
+from .state import check_coin_state, check_steps, check_walk_steps
 
-__all__ = ["StepUnitary", "build_step_unitary", "dense_series"]
+__all__ = ["build_step_unitary", "dense_series"]
 
 #: Most steps, and so the largest window half-width, the dense engine accepts.
 DENSE_HALF_WIDTH_CAP = 200
@@ -45,44 +44,7 @@ DENSE_HALF_WIDTH_CAP = 200
 _UNITARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class StepUnitary:
-    """One-step walk operator over a ``2N+1`` position window.
-
-    Attributes
-    ----------
-    matrix : numpy.ndarray
-        Complex ``(4N+2, 4N+2)`` array, verified unitary at construction
-        (max-abs deviation of ``U^dagger U`` from identity at most 1e-10).
-    window_half_width : int
-        The ``N`` of the window.
-    """
-
-    matrix: np.ndarray
-    window_half_width: int
-
-    def __post_init__(self) -> None:
-        n = check_half_width(self.window_half_width)
-        object.__setattr__(self, "window_half_width", n)
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        dim = 2 * (2 * n + 1)
-        if m.shape != (dim, dim):
-            raise ValueError(
-                f"operator for half_width={n} must have shape {(dim, dim)}, got {m.shape}"
-            )
-        # NaN, inf or overflowing entries give a NaN or inf residual, without a
-        # warning here; NaN fails every comparison, so the test is "not <=".
-        with np.errstate(over="ignore", invalid="ignore"):
-            worst = float(np.max(np.abs(m.conj().T @ m - np.eye(dim))))
-        if not worst <= _UNITARY_TOL:
-            raise ValueError(
-                f"step operator is not unitary: max |U^H U - I| = {worst:.3e} "
-                f"exceeds {_UNITARY_TOL:.0e} (is the coin matrix unitary?)"
-            )
-        object.__setattr__(self, "matrix", m)
-
-
-def build_step_unitary(coin: np.ndarray, half_width: int) -> StepUnitary:
+def build_step_unitary(coin: np.ndarray, half_width: int) -> np.ndarray:
     """Assemble the one-step operator ``U = S (C kron I)`` over the window.
 
     ``C kron I`` applies the coin at every site; ``S`` shifts the head block
@@ -92,13 +54,19 @@ def build_step_unitary(coin: np.ndarray, half_width: int) -> StepUnitary:
     and ``C01`` at head row ``(j+1) mod (2N+1)``, ``C10`` and ``C11`` at tail
     row ``(j-1) mod (2N+1)`` — 4(2N+1) nonzeros in O(N^2) with the zero fill.
 
+    Returns
+    -------
+    numpy.ndarray
+        Complex ``(4N+2, 4N+2)`` array, verified unitary: no entry of
+        ``U^dagger U - I`` exceeds 1e-10 in magnitude.
+
     Raises
     ------
     ValueError
-        If ``half_width`` is invalid, or if ``coin`` is not unitary (the
-        assembled operator then fails its own unitarity check).
+        If ``half_width`` is not a positive integer, or if ``coin`` is not
+        unitary (the assembled operator then fails its own unitarity check).
     """
-    n = check_half_width(half_width)
+    n = check_walk_steps(half_width, "half_width")
     c = check_coin_matrix(coin)
     w = 2 * n + 1
     col = np.arange(w)
@@ -109,7 +77,16 @@ def build_step_unitary(coin: np.ndarray, half_width: int) -> StepUnitary:
     step[head, w + col] = c[0, 1]
     step[tail, col] = c[1, 0]
     step[tail, w + col] = c[1, 1]
-    return StepUnitary(step, n)
+    # The coin's entries are finite, but large ones overflow U^H U to inf or
+    # NaN, without a warning here; NaN fails every comparison, so "not <=".
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = float(np.max(np.abs(step.conj().T @ step - np.eye(2 * w))))
+    if not worst <= _UNITARY_TOL:
+        raise ValueError(
+            f"step operator is not unitary: max |U^H U - I| = {worst:.3e} "
+            f"exceeds {_UNITARY_TOL:.0e} (is the coin matrix unitary?)"
+        )
+    return step
 
 
 def dense_series(
@@ -147,7 +124,7 @@ def dense_series(
     n = max(steps, 1)
     start = np.zeros((2, 2 * n + 1), dtype=np.complex128)
     start[:, n] = alpha, beta  # the origin of the head and of the tail block
-    return _products(build_step_unitary(coin, n).matrix, start, steps)
+    return _products(build_step_unitary(coin, n), start, steps)
 
 
 def _products(step: np.ndarray, table: np.ndarray, steps: int) -> Iterator[np.ndarray]:

@@ -131,7 +131,7 @@ def momentum_state(alpha: complex, beta: complex, coin: np.ndarray, steps: int) 
     Parameters
     ----------
     alpha, beta : complex
-        Coin amplitudes; must pass :func:`coinwalk.state.check_coin_state`.
+        Coin amplitudes; finite, with ``|alpha|^2 + |beta|^2 = 1`` within 1e-10.
     coin : numpy.ndarray
         The (2, 2) coin matrix; must be unitary within 1e-12, because the
         closed-form power holds only for a unitary step.

@@ -25,9 +25,6 @@ __all__ = [
     "WalkerState",
     "ProbabilityDistribution",
     "UNBIASED_INIT",
-    "check_half_width",
-    "check_coin_state",
-    "check_unit_interval",
     "initial_state",
     "distribution",
 ]
@@ -43,15 +40,6 @@ class LatticeExhaustedError(ValueError):
     """Raised when a walk is asked to evolve beyond the steps its window supports."""
 
 
-def check_half_width(half_width: int) -> int:
-    """Return ``half_width`` as an ``int``; ValueError unless it is a positive integer."""
-    if not isinstance(half_width, (int, np.integer)) or isinstance(half_width, bool):
-        raise ValueError(f"half_width must be an integer, got {half_width!r}")
-    if half_width < 1:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    return int(half_width)
-
-
 def check_steps(steps: int, what: str = "steps") -> int:
     """Return ``steps`` as an ``int``; ValueError unless it is a non-negative integer.
 
@@ -63,10 +51,10 @@ def check_steps(steps: int, what: str = "steps") -> int:
     return int(steps)
 
 
-def check_walk_steps(steps: int) -> int:
-    """:func:`check_steps`, then ValueError for 0: a measured walk has at least one step."""
-    if check_steps(steps) < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
+def check_walk_steps(steps: int, what: str = "steps") -> int:
+    """:func:`check_steps`, then ValueError for 0: a walk, like a window, has at least one step."""
+    if check_steps(steps, what) < 1:
+        raise ValueError(f"{what} must be positive, got {steps}")
     return int(steps)
 
 
@@ -182,20 +170,21 @@ def initial_state(alpha: complex, beta: complex, half_width: int) -> WalkerState
     Parameters
     ----------
     alpha, beta : complex
-        Coin amplitudes; must satisfy ``|alpha|^2 + |beta|^2 = 1`` within 1e-10.
+        Coin amplitudes; finite, with ``|alpha|^2 + |beta|^2 = 1`` within 1e-10.
     half_width : int
-        The ``N`` of the window ``x = -N .. N`` to allocate (positive).  A
-        state occupying ``a .. b`` may take ``s`` more steps while
-        ``max(-a, b) + s <= N``: ``N`` steps for a walker at the origin.
+        The ``N`` of the window ``x = -N .. N`` to allocate: a positive Python
+        or numpy integer, not a ``bool``.  A state occupying ``a .. b`` may
+        take ``s`` more steps while ``max(-a, b) + s <= N``: ``N`` steps for
+        a walker at the origin.
 
     Raises
     ------
     ValueError
-        If the coin state fails :func:`check_coin_state` or ``half_width``
-        fails :func:`check_half_width`.
+        If an amplitude is not finite, the coin state is not normalized, or
+        ``half_width`` is not a positive integer.
     """
     alpha, beta = check_coin_state(alpha, beta)
-    n = check_half_width(half_width)
+    n = check_walk_steps(half_width, "half_width")
     amp = np.zeros((2, 2 * n + 1), dtype=np.complex128)
     amp[0, n] = alpha
     amp[1, n] = beta

@@ -27,6 +27,9 @@ def random_coin_angles(rng: np.random.Generator) -> tuple[float, float, float]:
 
 
 def src_env() -> dict[str, str]:
-    """Environment for a child Python that imports coinwalk from ``src/``, installed or not."""
+    """Environment for a child Python that imports coinwalk from ``src/``, installed or not.
+
+    Warnings are errors in the child too, as ``pyproject.toml`` makes them in the tests.
+    """
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}

@@ -255,7 +255,7 @@ def test_c08b_assembled_operator_matches_the_explicit_matrix():
     worst = 0.0
     for _ in range(5):
         theta, phi1, phi2 = random_coin_angles(rng)
-        built = build_step_unitary(make_coin(CoinParams(theta, phi1, phi2)), 2).matrix
+        built = build_step_unitary(make_coin(CoinParams(theta, phi1, phi2)), 2)
         expected = _explicit_half_width_2_operator(
             math.cos(theta),
             np.exp(1j * phi1) * math.sin(theta),

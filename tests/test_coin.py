@@ -12,6 +12,7 @@ from coinwalk import (
     NAMED_COINS,
     build_step_unitary,
     check_unitary,
+    entanglement_series,
     evolve,
     initial_state,
     iter_steps,
@@ -189,19 +190,40 @@ def test_tolerance_is_respected():
 
 _START = initial_state(*UNBIASED_INIT, 2)
 
-
-@pytest.mark.parametrize(
+# Every public caller that takes a coin matrix; each checks it at one raising site.
+_COIN_USERS = pytest.mark.parametrize(
     "use_coin",
     [
         check_unitary,
         lambda coin: iter_steps(_START, coin, 1),
         lambda coin: evolve(_START, coin, 1),
+        lambda coin: entanglement_series(_START, coin, 1),
         lambda coin: build_step_unitary(coin, 2),
         lambda coin: momentum_state(*UNBIASED_INIT, coin, 2),
     ],
-    ids=["check_unitary", "iter_steps", "evolve", "build_step_unitary", "momentum_state"],
+    ids=[
+        "check_unitary",
+        "iter_steps",
+        "evolve",
+        "entanglement_series",
+        "build_step_unitary",
+        "momentum_state",
+    ],
 )
+
+
+@_COIN_USERS
 def test_a_non_2x2_coin_is_rejected_with_one_message(use_coin):
     with pytest.raises(ValueError) as err:
         use_coin(np.eye(3, dtype=complex))
     assert str(err.value) == "coin must be a (2, 2) matrix, got shape (3, 3)"
+
+
+@_COIN_USERS
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_coin_is_rejected_with_one_message(use_coin, bad):
+    # Unchecked, NaN would run through the recurrence into NaN tables and rank-0 spectra.
+    coin = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError) as err:
+        use_coin(coin)
+    assert str(err.value) == f"coin entries must be finite, got {coin.tolist()}"

@@ -8,7 +8,6 @@ import pytest
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
-    StepUnitary,
     build_step_unitary,
     dense_series,
     evolve,
@@ -28,7 +27,7 @@ from conftest import normalized_pair, random_coin_angles
 
 def _shift_blocks(half_width):
     """Head and tail blocks of the theta=0 operator: the coin diag(1, -1) leaves only the shift."""
-    u = build_step_unitary(make_coin(CoinParams(0.0, 0.0, 0.0)), half_width).matrix
+    u = build_step_unitary(make_coin(CoinParams(0.0, 0.0, 0.0)), half_width)
     w = 2 * half_width + 1
     assert not np.any(u[:w, w:]) and not np.any(u[w:, :w])
     return u[:w, :w], u[w:, w:]
@@ -79,7 +78,7 @@ def test_shift_matrix_rejects_bad_half_width(bad):
 def test_step_unitary_moves_head_right_and_tail_left():
     n = 4
     w = 2 * n + 1
-    step = build_step_unitary(make_coin(CoinParams(0.0, 0.0, 0.0)), n).matrix
+    step = build_step_unitary(make_coin(CoinParams(0.0, 0.0, 0.0)), n)
     # theta=0 coin is diag(1, -1): pure conditional shift up to the tail sign.
     head_origin = np.zeros(2 * w, dtype=complex)
     head_origin[n] = 1.0
@@ -98,7 +97,7 @@ def test_step_unitary_moves_head_right_and_tail_left():
 @pytest.mark.parametrize("theta, phi1, phi2", [(0.8, 0.3, 1.2), (2.5, 2.0, 0.1)])
 def test_step_unitary_half_width_2_layout(theta, phi1, phi2):
     p = CoinParams(theta, phi1, phi2)
-    u = build_step_unitary(make_coin(p), 2).matrix
+    u = build_step_unitary(make_coin(p), 2)
     a = math.cos(p.theta)
     b = np.exp(1j * p.phi1) * math.sin(p.theta)
     c = np.exp(1j * p.phi2) * math.sin(p.theta)
@@ -117,8 +116,8 @@ def test_step_unitary_half_width_2_layout(theta, phi1, phi2):
 def test_step_unitary_is_unitary(half_width):
     u = build_step_unitary(make_coin(CoinParams(0.9, 0.8, 0.7)), half_width)
     dim = 2 * (2 * half_width + 1)
-    assert u.matrix.shape == (dim, dim)
-    residual = u.matrix.conj().T @ u.matrix - np.eye(dim)
+    assert u.shape == (dim, dim)
+    residual = u.conj().T @ u - np.eye(dim)
     assert np.max(np.abs(residual)) <= 1e-10
 
 
@@ -132,7 +131,7 @@ def test_step_unitary_equals_the_shift_times_coin_product(half_width):
     rng = np.random.default_rng(3000 + half_width)
     for _ in range(10):
         coin = make_coin(CoinParams(*random_coin_angles(rng)))
-        u = build_step_unitary(coin, half_width).matrix
+        u = build_step_unitary(coin, half_width)
         assert np.array_equal(u, shift @ np.kron(coin, np.eye(w)))
         assert np.count_nonzero(u) == 4 * w
 
@@ -143,23 +142,12 @@ def test_non_unitary_coin_is_caught_at_assembly():
         build_step_unitary(broken, 3)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_coin_is_caught_at_assembly(bad):
-    # A NaN residual fails every tolerance comparison; the guard must still refuse it.
-    coin = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+def test_an_overflowing_coin_is_caught_at_assembly():
+    # Finite entries whose squares overflow: U^H U holds inf or NaN, which must
+    # fail the guard without a NumPy warning (pytest makes warnings errors).
+    coin = np.array([[1e200, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="not unitary"):
         build_step_unitary(coin, 2)
-
-
-@pytest.mark.parametrize("fill", [np.nan, np.inf])
-def test_non_finite_operator_is_refused(fill):
-    with pytest.raises(ValueError, match="not unitary"):
-        StepUnitary(np.full((10, 10), fill, dtype=complex), 2)
-
-
-def test_step_unitary_validates_its_shape():
-    with pytest.raises(ValueError, match="shape"):
-        StepUnitary(np.eye(4, dtype=complex), 2)
 
 
 # ------------------------------------------------------------
@@ -255,7 +243,7 @@ def test_dense_series_takes_one_matvec_per_step(seed):
     alpha, beta = normalized_pair(rng)
     coin = make_coin(CoinParams(*random_coin_angles(rng)))
     n = 9
-    step = build_step_unitary(coin, n).matrix
+    step = build_step_unitary(coin, n)
     tables = list(dense_series(alpha, beta, coin, n))
     assert len(tables) == n + 1
     start = np.zeros((2, 2 * n + 1), dtype=complex)

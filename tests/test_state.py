@@ -13,6 +13,7 @@ from coinwalk import (
     CoinParams,
     ProbabilityDistribution,
     WalkerState,
+    build_step_unitary,
     dense_series,
     distribution,
     entanglement_series,
@@ -45,10 +46,34 @@ def test_lattice_geometry():
     assert positions[100] == 0
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5, "4"])
-def test_invalid_half_width_is_rejected(bad):
-    with pytest.raises(ValueError):
-        initial_state(1.0, 0.0, bad)
+def _half_width_users():
+    """Each public caller that takes a window half-width, returning what it builds."""
+    coin = make_coin(named_coin("hadamard"))
+    return [lambda n: initial_state(1.0, 0.0, n).amplitudes, lambda n: build_step_unitary(coin, n)]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (0, "half_width must be positive, got 0"),
+        (-3, "half_width must be a non-negative integer, got -3"),
+        (2.5, "half_width must be a non-negative integer, got 2.5"),
+        ("4", "half_width must be a non-negative integer, got '4'"),
+        (True, "half_width must be a non-negative integer, got True"),
+    ],
+    ids=["0", "-3", "2.5", "4", "True"],
+)
+def test_invalid_half_width_is_rejected(bad, message):
+    # The step-count rule of every engine, with 0 refused as for a walk.
+    for use_half_width in _half_width_users():
+        with pytest.raises(ValueError) as err:
+            use_half_width(bad)
+        assert str(err.value) == message
+
+
+def test_a_numpy_integer_half_width_is_taken_as_an_int():
+    for use_half_width in _half_width_users():
+        assert np.array_equal(use_half_width(np.int64(3)), use_half_width(3))
 
 
 @pytest.mark.parametrize("x, expected", [(0, 3), (-2, 1), (-3, 0), (3, 6), (2, 5)])
