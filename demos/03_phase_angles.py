@@ -80,10 +80,10 @@ def main():
 
     # A small phase diagram: rows sweep phi1, columns sweep phi2.
     grid = np.radians(np.arange(0, 180, 45))
-    diagram = phase_diagram(theta, grid, grid, alpha, beta, steps=50)
+    delta = phase_diagram(theta, grid, grid, alpha, beta, steps=50)
     print("peak_gap over a 4x4 (phi1 x phi2) grid, 50 steps, from two walks:")
-    for i, phi1 in enumerate(np.degrees(diagram.phi1_grid)):
-        row = " ".join(f"{v:.4f}" for v in diagram.delta[i])
+    for phi1, gaps in zip(np.degrees(grid), delta):
+        row = " ".join(f"{v:.4f}" for v in gaps)
         print(f"  phi1={phi1:5.1f}: {row}")
     print("-> columns are identical: phi2 is a spectator.")
 

@@ -55,7 +55,7 @@ def main():
     for t, reference in enumerate(dense_series(alpha, beta, coin, steps)):
         if t > 0:
             state = evolve(state, coin, 1)
-        gap = float(np.abs(state.amplitudes - reference).max())
+        gap = float(np.abs(state - reference).max())
         if gap > worst:
             worst, worst_t = gap, t
     print(f"recurrence vs dense over {steps} steps:")
@@ -63,10 +63,10 @@ def main():
     print()
 
     # The momentum engine has no intermediate times; compare its endpoint.
-    endpoint = momentum_state(alpha, beta, coin, steps).amplitudes
+    endpoint = momentum_state(alpha, beta, coin, steps)
     print(f"momentum space at t = {steps}:")
     print(f"  vs dense:      {np.abs(endpoint - reference).max():.3e}")
-    print(f"  vs recurrence: {np.abs(endpoint - state.amplitudes).max():.3e}")
+    print(f"  vs recurrence: {np.abs(endpoint - state).max():.3e}")
     print()
     print("The command-line `coinwalk verify` subcommand runs this same duel")
     print("and fails loudly if the engines ever drift apart.")

@@ -16,7 +16,6 @@ for the whole (phi1, phi2) grid, and both collect these summaries.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .momentum import momentum_state
 from .state import ProbabilityDistribution, check_coin_state, check_unit_interval, check_walk_steps
 
 __all__ = [
-    "PhaseDiagram",
     "peak_gap",
     "symmetry_deviation",
     "theta_sweep",
@@ -77,44 +75,6 @@ def symmetry_deviation(dist: ProbabilityDistribution) -> float:
     return float(np.max(np.abs(dist.probs - dist.probs[::-1])))
 
 
-@dataclass(frozen=True)
-class PhaseDiagram:
-    """Peak-gap landscape over a (phi1, phi2) grid at fixed theta and time.
-
-    Attributes
-    ----------
-    theta : float
-        Rotation angle (radians) shared by all grid points.
-    time : int
-        Step count shared by all grid points.
-    phi1_grid, phi2_grid : numpy.ndarray
-        The phase grids in radians (rows / columns of ``delta``).
-    delta : numpy.ndarray
-        ``delta[i, j]`` is the peak gap of the walk at
-        ``(theta, phi1_grid[i], phi2_grid[j])``; entries lie in [0, 1], like
-        probabilities up to a 1e-10 absolute tolerance.
-    """
-
-    theta: float
-    time: int
-    phi1_grid: np.ndarray = field(repr=False)
-    phi2_grid: np.ndarray = field(repr=False)
-    delta: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        p1 = np.asarray(self.phi1_grid, dtype=np.float64)
-        p2 = np.asarray(self.phi2_grid, dtype=np.float64)
-        d = np.asarray(self.delta, dtype=np.float64)
-        if d.shape != (p1.size, p2.size):
-            raise ValueError(
-                f"delta has shape {d.shape}, expected {(p1.size, p2.size)}"
-            )
-        check_unit_interval(d, "delta entries")
-        object.__setattr__(self, "phi1_grid", p1)
-        object.__setattr__(self, "phi2_grid", p2)
-        object.__setattr__(self, "delta", d)
-
-
 def theta_sweep(
     thetas: "np.ndarray | list[float]",
     phi1: float,
@@ -143,9 +103,11 @@ def phase_diagram(
     alpha: complex,
     beta: complex,
     steps: int,
-) -> PhaseDiagram:
+) -> np.ndarray:
     """Peak gap of the walk at every point of a (phi1, phi2) grid, from two walks.
 
+    Returns the ``(len(phi1_grid), len(phi2_grid))`` float array ``delta``,
+    entries in [0, 1] like probabilities up to a 1e-10 absolute tolerance.
     ``delta[i, j]`` is ``peak_gap(run_walk(CoinParams(theta, phi1_grid[i],
     phi2_grid[j]), alpha, beta, steps))`` up to rounding, with the angles as
     given.  As ``P(x; theta, phi1, phi2, alpha, beta) = P(x; theta, 0, 0,
@@ -171,11 +133,12 @@ def phase_diagram(
     alpha, beta = check_coin_state(alpha, beta)
     check_walk_steps(steps)
     coin = make_coin(CoinParams(theta, 0.0, 0.0))
-    head = alpha * momentum_state(1.0, 0.0, coin, steps).amplitudes
-    tail = beta * momentum_state(0.0, 1.0, coin, steps).amplitudes
+    head = alpha * momentum_state(1.0, 0.0, coin, steps)
+    tail = beta * momentum_state(0.0, 1.0, coin, steps)
     # |head + e^{i phi1} tail|^2 summed over the coin, expanded: a head or a
     # tail start has cross = 0 exactly, so all its rows are equal bit for bit.
     base = np.sum(np.abs(head) ** 2 + np.abs(tail) ** 2, axis=0)
     cross = 2.0 * np.sum(head.conj() * tail, axis=0)
     gaps = np.array([_gap(base + (cmath.exp(1j * phi1) * cross).real) for phi1 in p1])
-    return PhaseDiagram(float(theta), steps, p1, p2, np.repeat(gaps[:, None], p2.size, axis=1))
+    check_unit_interval(gaps, "delta entries")
+    return np.repeat(gaps[:, None], p2.size, axis=1)

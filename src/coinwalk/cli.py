@@ -345,7 +345,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
     phi2s = _parse_grid(args.phi2_grid, "--phi2-grid")
     _check_footprint(steps, 2 * steps + 3 + phi1s[2] * phi2s[2] + phi1s[2] + phi2s[2])
     phi1_deg, phi2_deg = _grid_values(phi1s), _grid_values(phi2s)
-    diagram = phase_diagram(
+    delta = phase_diagram(
         params.theta, np.radians(phi1_deg), np.radians(phi2_deg), alpha, beta, steps
     )
     payload = {
@@ -353,9 +353,9 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         "steps": steps,
         "phi1_deg": phi1_deg,
         "phi2_deg": phi2_deg,
-        "delta": diagram.delta,
+        "delta": delta,
     }
-    rows = (*np.meshgrid(phi1_deg, phi2_deg, indexing="ij"), diagram.delta)
+    rows = (*np.meshgrid(phi1_deg, phi2_deg, indexing="ij"), delta)
     _emit(args, payload, "phi1_deg,phi2_deg,delta", *(r.ravel() for r in rows))
     return 0
 
@@ -414,7 +414,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for t, (table, reference) in enumerate(zip(walk, references), start=1):
         gaps[t - 1] = compare("recurrence", table, reference, t)
     # The momentum engine has no intermediate times: it joins at t = steps.
-    final = momentum_state(alpha, beta, coin, steps).amplitudes
+    final = momentum_state(alpha, beta, coin, steps)
     gaps[-1] = max(gaps[-1], compare("momentum", final, reference, steps))
     t = np.arange(1, steps + 1)
     payload = {"tolerance": VERIFY_TOL, "ok": worst is None, "t": t, "max_abs_discrepancy": gaps}

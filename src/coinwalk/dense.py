@@ -15,8 +15,8 @@ down-shift ``M`` of the window (``M[i, j] = 1`` iff ``i = (j+1) mod (2N+1)``)
 and tail amplitude left by ``M^T``.  The wraparound entries make the operator
 exactly unitary, and they are never exercised as long as ``steps <= N``.
 ``dense_series`` sizes the window by the walk, ``N = max(steps, 1)``, and
-its tables have the layout of a :class:`coinwalk.state.WalkerState`: the
-same window and columns as :func:`coinwalk.momentum.momentum_state`, so the
+its tables are the amplitude tables of :mod:`coinwalk.state`: the same
+window and columns as :func:`coinwalk.momentum.momentum_state`, so the
 engines compare table for table, and the cyclic window agrees exactly with
 the infinite line.
 

@@ -1,11 +1,11 @@
 """Coin-position entanglement diagnostics.
 
-The amplitude table of a walker state is a ``2 x n`` matrix, so its Schmidt
-decomposition across the coin/position split has at most two terms.  The
-squared singular values (the Schmidt weights) are the eigenvalues of the
-``2 x 2`` Gram matrix ``A A^dagger``, filled from three inner products of the
-two rows; no general factorization of the full ``2 x n`` table is needed, so
-the cost is O(n).
+The ``(2, 2N + 1)`` amplitude table of a walker state is a ``2 x n``
+matrix, so its Schmidt decomposition across the coin/position split has at
+most two terms.  The squared singular values (the Schmidt weights) are the
+eigenvalues of the ``2 x 2`` Gram matrix ``A A^dagger``, filled from three
+inner products of the two rows; no general factorization of the full
+``2 x n`` table is needed, so the cost is O(n).
 
 For a normalized state the Schmidt weights sum to 1; their Shannon entropy
 in bits is the entanglement entropy, ranging from 0 (product state) to 1
@@ -29,7 +29,7 @@ import numpy as np
 
 from .evolution import iter_steps
 from .momentum import _origin_grams
-from .state import WalkerState
+from .state import check_amplitudes
 
 __all__ = [
     "SchmidtSpectrum",
@@ -57,9 +57,15 @@ def _gram(rows: np.ndarray) -> np.ndarray:
 
 
 def _check_spectra(values: np.ndarray, ranks: np.ndarray) -> None:
-    """ValueError unless each row of values is non-negative and descending and fits its rank."""
-    if np.any(values < 0.0) or np.any(np.diff(values, axis=-1) > 0.0):
-        raise ValueError("singular values must be non-negative and descending")
+    """ValueError unless each row of values is finite, non-negative, descending and fits its rank.
+
+    NaN fails both order comparisons, so finiteness is tested by name: a
+    finite table of amplitudes near 1e200 overflows its Gram matrix and
+    leaves NaN values.
+    """
+    finite = np.all(np.isfinite(values))
+    if not finite or np.any(values < 0.0) or np.any(np.diff(values, axis=-1) > 0.0):
+        raise ValueError("singular values must be finite, non-negative and descending")
     bad = (ranks < 0) | (ranks > values.shape[-1])
     if np.any(bad):
         raise ValueError(f"rank {ranks[bad][0]} inconsistent with {values.shape[-1]} values")
@@ -68,27 +74,22 @@ def _check_spectra(values: np.ndarray, ranks: np.ndarray) -> None:
 def _spectra(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular values, ranks and entropies (bits) of a stack of ``(2, 2)`` Gram matrices.
 
-    The one home of the rank cutoff (weights above ``_RANK_TOL`` times the
-    largest; rank 0 for the zero state) and of the rule that rank <= 1 has
-    entropy exactly 0: rounding leaves a product state's single weight a few
-    ulps off 1, which would otherwise read as an entropy of about 1e-16.
+    The values pass :func:`_check_spectra`.  The one home of the rank cutoff
+    (weights above ``_RANK_TOL`` times the largest; rank 0 for the zero
+    state) and of the rule that rank <= 1 has entropy exactly 0: rounding
+    leaves a product state's single weight a few ulps off 1, which would
+    otherwise read as an entropy of about 1e-16.
     """
     # eigvalsh is ascending and can return tiny negatives for a PSD matrix.
     weights = np.clip(np.linalg.eigvalsh(grams)[..., ::-1], 0.0, None)
     values = np.sqrt(weights)
     top = weights[..., :1]
     ranks = np.where(top[..., 0] > 0.0, np.count_nonzero(weights > _RANK_TOL * top, axis=-1), 0)
+    _check_spectra(values, ranks)
     squares = values**2
     logs = np.log2(squares, out=np.zeros_like(squares), where=squares > 0.0)
     entropies = np.where(ranks >= 2, -np.sum(squares * logs, axis=-1), 0.0)
     return values, ranks, entropies
-
-
-def _series(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks and entropies of a stack of Gram matrices."""
-    values, ranks, entropies = _spectra(grams)
-    _check_spectra(values, ranks)
-    return ranks, entropies
 
 
 @dataclass(frozen=True)
@@ -116,43 +117,54 @@ class SchmidtSpectrum:
         object.__setattr__(self, "values", v)
 
 
-def schmidt_spectrum(state: WalkerState) -> SchmidtSpectrum:
-    """Schmidt singular values of the state across the coin/position split.
+def schmidt_spectrum(amplitudes: np.ndarray) -> SchmidtSpectrum:
+    """Schmidt singular values of an amplitude table across the coin/position split.
 
-    Any walker state is accepted; normalization is not required (the squared
-    values then sum to the state's total probability instead of 1).  The
-    rank counts the weights (squared singular values) above 1e-10 times the
-    largest, ``_RANK_TOL``; the zero state has rank 0.
+    Any finite ``(2, 2N + 1)`` table is accepted; normalization is not
+    required (the squared values then sum to the table's total probability
+    instead of 1).  The rank counts the weights (squared singular values)
+    above 1e-10 times the largest, ``_RANK_TOL``; the zero state has rank 0.
 
     Returns
     -------
     SchmidtSpectrum
         Both singular values (descending) and the effective rank.
+
+    Raises
+    ------
+    ValueError
+        If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, or its Gram
+        matrix overflows (entries near the square root of the float maximum).
     """
-    values, ranks, _ = _spectra(_gram(state.amplitudes))
+    values, ranks, _ = _spectra(_gram(check_amplitudes(amplitudes)))
     return SchmidtSpectrum(values, int(ranks))
 
 
-def entanglement_entropy(state: WalkerState) -> float:
+def entanglement_entropy(amplitudes: np.ndarray) -> float:
     """Entropy (in bits) of the Schmidt weights: ``-sum sigma^2 log2 sigma^2``.
 
     A state of Schmidt rank at most 1 (a product state, or the zero state)
     has entropy exactly 0: rounding leaves its single weight a few ulps off 1,
     which would otherwise read as an entropy of about 1e-16.  For a
-    normalized state the result lies in [0, 1]; it is invariant under a
-    global phase of the state.
+    normalized table the result lies in [0, 1]; it is invariant under a
+    global phase of the table.
+
+    Raises
+    ------
+    ValueError
+        As :func:`schmidt_spectrum`.
     """
-    _, _, entropy = _spectra(_gram(state.amplitudes))
+    _, _, entropy = _spectra(_gram(check_amplitudes(amplitudes)))
     return float(entropy)
 
 
 def entanglement_series(
-    state: WalkerState, coin: np.ndarray, steps: int
+    amplitudes: np.ndarray, coin: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Schmidt ranks and entropies (bits) of the walk from ``state``, at t = 0..steps.
+    """Schmidt ranks and entropies (bits) of the walk from a table, at t = 0..steps.
 
-    Element ``t`` of each array equals ``schmidt_spectrum(s).rank`` and
-    ``entanglement_entropy(s)`` of the state ``s`` after ``t`` steps, up to
+    Element ``t`` of each array equals ``schmidt_spectrum(a).rank`` and
+    ``entanglement_entropy(a)`` of the table ``a`` after ``t`` steps, up to
     rounding in the entropy.  The walk runs once through
     :func:`~coinwalk.evolution.iter_steps`; each table adds one ``(2, 2)``
     Gram matrix, and one batched eigenvalue call solves them all at the end.
@@ -168,10 +180,12 @@ def entanglement_series(
     Raises
     ------
     ValueError, LatticeExhaustedError
-        As :func:`~coinwalk.evolution.iter_steps`.
+        As :func:`~coinwalk.evolution.iter_steps`; ValueError also as
+        :func:`schmidt_spectrum` when a Gram matrix overflows.
     """
-    walk = iter_steps(state, coin, steps)  # checks the request before the first Gram matrix
-    return _series(np.array([_gram(state.amplitudes), *map(_gram, walk)]))
+    amp = check_amplitudes(amplitudes)
+    walk = iter_steps(amp, coin, steps)  # checks the request before the first Gram matrix
+    return _spectra(np.array([_gram(amp), *map(_gram, walk)]))[1:]
 
 
 def origin_entanglement_series(
@@ -189,4 +203,4 @@ def origin_entanglement_series(
     ValueError
         As :func:`coinwalk.momentum.momentum_state`, before any array is built.
     """
-    return _series(_origin_grams(alpha, beta, coin, steps))
+    return _spectra(_origin_grams(alpha, beta, coin, steps))[1:]

@@ -24,17 +24,17 @@ import numpy as np
 
 from .coin import CoinParams, check_coin_matrix, make_coin
 from .momentum import momentum_state
-from .state import LatticeExhaustedError, ProbabilityDistribution, WalkerState
-from .state import check_steps, check_walk_steps, distribution
+from .state import LatticeExhaustedError, ProbabilityDistribution
+from .state import check_amplitudes, check_steps, check_walk_steps, distribution
 
 __all__ = ["iter_steps", "evolve", "run_walk"]
 
 
-def iter_steps(state: WalkerState, coin: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """Walk ``steps`` steps from ``state``, yielding the amplitude table after each one.
+def iter_steps(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """Walk ``steps`` steps from the table ``amplitudes``, yielding the table after each one.
 
     Each table is a new array, so it stays valid after the next step.  The
-    input state is not modified, and the tables match a loop of one-step
+    input table is not modified, and the tables match a loop of one-step
     walks bit for bit.
 
     The request is checked when this is called, before the first step.  The
@@ -45,14 +45,15 @@ def iter_steps(state: WalkerState, coin: np.ndarray, steps: int) -> Iterator[np.
     Raises
     ------
     ValueError
-        If ``steps`` is not a non-negative integer or the coin is not a
-        (2, 2) matrix.
+        If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, ``steps`` is
+        not a non-negative integer or the coin is not a (2, 2) matrix.
     LatticeExhaustedError
         If the walk could leave the window.
     """
+    amp = check_amplitudes(amplitudes)
     steps = check_steps(steps)
-    n = state.half_width
-    occupied = np.flatnonzero(np.any(state.amplitudes != 0, axis=0)) - n  # positions x
+    n = amp.shape[1] // 2
+    occupied = np.flatnonzero(np.any(amp != 0, axis=0)) - n  # positions x
     if steps and occupied.size and max(-occupied[0], occupied[-1]) + steps > n:
         first, last = occupied[0], occupied[-1]
         raise LatticeExhaustedError(
@@ -60,7 +61,7 @@ def iter_steps(state: WalkerState, coin: np.ndarray, steps: int) -> Iterator[np.
             f"{last + steps} within steps={steps}, past the sites x = {-n} .. {n} of the window "
             f"with half_width={n}; rebuild the walk on a window with a larger half_width"
         )
-    return _steps(state.amplitudes, check_coin_matrix(coin), steps)
+    return _steps(amp, check_coin_matrix(coin), steps)
 
 
 def _steps(table: np.ndarray, c: np.ndarray, steps: int) -> Iterator[np.ndarray]:
@@ -75,25 +76,21 @@ def _steps(table: np.ndarray, c: np.ndarray, steps: int) -> Iterator[np.ndarray]
         yield table
 
 
-def evolve(state: WalkerState, coin: np.ndarray, steps: int) -> WalkerState:
-    """Apply ``steps`` walk steps; ``steps=0`` returns the state unchanged.
+def evolve(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> np.ndarray:
+    """The table after ``steps`` walk steps; ``steps=0`` returns the checked input.
 
     The last table of :func:`iter_steps`, so ``steps`` one-step calls give
-    the same state bit for bit.
+    the same table bit for bit.
 
     Raises
     ------
-    ValueError
-        If ``steps`` is not a non-negative integer.
-    LatticeExhaustedError
-        If the walk could leave the window.
+    ValueError, LatticeExhaustedError
+        As :func:`iter_steps`.
     """
-    table = None
-    for table in iter_steps(state, coin, steps):
+    table = check_amplitudes(amplitudes)
+    for table in iter_steps(table, coin, steps):
         pass
-    if table is None:
-        return state
-    return WalkerState(table, state.time + steps)
+    return table
 
 
 def run_walk(

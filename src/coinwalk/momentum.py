@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .coin import check_unitary
-from .state import WalkerState, check_coin_state, check_steps
+from .state import check_coin_state, check_steps
 
 __all__ = ["momentum_state"]
 
@@ -121,7 +121,7 @@ def _closed_form(
     return half_delta, u, spec, sin_w, omega
 
 
-def momentum_state(alpha: complex, beta: complex, coin: np.ndarray, steps: int) -> WalkerState:
+def momentum_state(alpha: complex, beta: complex, coin: np.ndarray, steps: int) -> np.ndarray:
     """The walker after ``steps`` steps from the origin with coin state ``alpha |H> + beta |T>``.
 
     Computed in momentum space (see the module docstring), so it costs
@@ -140,10 +140,10 @@ def momentum_state(alpha: complex, beta: complex, coin: np.ndarray, steps: int) 
 
     Returns
     -------
-    WalkerState
-        The state at ``time = steps`` on the window of half-width
-        ``N = max(steps, 1)``, the window of a walk of that length.  Sites
-        of the wrong parity hold exact zeros.
+    numpy.ndarray
+        The complex ``(2, 2N + 1)`` amplitude table after ``steps`` steps on
+        the window of half-width ``N = max(steps, 1)``, the window of a walk
+        of that length.  Sites of the wrong parity hold exact zeros.
 
     Raises
     ------
@@ -184,7 +184,7 @@ def momentum_state(alpha: complex, beta: complex, coin: np.ndarray, steps: int) 
     cols = amp[:, start : start + 2 * steps + 1 : 2]
     cols[:, :k] = spec[:, m - k :]
     cols[:, k:] = spec[:, : steps - k + 1]
-    return WalkerState(amp, steps)
+    return amp
 
 
 def _trig_sums(freq: np.ndarray, coef: np.ndarray, steps: int) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Walker states on the finite window of a one-dimensional lattice.
 
 A walk that runs for at most ``N`` steps from the origin can only reach
-positions ``x`` with ``|x| <= N``.  A state therefore stores the window
-``x = -N .. N`` as the ``2N + 1`` columns of a ``(2, 2N + 1)`` complex
-amplitude array.  Row 0 holds the head (|H>, historically "alpha")
+positions ``x`` with ``|x| <= N``.  A state is therefore a plain
+``(2, 2N + 1)`` complex amplitude array, the table, over the window
+``x = -N .. N``.  Row 0 holds the head (|H>, historically "alpha")
 amplitudes and row 1 the tail (|T>, "beta") amplitudes.  Position ``x``
 lives at zero-based column ``x + N``; the origin sits at column ``N``.
+Every engine takes and returns this array; :func:`check_amplitudes` is its
+one validator.
 
 The recurrence refuses a walk whose occupied sites could leave the window,
 so the finite window is an exact representation of the infinite line for
@@ -22,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "LatticeExhaustedError",
-    "WalkerState",
     "ProbabilityDistribution",
     "UNBIASED_INIT",
     "initial_state",
@@ -89,36 +90,20 @@ def check_unit_interval(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class WalkerState:
-    """Full coin-position amplitude table of the walker at a fixed time.
+def check_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
+    """Return ``amplitudes`` as a complex128 array; ValueError unless it is a finite table.
 
-    Attributes
-    ----------
-    amplitudes : numpy.ndarray
-        Complex array of shape ``(2, 2N + 1)`` with ``N >= 1``: the window
-        ``x = -N .. N``, position ``x`` at column ``x + N``.  Row 0 is the
-        head component, row 1 the tail component.
-    time : int
-        Number of steps taken since the initial state (non-negative).
+    A table has shape ``(2, 2N + 1)`` with ``N >= 1`` (see the module
+    docstring).  The one rule for an amplitude table, in every engine.
     """
-
-    amplitudes: np.ndarray
-    time: int = 0
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.ndim != 2 or amp.shape[0] != 2 or amp.shape[1] < 3 or amp.shape[1] % 2 == 0:
-            raise ValueError(
-                f"amplitude array has shape {amp.shape}, expected (2, 2N + 1) with N >= 1"
-            )
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "time", check_steps(self.time, "time"))
-
-    @property
-    def half_width(self) -> int:
-        """The ``N`` of the window ``x = -N .. N``."""
-        return self.amplitudes.shape[1] // 2
+    amp = np.asarray(amplitudes, dtype=np.complex128)
+    if amp.ndim != 2 or amp.shape[0] != 2 or amp.shape[1] < 3 or amp.shape[1] % 2 == 0:
+        raise ValueError(
+            f"amplitude array has shape {amp.shape}, expected (2, 2N + 1) with N >= 1"
+        )
+    if not np.all(np.isfinite(amp)):
+        raise ValueError("amplitudes must be finite (no NaN or infinity)")
+    return amp
 
 
 @dataclass(frozen=True)
@@ -132,13 +117,10 @@ class ProbabilityDistribution:
     probs : numpy.ndarray
         Probability at each position; entries in [0, 1] and summing to 1
         (both up to a 1e-10 absolute tolerance).
-    time : int
-        The step count the distribution was measured at (non-negative).
     """
 
     positions: np.ndarray = field(repr=False)
     probs: np.ndarray = field(repr=False)
-    time: int = 0
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=np.int64)
@@ -156,7 +138,6 @@ class ProbabilityDistribution:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "time", check_steps(self.time, "time"))
 
     def probability(self, x: int) -> float:
         """Probability at position ``x`` (0.0 for positions outside the window)."""
@@ -164,8 +145,8 @@ class ProbabilityDistribution:
         return float(self.probs[hits[0]]) if hits.size else 0.0
 
 
-def initial_state(alpha: complex, beta: complex, half_width: int) -> WalkerState:
-    """Place the walker at the origin with coin state ``alpha |H> + beta |T>``.
+def initial_state(alpha: complex, beta: complex, half_width: int) -> np.ndarray:
+    """The table of the walker at the origin with coin state ``alpha |H> + beta |T>``.
 
     Parameters
     ----------
@@ -188,11 +169,18 @@ def initial_state(alpha: complex, beta: complex, half_width: int) -> WalkerState
     amp = np.zeros((2, 2 * n + 1), dtype=np.complex128)
     amp[0, n] = alpha
     amp[1, n] = beta
-    return WalkerState(amp)
+    return amp
 
 
-def distribution(state: WalkerState) -> ProbabilityDistribution:
-    """Measure the walker: the position distribution over the window, positions ``-N .. N``."""
-    n = state.half_width
-    probs = np.sum(np.abs(state.amplitudes) ** 2, axis=0)
-    return ProbabilityDistribution(np.arange(-n, n + 1), probs, time=state.time)
+def distribution(amplitudes: np.ndarray) -> ProbabilityDistribution:
+    """Measure the walker: the position distribution over the window, positions ``-N .. N``.
+
+    Raises
+    ------
+    ValueError
+        If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, or its
+        probabilities do not sum to 1.
+    """
+    amp = check_amplitudes(amplitudes)
+    n = amp.shape[1] // 2
+    return ProbabilityDistribution(np.arange(-n, n + 1), np.sum(np.abs(amp) ** 2, axis=0))

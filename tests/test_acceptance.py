@@ -82,14 +82,14 @@ def test_c02_golden_amplitudes_one_and_two_steps():
         expected_one = np.zeros((2, 7), dtype=complex)
         expected_one[0, at + 1] = c
         expected_one[1, at - 1] = np.exp(1j * phi2) * s
-        worst = max(worst, float(np.max(np.abs(one.amplitudes - expected_one))))
+        worst = max(worst, float(np.max(np.abs(one - expected_one))))
         two = evolve(one, coin, 1)
         expected_two = np.zeros((2, 7), dtype=complex)
         expected_two[0, at + 2] = c * c
         expected_two[0, at] = np.exp(1j * (phi1 + phi2)) * s * s
         expected_two[1, at] = np.exp(1j * phi2) * s * c
         expected_two[1, at - 2] = -np.exp(1j * (phi1 + 2 * phi2)) * s * c
-        worst = max(worst, float(np.max(np.abs(two.amplitudes - expected_two))))
+        worst = max(worst, float(np.max(np.abs(two - expected_two))))
     _report("golden-amplitudes-20-triples", worst <= 1e-14, f"max |diff| = {worst:.3e}")
 
 
@@ -347,11 +347,11 @@ def test_c11b_phase_diagram_floor():
     # Two walks for the whole grid; one walk per point took about 17 s on a 2-core x86-64 host.
     grid = np.radians(np.arange(181.0))
     started = time.perf_counter()
-    diagram = phase_diagram(math.pi / 4.0, grid, grid, *UNBIASED_INIT, steps=1000)
+    delta = phase_diagram(math.pi / 4.0, grid, grid, *UNBIASED_INIT, steps=1000)
     elapsed = time.perf_counter() - started
     _report(
         "phase-diagram-floor",
-        elapsed < 1.0 and diagram.delta.shape == (181, 181),
+        elapsed < 1.0 and delta.shape == (181, 181),
         f"181x181 (phi1, phi2) diagram at t=1000: {elapsed:.3f} s",
     )
 

@@ -459,7 +459,7 @@ def test_verify_compares_the_momentum_engine_at_the_last_step(capsys, monkeypatc
 
     def drifting(*args):
         state = honest(*args)
-        state.amplitudes[0, 0] += 1e-9  # the leftmost site of the light cone
+        state[0, 0] += 1e-9  # the leftmost site of the light cone
         return state
 
     monkeypatch.setattr(cli, "momentum_state", drifting)
@@ -551,7 +551,7 @@ def _sweep_reference(start, step, count, phi1, steps):
 def _phase_reference(phi1s, phi2s, steps):
     params = named_coin("hadamard")
     delta = phase_diagram(params.theta, np.radians(phi1s), np.radians(phi2s),
-                          *UNBIASED_INIT, steps).delta.tolist()
+                          *UNBIASED_INIT, steps).tolist()
     payload = {"theta_deg": math.degrees(params.theta), "steps": steps,
                "phi1_deg": phi1s, "phi2_deg": phi2s, "delta": delta}
     rows = [(p1, p2, delta[i][j]) for i, p1 in enumerate(phi1s) for j, p2 in enumerate(phi2s)]
@@ -577,7 +577,7 @@ def _verify_reference(theta, phi1, steps):
     gaps = []
     for table, reference in zip(iter_steps(state, coin, steps), references):
         gaps.append(float(np.max(np.abs(table - reference))))
-    final = momentum_state(*UNBIASED_INIT, coin, steps).amplitudes
+    final = momentum_state(*UNBIASED_INIT, coin, steps)
     gaps[-1] = max(gaps[-1], float(np.max(np.abs(final - reference))))
     t = list(range(1, steps + 1))
     payload = {"tolerance": cli.VERIFY_TOL, "ok": max(gaps) <= cli.VERIFY_TOL, "t": t,

@@ -233,7 +233,7 @@ def test_engines_agree_amplitude_by_amplitude(seed):
     for t in range(1, n + 1):
         state = evolve(state, coin, 1)
         reference = _dense_final(alpha, beta, coin, t)
-        window = state.amplitudes[:, n - t : n + t + 1]
+        window = state[:, n - t : n + t + 1]
         assert np.max(np.abs(window - reference)) <= 1e-12
 
 

@@ -11,7 +11,6 @@ from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     SchmidtSpectrum,
-    WalkerState,
     entanglement_entropy,
     entanglement_series,
     evolve,
@@ -22,7 +21,7 @@ from coinwalk import (
     origin_entanglement_series,
     schmidt_spectrum,
 )
-from coinwalk.entanglement import _gram, _series
+from coinwalk.entanglement import _gram, _spectra
 from coinwalk.momentum import _origin_grams
 
 from conftest import angles, normalized_pair, random_coin_angles
@@ -35,7 +34,7 @@ def _state_from_rows(row_h, row_t, half_width):
     amp = np.zeros((2, 2 * half_width + 1), dtype=complex)
     amp[0, : len(row_h)] = row_h
     amp[1, : len(row_t)] = row_t
-    return WalkerState(amp)
+    return amp
 
 
 # ------------------------------------------------------------
@@ -56,7 +55,7 @@ def test_initial_states_are_separable(alpha, beta):
 
 
 def test_zero_state_has_rank_zero():
-    state = WalkerState(np.zeros((2, 7), dtype=complex))
+    state = np.zeros((2, 7), dtype=complex)
     spectrum = schmidt_spectrum(state)
     assert spectrum.rank == 0
     assert np.array_equal(spectrum.values, np.zeros(2))
@@ -122,6 +121,26 @@ def test_spectrum_validation():
         SchmidtSpectrum(np.array([0.9, 0.3, 0.1]), rank=3)
     with pytest.raises(ValueError, match="rank"):
         SchmidtSpectrum(np.array([1.0, 0.0]), rank=3)
+    # NaN fails both order comparisons; it and infinity are refused by name.
+    for values, rank in (([math.nan, 0.5], 1), ([math.inf, 0.5], 2)):
+        with pytest.raises(ValueError, match="finite"):
+            SchmidtSpectrum(np.array(values), rank=rank)
+
+
+def test_a_table_whose_gram_matrix_overflows_is_refused():
+    # Finite amplitudes of 1e200 square past the float maximum: the Gram
+    # matrix holds inf and its eigenvalues NaN, which would read as rank 0
+    # and entropy 0.
+    table = initial_state(*UNBIASED_INIT, 3) * 1e200
+    hadamard = make_coin(named_coin("hadamard"))
+    for measure in (
+        schmidt_spectrum,
+        entanglement_entropy,
+        lambda amp: entanglement_series(amp, hadamard, 2),
+    ):
+        with pytest.raises(ValueError) as err:
+            measure(table)
+        assert str(err.value) == "singular values must be finite, non-negative and descending"
 
 
 # ------------------------------------------------------------
@@ -166,7 +185,7 @@ def test_squared_values_sum_to_the_total_probability(seed, steps):
     state = initial_state(alpha, beta, 15)
     state = evolve(state, make_coin(CoinParams(*random_coin_angles(rng))), steps)
     spectrum = schmidt_spectrum(state)
-    total_probability = np.sum(np.abs(state.amplitudes) ** 2)
+    total_probability = np.sum(np.abs(state) ** 2)
     assert np.sum(spectrum.values**2) == pytest.approx(total_probability, abs=1e-10)
     assert spectrum.values[0] >= spectrum.values[1] >= 0.0
 
@@ -178,7 +197,7 @@ def test_entropy_ignores_a_global_phase(seed, steps, chi):
     alpha, beta = normalized_pair(rng)
     state = initial_state(alpha, beta, 15)
     state = evolve(state, make_coin(CoinParams(*random_coin_angles(rng))), steps)
-    rotated = WalkerState(state.amplitudes * np.exp(1j * chi), state.time)
+    rotated = state * np.exp(1j * chi)
     entropy = entanglement_entropy(state)
     assert 0.0 <= entropy <= 1.0 + 1e-12
     assert abs(entropy - entanglement_entropy(rotated)) <= 1e-12
@@ -234,9 +253,9 @@ def test_origin_grams_match_parseval_at_100000_steps(params):
     steps = 100_000
     grams = _origin_grams(0.6, 0.8j, coin, steps)
     for t in (0, 1, 2, 3, steps // 2, steps - 1, steps):
-        direct = _gram(momentum_state(0.6, 0.8j, coin, t).amplitudes)
+        direct = _gram(momentum_state(0.6, 0.8j, coin, t))
         assert np.max(np.abs(grams[t] - direct)) <= 1e-12
-    ranks, entropies = _series(grams[:1])
+    _, ranks, entropies = _spectra(grams[:1])
     assert ranks[0] == 1 and entropies[0] == 0.0
 
 

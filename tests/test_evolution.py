@@ -11,7 +11,6 @@ from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     LatticeExhaustedError,
-    WalkerState,
     evolve,
     initial_state,
     iter_steps,
@@ -26,7 +25,7 @@ TRIPLES = [(0.3, 0.7, 1.1), (1.2, 0.0, 2.6), (4.4, 2.9, 0.5)]
 
 
 def _amp(state, row, x):
-    return state.amplitudes[row, state.half_width + x]
+    return state[row, state.shape[1] // 2 + x]
 
 
 # ------------------------------------------------------------
@@ -41,11 +40,10 @@ def test_one_step_from_head(theta, phi1, phi2):
     c, s = math.cos(p.theta), math.sin(p.theta)
     assert abs(_amp(state, 0, 1) - c) <= 1e-15
     assert abs(_amp(state, 1, -1) - np.exp(1j * p.phi2) * s) <= 1e-15
-    assert state.time == 1
     # nothing anywhere else: every other entry is an exact zero
-    rest = state.amplitudes.copy()
-    rest[0, state.half_width + 1] = 0.0
-    rest[1, state.half_width - 1] = 0.0
+    rest = state.copy()
+    rest[0, 3 + 1] = 0.0
+    rest[1, 3 - 1] = 0.0
     assert np.all(rest == 0.0)
 
 
@@ -69,7 +67,6 @@ def test_two_steps_from_head(theta, phi1, phi2):
     assert abs(_amp(state, 0, 0) - np.exp(1j * (p.phi1 + p.phi2)) * s * s) <= 1e-14
     assert abs(_amp(state, 1, 0) - np.exp(1j * p.phi2) * s * c) <= 1e-14
     assert abs(_amp(state, 1, -2) + np.exp(1j * (p.phi1 + 2 * p.phi2)) * s * c) <= 1e-14
-    assert state.time == 2
 
 
 # ------------------------------------------------------------
@@ -99,7 +96,7 @@ def test_identity_rotation_is_ballistic(steps):
     state = evolve(initial_state(alpha, beta, 5), make_coin(CoinParams(0.0, 0.0, 0.0)), steps)
     assert _amp(state, 0, steps) == alpha
     assert _amp(state, 1, -steps) == (-1) ** steps * beta
-    assert abs(np.abs(state.amplitudes).sum() - abs(alpha) - abs(beta)) <= 1e-15
+    assert abs(np.abs(state).sum() - abs(alpha) - abs(beta)) <= 1e-15
 
 
 # ------------------------------------------------------------
@@ -121,10 +118,9 @@ def test_negative_steps_are_rejected():
 
 def test_step_does_not_mutate_its_input():
     state = initial_state(*UNBIASED_INIT, 3)
-    before = state.amplitudes.copy()
+    before = state.copy()
     evolve(state, make_coin(named_coin("hadamard")), 1)
-    assert np.array_equal(state.amplitudes, before)
-    assert state.time == 0
+    assert np.array_equal(state, before)
 
 
 def test_walk_past_the_window_is_refused():
@@ -153,17 +149,16 @@ def test_a_walk_from_the_window_edge_is_refused():
     for row, x in ((0, 4), (1, -4), (1, 4), (0, -4)):
         amp = np.zeros((2, 9), dtype=complex)
         amp[row, 4 + x] = 1.0
-        state = WalkerState(amp)
         with pytest.raises(LatticeExhaustedError, match="larger half_width"):
-            evolve(state, coin, 1)
+            evolve(amp, coin, 1)
     # One site further in, one step fits and keeps the norm.
     amp = np.zeros((2, 9), dtype=complex)
     amp[:, 4 + 3] = UNBIASED_INIT
-    one_step = evolve(WalkerState(amp), coin, 1)
-    assert abs(np.sum(np.abs(one_step.amplitudes) ** 2) - 1.0) <= 1e-15
-    assert abs(one_step.amplitudes[0, -1]) > 0.0  # the head part reached x = N
+    one_step = evolve(amp, coin, 1)
+    assert abs(np.sum(np.abs(one_step) ** 2) - 1.0) <= 1e-15
+    assert abs(one_step[0, -1]) > 0.0  # the head part reached x = N
     with pytest.raises(LatticeExhaustedError):
-        evolve(WalkerState(amp), coin, 2)
+        evolve(amp, coin, 2)
 
 
 # ------------------------------------------------------------
@@ -178,11 +173,8 @@ def _assert_same_walk(state, coin, steps):
     expected = state
     for table in tables:
         expected = evolve(expected, coin, 1)
-        assert np.array_equal(table, expected.amplitudes)
-    assert expected.time == state.time + steps
-    evolved = evolve(state, coin, steps)
-    assert evolved.time == expected.time
-    assert np.array_equal(evolved.amplitudes, expected.amplitudes)
+        assert np.array_equal(table, expected)
+    assert np.array_equal(evolve(state, coin, steps), expected)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -199,14 +191,13 @@ def test_evolve_equals_stepping_from_an_off_origin_start(seed):
     rng = np.random.default_rng(4000 + seed)
     coin = make_coin(CoinParams(*random_coin_angles(rng)))
     alpha, beta = normalized_pair(rng)
-    amp = np.zeros((2, 51), dtype=complex)
-    amp[:, 25 - 9] = alpha, beta
-    state = WalkerState(amp)
+    state = np.zeros((2, 51), dtype=complex)
+    state[:, 25 - 9] = alpha, beta
     # From x = -9, 20 steps could reach x = -29, past the window's x = -25.
     with pytest.raises(LatticeExhaustedError, match="larger half_width"):
         iter_steps(state, coin, 20)
     _assert_same_walk(state, coin, 16)
-    assert abs(np.sum(np.abs(evolve(state, coin, 16).amplitudes) ** 2) - 1.0) <= 1e-10
+    assert abs(np.sum(np.abs(evolve(state, coin, 16)) ** 2) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -218,8 +209,7 @@ def test_evolve_refuses_amplitude_on_the_window_edges(seed):
     amp = rng.normal(size=(2, 17)) + 1j * rng.normal(size=(2, 17))
     edges_only = np.zeros_like(amp)
     edges_only[:, [0, -1]] = amp[:, [0, -1]]
-    for table in (amp, edges_only):
-        state = WalkerState(table)
+    for state in (amp, edges_only):
         for steps in (1, 2, 3, 8):
             with pytest.raises(LatticeExhaustedError, match="larger half_width"):
                 evolve(state, coin, steps)
@@ -236,7 +226,7 @@ def test_evolve_equals_stepping_on_a_long_walk_with_tiny_tails():
 
 
 def test_evolve_keeps_the_zero_state_zero():
-    zero = WalkerState(np.zeros((2, 9), dtype=complex), time=1)
+    zero = np.zeros((2, 9), dtype=complex)
     _assert_same_walk(zero, make_coin(named_coin("hadamard")), 3)
 
 
@@ -244,8 +234,8 @@ def test_evolve_keeps_the_zero_state_zero():
 def test_the_evolved_state_keeps_only_its_own_table_alive(steps):
     # The result owns its table: it is not a view of a larger array.
     state = evolve(initial_state(*UNBIASED_INIT, 10), make_coin(named_coin("hadamard")), steps)
-    assert state.amplitudes.base is None
-    assert state.amplitudes.nbytes == 2 * 21 * 16
+    assert state.base is None
+    assert state.nbytes == 2 * 21 * 16
 
 
 # ------------------------------------------------------------
@@ -259,7 +249,6 @@ def test_two_step_hadamard_distribution_from_head():
     assert dist.probability(-2) == pytest.approx(0.25, abs=1e-15)
     assert dist.probability(0) == pytest.approx(0.5, abs=1e-15)
     assert dist.probability(2) == pytest.approx(0.25, abs=1e-15)
-    assert dist.time == 2
 
 
 def test_run_walk_requires_positive_steps():

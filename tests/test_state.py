@@ -12,10 +12,10 @@ from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     ProbabilityDistribution,
-    WalkerState,
     build_step_unitary,
     dense_series,
     distribution,
+    entanglement_entropy,
     entanglement_series,
     evolve,
     initial_state,
@@ -25,6 +25,7 @@ from coinwalk import (
     named_coin,
     origin_entanglement_series,
     run_walk,
+    schmidt_spectrum,
 )
 
 from conftest import normalized_pair
@@ -37,9 +38,9 @@ from conftest import normalized_pair
 
 def test_lattice_geometry():
     state = initial_state(1.0, 0.0, 100)
-    assert state.amplitudes.shape == (2, 201)
-    assert state.half_width == 100
-    assert state.amplitudes[0, 100] == 1.0  # the origin at column N
+    assert state.shape == (2, 201)
+    assert state.dtype == np.complex128
+    assert state[0, 100] == 1.0  # the origin at column N
     positions = distribution(state).positions
     assert positions[0] == -100
     assert positions[-1] == 100
@@ -49,7 +50,7 @@ def test_lattice_geometry():
 def _half_width_users():
     """Each public caller that takes a window half-width, returning what it builds."""
     coin = make_coin(named_coin("hadamard"))
-    return [lambda n: initial_state(1.0, 0.0, n).amplitudes, lambda n: build_step_unitary(coin, n)]
+    return [lambda n: initial_state(1.0, 0.0, n), lambda n: build_step_unitary(coin, n)]
 
 
 @pytest.mark.parametrize(
@@ -80,7 +81,7 @@ def test_a_numpy_integer_half_width_is_taken_as_an_int():
 def test_position_index_examples(x, expected):
     amp = np.zeros((2, 7), dtype=complex)
     amp[0, expected] = 1.0
-    dist = distribution(WalkerState(amp))
+    dist = distribution(amp)
     assert dist.positions[expected] == x
     assert dist.probability(x) == 1.0
 
@@ -89,7 +90,7 @@ def test_indices_cover_the_window_in_order():
     state = initial_state(1.0, 0.0, 7)
     positions = distribution(state).positions
     assert positions.tolist() == list(range(-7, 8))
-    assert [state.half_width + x for x in positions] == list(range(state.amplitudes.shape[1]))
+    assert [7 + x for x in positions] == list(range(state.shape[1]))
 
 
 # ------------------------------------------------------------
@@ -101,16 +102,15 @@ def test_head_start_matches_the_column_layout():
     # For half_width 2 the head-start amplitude table is (0 0 1 0 0) on the
     # head row and zeros on the tail row.
     state = initial_state(1.0, 0.0, 2)
-    assert np.array_equal(state.amplitudes[0], np.array([0, 0, 1, 0, 0], dtype=complex))
-    assert np.array_equal(state.amplitudes[1], np.zeros(5, dtype=complex))
-    assert state.time == 0
+    assert np.array_equal(state[0], np.array([0, 0, 1, 0, 0], dtype=complex))
+    assert np.array_equal(state[1], np.zeros(5, dtype=complex))
 
 
 def test_unbiased_start():
     alpha, beta = UNBIASED_INIT
     state = initial_state(alpha, beta, 4)
-    assert state.amplitudes[0, 4] == alpha
-    assert state.amplitudes[1, 4] == beta
+    assert state[0, 4] == alpha
+    assert state[1, 4] == beta
     assert abs(distribution(state).probs.sum() - 1.0) <= 1e-15
 
 
@@ -138,26 +138,48 @@ def test_random_normalized_pairs_are_accepted(seed):
 
 
 # ------------------------------------------------------------
-# WalkerState validation
+# Amplitude tables: one validator behind every function that takes one
 # ------------------------------------------------------------
+
+# Each public function that takes a table, called on it.
+TABLE_USERS = {
+    "iter_steps": lambda amp: iter_steps(amp, _HADAMARD, 1),
+    "evolve": lambda amp: evolve(amp, _HADAMARD, 0),
+    "distribution": distribution,
+    "schmidt_spectrum": schmidt_spectrum,
+    "entanglement_entropy": entanglement_entropy,
+    "entanglement_series": lambda amp: entanglement_series(amp, _HADAMARD, 1),
+}
 
 
 def test_amplitude_shape_must_match_the_lattice():
     # (2, 2N + 1) with N >= 1: an even width, a width of 1 and a wrong row
     # count are refused.
     for shape in [(2, 6), (2, 1), (3, 7), (1, 7), (14,), (2, 7, 1)]:
-        with pytest.raises(ValueError, match="shape"):
-            WalkerState(np.zeros(shape, dtype=complex))
+        message = f"amplitude array has shape {shape}, expected (2, 2N + 1) with N >= 1"
+        for use_table in TABLE_USERS.values():
+            with pytest.raises(ValueError) as err:
+                use_table(np.zeros(shape, dtype=complex))
+            assert str(err.value) == message
+
+
+@pytest.mark.parametrize("user", sorted(TABLE_USERS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_table_is_rejected_with_one_message(user, bad):
+    # Unchecked, NaN would run into NaN tables and rank-0 spectra, inf into NaN values.
+    amp = initial_state(1.0, 0.0, 2)
+    amp[1, 2] = bad
+    with pytest.raises(ValueError) as err:
+        TABLE_USERS[user](amp)
+    assert str(err.value) == "amplitudes must be finite (no NaN or infinity)"
 
 
 def test_half_width_is_derived_from_the_shape():
-    assert WalkerState(np.zeros((2, 3), dtype=complex)).half_width == 1
-    assert WalkerState(np.zeros((2, 41), dtype=complex)).half_width == 20
-
-
-def test_negative_time_is_rejected():
-    with pytest.raises(ValueError, match="non-negative"):
-        WalkerState(np.zeros((2, 7), dtype=complex), time=-1)
+    for n in (1, 20):
+        amp = np.zeros((2, 2 * n + 1), dtype=complex)
+        amp[0, n] = 1.0
+        assert np.array_equal(distribution(amp).positions, np.arange(-n, n + 1))
+        assert evolve(amp, _HADAMARD, n)[:, [0, -1]].any()  # n steps reach the edges
 
 
 # ------------------------------------------------------------
@@ -185,7 +207,6 @@ def test_distribution_covers_the_full_stored_window():
     dist = distribution(state)
     assert np.array_equal(dist.positions, np.arange(-5, 6))
     assert dist.probability(0) == pytest.approx(1.0, abs=1e-12)
-    assert dist.time == 0
     assert abs(dist.probs.sum() - 1.0) <= 1e-12
 
 
@@ -204,18 +225,14 @@ _START = initial_state(*UNBIASED_INIT, 5)
 # Each engine as a function of the step count, run to completion.
 ENGINES = {
     "iter_steps": lambda steps: list(iter_steps(_START, _HADAMARD, steps)),
-    "evolve": lambda steps: evolve(_START, _HADAMARD, steps).amplitudes,
+    "evolve": lambda steps: evolve(_START, _HADAMARD, steps),
     "entanglement_series": lambda steps: entanglement_series(_START, _HADAMARD, steps),
-    "momentum_state": lambda steps: momentum_state(*UNBIASED_INIT, _HADAMARD, steps).amplitudes,
+    "momentum_state": lambda steps: momentum_state(*UNBIASED_INIT, _HADAMARD, steps),
     "run_walk": lambda steps: run_walk(named_coin("hadamard"), *UNBIASED_INIT, steps).probs,
     "origin_entanglement_series": lambda steps: origin_entanglement_series(
         *UNBIASED_INIT, _HADAMARD, steps
     ),
     "dense_series": lambda steps: list(dense_series(*UNBIASED_INIT, _HADAMARD, steps)),
-    "WalkerState.time": lambda steps: WalkerState(np.zeros((2, 3), dtype=complex), steps).time,
-    "ProbabilityDistribution.time": lambda steps: ProbabilityDistribution(
-        np.array([0]), np.array([1.0]), steps
-    ).time,
 }
 
 
@@ -224,9 +241,8 @@ def test_steps_follow_one_rule_in_every_engine(engine):
     # A Python or numpy integer is taken; a fraction, a bool, a string or a
     # negative count is refused with a ValueError that names the argument.
     run = ENGINES[engine]
-    what = "time" if engine.endswith(".time") else "steps"
     for bad in (2.5, True, "3", None, np.float64(3.0), -1):
-        message = f"{what} must be a non-negative integer, got {bad!r}"
+        message = f"steps must be a non-negative integer, got {bad!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             run(bad)
     expected, got = run(3), run(np.int64(3))
@@ -255,6 +271,9 @@ def test_probabilities_must_stay_in_range():
         ProbabilityDistribution(np.array([-1, 0, 1]), np.array([1.5, -0.5, 0.0]))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         ProbabilityDistribution(np.array([0, 1]), np.array([math.nan, math.nan]))
+    # The 1e-10 tolerance admits the rounding of a sum of squares.
+    dist = ProbabilityDistribution(np.array([0, 1]), np.array([1.0 + 2e-16, 0.0]))
+    assert dist.probs[0] > 1.0
 
 
 def test_mismatched_lengths_are_rejected():
@@ -271,9 +290,9 @@ def test_mismatched_lengths_are_rejected():
 def test_window_edges_stay_exactly_zero_until_reached(steps):
     state = initial_state(*UNBIASED_INIT, 20)
     state = evolve(state, make_coin(CoinParams(0.9, 0.4, 2.2)), steps)
-    assert np.all(state.amplitudes[:, 0] == 0.0)
-    assert np.all(state.amplitudes[:, -1] == 0.0)
-    assert state.amplitudes.shape == (2, 41)
+    assert np.all(state[:, 0] == 0.0)
+    assert np.all(state[:, -1] == 0.0)
+    assert state.shape == (2, 41)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 9, 16])
@@ -302,4 +321,4 @@ def test_norm_is_preserved_along_the_walk(seed, steps):
     theta, phi1, phi2 = rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi), rng.uniform(0, math.pi)
     state = initial_state(alpha, beta, 25)
     state = evolve(state, make_coin(CoinParams(theta, phi1, phi2)), steps)
-    assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= 1e-10
+    assert abs(np.sum(np.abs(state) ** 2) - 1.0) <= 1e-10
