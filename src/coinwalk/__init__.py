@@ -5,9 +5,11 @@ internal head/tail degree of freedom with a coin-conditioned shift on a
 one-dimensional lattice.  Three independent evolution engines are provided:
 
 * :mod:`coinwalk.momentum` — the endpoint of a walk from the origin, one
-  closed-form 2x2 power per wavenumber and one FFT (O(T log T));
+  closed-form 2x2 power per wavenumber and one FFT (O(T log T)), and the
+  coin's Gram matrix at every step from any start table;
 * :mod:`coinwalk.evolution` — a local two-term recurrence on the amplitude
-  table (O(n) per step), for per-step series and general start states;
+  table (O(n) per step), for the tables of every step and general start
+  states;
 * :mod:`coinwalk.dense` — a reference path that materializes the one-step
   operator as an explicit unitary matrix and multiplies it out.
 
@@ -16,7 +18,7 @@ verify`` (or the test suite) compares them amplitude by amplitude.
 
 On top of the engines sit distribution diagnostics (:mod:`coinwalk.analysis`)
 and coin-position entanglement measures (:mod:`coinwalk.entanglement`), whose
-series from the origin is a momentum-space sum and is checked against the
+series over a walk is a momentum-space sum and is checked against the
 recurrence.
 """
 

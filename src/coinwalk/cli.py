@@ -46,7 +46,7 @@ import numpy as np
 from .analysis import phase_diagram, theta_sweep
 from .coin import CoinParams, NAMED_COINS, make_coin, named_coin
 from .dense import DENSE_HALF_WIDTH_CAP, dense_series
-from .entanglement import origin_entanglement_series
+from .entanglement import entanglement_series
 from .evolution import iter_steps, run_walk
 from .momentum import momentum_state
 from .state import UNBIASED_INIT, check_coin_state, initial_state
@@ -121,12 +121,13 @@ def _check_footprint(steps: int, values: int) -> None:
     the temporaries of measuring the table.
     ``verify`` is bounded by ``DENSE_HALF_WIDTH_CAP`` instead; its recurrence
     holds at most two tables and a row temporary at a time.  ``entanglement``
-    holds the ``(T + 1) x 2 x 2`` Gram stack of its momentum-space series
-    (64 B a step), O(M) coefficient arrays, the grid of its nonuniform FFT
-    (three rows of about ``2T`` amplitudes) and the temporaries of one
-    batched eigenvalue call: the whole op peaks at the inverse FFT of that
-    grid, 331 B a step at T = 2 * 10^4 and 326 B at 10^5, as CSV and as JSON
-    (tracemalloc), against the 672 B a step estimated here.
+    builds the table at the origin (three sites) and holds the
+    ``(T + 1) x 2 x 2`` Gram stack of its momentum-space series (64 B a
+    step), O(M) transform and coefficient arrays, the grid of its nonuniform
+    FFT (three rows of about ``2T`` amplitudes) and the temporaries of one
+    batched eigenvalue call: by tracemalloc the whole op peaks at 335 B a
+    step as CSV and 324 B as JSON at T = 2 * 10^4, and at 318 B as both at
+    10^5, against the 672 B a step estimated here.
     ``phase-diagram`` holds two basis tables and their folds, at most 121 B a
     site measured up to T = 3 * 10^5; the ``2T + 3`` values of one walk it
     counts cover the rest.
@@ -280,6 +281,12 @@ def _write(chunks: Iterable[str], out_path: str | None) -> None:
         raise _UsageError(f"cannot write {target}: {exc.strerror}") from None
 
 
+def _report(line: str) -> None:
+    """Write ``line`` to stderr; an unwritable stderr must not change the exit code."""
+    with contextlib.suppress(OSError):
+        print(line, file=sys.stderr)
+
+
 def _walk_payload(degrees: tuple[float, float, float], steps: int, dist) -> dict:
     """One walk's angles and its 2N+1 reachable sites."""
     return {
@@ -365,7 +372,7 @@ def cmd_entanglement(args: argparse.Namespace) -> int:
     _check_footprint(steps, 2 * (steps + 1))
     params, degrees = _coin_params(args)
     alpha, beta = _init_amplitudes(args)
-    ranks, entropies = origin_entanglement_series(alpha, beta, make_coin(params), steps)
+    ranks, entropies = entanglement_series(initial_state(alpha, beta, 1), make_coin(params), steps)
     t = np.arange(steps + 1)
     payload = {
         "theta_deg": degrees[0],
@@ -421,10 +428,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _emit(args, payload, "t,max_abs_discrepancy", t, gaps)
     if worst is not None:
         gap, t, x, engine = worst
-        print(
+        _report(
             f"verify: the {engine} and dense engines disagree by {gap:.3e} "
-            f"(> {VERIFY_TOL:.0e}) at t={t}, position x={x}",
-            file=sys.stderr,
+            f"(> {VERIFY_TOL:.0e}) at t={t}, position x={x}"
         )
         return 1
     return 0
@@ -561,10 +567,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except _UsageError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        _report(f"{parser.prog}: error: {exc}")
         return 2
     except ValueError as exc:
-        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        _report(f"{parser.prog}: {exc}")
         return 1
 
 

@@ -12,13 +12,11 @@ in bits is the entanglement entropy, ranging from 0 (product state) to 1
 (maximally entangled coin).
 
 ``schmidt_spectrum`` and ``entanglement_entropy`` describe one state.
-Two series describe a whole walk, t = 0..steps, and solve all its Gram
-matrices in one batched eigenvalue call.  ``entanglement_series`` steps from
-any start state and fills one Gram matrix per step over the whole table.
-``origin_entanglement_series`` serves a walk from the origin: it takes the
-Gram matrices from :func:`coinwalk.momentum._origin_grams`, sums of sines
-and cosines over the wavenumbers taken at every t by one nonuniform FFT, in
-O(T log T) and within 1e-13 of the exact sums.
+``entanglement_series`` describes a whole walk from any start table,
+t = 0..steps, without stepping it: it takes the Gram matrices from
+:func:`coinwalk.momentum._grams`, sums of sines and cosines over the
+wavenumbers taken at every t by one nonuniform FFT, within 1e-13 of the
+exact sums, and solves them all in one batched eigenvalue call.
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import iter_steps
-from .momentum import _origin_grams
+from .momentum import _grams
 from .state import check_amplitudes
 
 __all__ = [
@@ -36,7 +33,6 @@ __all__ = [
     "schmidt_spectrum",
     "entanglement_entropy",
     "entanglement_series",
-    "origin_entanglement_series",
 ]
 
 #: Relative rank cutoff: a Schmidt weight (squared singular value) at most
@@ -163,44 +159,31 @@ def entanglement_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Schmidt ranks and entropies (bits) of the walk from a table, at t = 0..steps.
 
-    Element ``t`` of each array equals ``schmidt_spectrum(a).rank`` and
-    ``entanglement_entropy(a)`` of the table ``a`` after ``t`` steps, up to
-    rounding in the entropy.  The walk runs once through
-    :func:`~coinwalk.evolution.iter_steps`; each table adds one ``(2, 2)``
-    Gram matrix, and one batched eigenvalue call solves them all at the end.
+    The walk is that of the infinite line: element ``t`` of each array equals
+    ``schmidt_spectrum(a).rank`` and ``entanglement_entropy(a)`` of the table
+    ``a`` after ``t`` steps of :func:`~coinwalk.evolution.iter_steps` on any
+    window the walk never leaves, with identical ranks and entropies within
+    1e-12.  No window is needed, so a walk that would leave the table's own
+    window is not refused.  The Gram matrices come from
+    :func:`coinwalk.momentum._grams`, sums of sines and cosines over the
+    wavenumbers taken at every t by one nonuniform FFT, without stepping, in
+    O((s + T) log(s + T)) for a table whose occupied sites span ``s``
+    columns; one batched eigenvalue call solves them all.
 
     Returns
     -------
     ranks : numpy.ndarray
         ``steps + 1`` integer Schmidt ranks (the cutoff of
-        :func:`schmidt_spectrum`).
+        :func:`schmidt_spectrum`); 0 at every t for the zero table.
     entropies : numpy.ndarray
         ``steps + 1`` entropies, exactly 0 wherever the rank is at most 1.
 
     Raises
     ------
-    ValueError, LatticeExhaustedError
-        As :func:`~coinwalk.evolution.iter_steps`; ValueError also as
-        :func:`schmidt_spectrum` when a Gram matrix overflows.
-    """
-    amp = check_amplitudes(amplitudes)
-    walk = iter_steps(amp, coin, steps)  # checks the request before the first Gram matrix
-    return _spectra(np.array([_gram(amp), *map(_gram, walk)]))[1:]
-
-
-def origin_entanglement_series(
-    alpha: complex, beta: complex, coin: np.ndarray, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Schmidt ranks and entropies (bits) of the walk from the origin, at t = 0..steps.
-
-    The same series as :func:`entanglement_series` from
-    ``initial_state(alpha, beta, ...)``: identical ranks, entropies within
-    1e-12 and exactly 0 wherever the rank is at most 1.  The Gram matrices
-    come from :func:`coinwalk.momentum._origin_grams`, without stepping.
-
-    Raises
-    ------
     ValueError
-        As :func:`coinwalk.momentum.momentum_state`, before any array is built.
+        If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, the coin is
+        not a unitary (2, 2) matrix (the momentum-space engine needs one) or
+        ``steps`` is not a non-negative integer, before any array is built;
+        also as :func:`schmidt_spectrum` when a Gram matrix overflows.
     """
-    return _spectra(_origin_grams(alpha, beta, coin, steps))[1:]
+    return _spectra(_grams(amplitudes, coin, steps))[1:]

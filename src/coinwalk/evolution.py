@@ -9,11 +9,12 @@ amplitudes depend only on the two coin components of the neighbouring sites:
 so a step is two shifted axpy operations on the ``(2, 2N + 1)`` amplitude
 table of the window ``x = -N .. N``, O(N) work and no operator matrix at
 all: O(T * N) for a walk of T steps.  This is the reference engine: CLI
-``verify`` checks it against the dense operator, and it serves the
-per-step series of :func:`coinwalk.entanglement.entanglement_series` and
-start states other than a walker at the origin.  The endpoint of a walk
-from the origin, which is what :func:`run_walk` measures, comes from the
-O(T log T) momentum-space engine of :mod:`coinwalk.momentum`.
+``verify`` checks it against the dense operator, the tests check the
+momentum-space series of :func:`coinwalk.entanglement.entanglement_series`
+against it, and it yields the table of every step from any start state.
+The endpoint of a walk from the origin, which is what :func:`run_walk`
+measures, comes from the O(T log T) momentum-space engine of
+:mod:`coinwalk.momentum`.
 """
 
 from __future__ import annotations

@@ -31,10 +31,11 @@ a prime length sends the FFT to a Bluestein transform several times slower,
 and a power of two can pad the window to twice its size.
 
 The same pieces give the coin's Gram matrix at every ``t = 0 .. T`` without
-stepping (``_origin_grams``, the engine of
-:func:`coinwalk.entanglement.origin_entanglement_series`): by Parseval it is
-a sum over the wavenumbers of sines and cosines of ``2 t omega``, which one
-nonuniform FFT takes at all ``t`` at once.
+stepping, from any start table (``_grams``, the engine of
+:func:`coinwalk.entanglement.entanglement_series`): each parity class of
+the table is a walk from its own span in the label ``y``, and by Parseval
+the Gram matrix is a sum over the wavenumbers of sines and cosines of
+``2 t omega``, which one nonuniform FFT takes at all ``t`` at once.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import math
 import numpy as np
 
 from .coin import check_unitary
-from .state import check_coin_state, check_steps
+from .state import check_amplitudes, check_coin_state, check_steps
 
 __all__ = ["momentum_state"]
 
@@ -73,24 +74,26 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _check_request(
-    alpha: complex, beta: complex, coin: np.ndarray, steps: int
-) -> tuple[complex, complex, np.ndarray, int]:
-    """The checked ``(alpha, beta, coin, steps)``; ValueError as :func:`momentum_state` says."""
-    alpha, beta = check_coin_state(alpha, beta)
+def _check_coin(coin: np.ndarray) -> np.ndarray:
+    """The coin as a complex array; ValueError unless it is a unitary (2, 2) matrix.
+
+    The closed-form power holds only for a unitary step.
+    """
     c = np.asarray(coin, dtype=np.complex128)
     if not check_unitary(c):
         raise ValueError("the momentum-space engine needs a unitary coin")
-    return alpha, beta, c, check_steps(steps)
+    return c
 
 
 def _closed_form(
-    alpha: complex, beta: complex, c: np.ndarray, m: int
+    alpha: complex | np.ndarray, beta: complex | np.ndarray, c: np.ndarray, m: int
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The SU(2) pieces of the closed form at the ``m`` wavenumbers ``q = 2 pi j / m``.
 
     Returns ``delta / 2``, ``u = e^{-iq/2}``, the ``(2, m)`` table
     ``(V - cos(omega) I) (alpha, beta)``, ``sin(omega)`` and ``omega``.
+    ``alpha`` and ``beta`` are the coin state, or its transform at each
+    wavenumber.
     """
     half_delta = cmath.phase(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) / 2.0
     c = c * cmath.exp(-1j * half_delta)  # C' in SU(2)
@@ -151,7 +154,8 @@ def momentum_state(alpha: complex, beta: complex, coin: np.ndarray, steps: int) 
         If the coin state is not normalized, the coin is not a unitary
         (2, 2) matrix, or ``steps`` is not a non-negative integer.
     """
-    alpha, beta, c, steps = _check_request(alpha, beta, coin, steps)
+    alpha, beta = check_coin_state(alpha, beta)
+    c, steps = _check_coin(coin), check_steps(steps)
     n = max(steps, 1)
     m = _fft_size(steps + 1)
     half_delta, u, spec, sin_w, omega = _closed_form(alpha, beta, c, m)
@@ -242,15 +246,20 @@ def _trig_sums(freq: np.ndarray, coef: np.ndarray, steps: int) -> np.ndarray:
     return sums
 
 
-def _origin_grams(alpha: complex, beta: complex, coin: np.ndarray, steps: int) -> np.ndarray:
-    """Coin Gram matrices ``A A^dagger`` of the walk from the origin, at t = 0..steps.
+def _grams(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> np.ndarray:
+    """Coin Gram matrices ``A A^dagger`` of the walk from a table, at t = 0..steps.
 
-    ``A`` is the ``(2, n)`` amplitude table after ``t`` steps, so the result,
-    of shape ``(steps + 1, 2, 2)``, matches the Gram matrices that
-    :func:`coinwalk.entanglement.entanglement_series` sums over the whole
-    table, up to rounding.  By Parseval on the window of
-    :func:`momentum_state`, ``G(t) = (1/M) sum_q phi phi^dagger`` with
-    ``phi = V^t (alpha, beta)``: the phase ``s^t`` cancels.  With
+    ``A`` is the ``(2, n)`` table after ``t`` steps of the walk on the
+    infinite line, so the result, of shape ``(steps + 1, 2, 2)``, matches the
+    Gram matrices of the recurrence on any window the walk never leaves, up
+    to rounding.  The two parity classes of the table (columns ``0::2`` and
+    ``1::2``) never meet, and each is a walk from its own occupied span, in
+    the label ``y = (x + t - x0) / 2`` of :func:`momentum_state` with ``x0``
+    the span's first site.  A span of ``s`` sites reaches ``s + T`` labels,
+    so on ``M >= s + T`` wavenumbers, ``s`` the wider span, the transform
+    ``psi(q)`` of each span (one FFT) never wraps.  By Parseval
+    ``G(t) = (1/M) sum_q phi phi^dagger`` summed over the classes, with
+    ``phi = V^t psi``: the phase ``s^t`` cancels.  With
     ``V^t psi = cos(t omega) psi + sin(t omega) w`` and
     ``w = (V - cos(omega) I) psi / sin(omega)`` (``w = 0`` where
     ``sin(omega) = 0``),
@@ -259,48 +268,65 @@ def _origin_grams(alpha: complex, beta: complex, coin: np.ndarray, steps: int) -
 
     ``Abar = (1/M) sum_q (psi psi^dagger + w w^dagger) / 2``,
     ``B_q = (psi psi^dagger - w w^dagger) / (2M)`` and
-    ``C_q = (psi w^dagger + w psi^dagger) / (2M)``.  Three real sums carry
-    ``G00``, ``Re G10`` and ``Im G10``; ``G11`` is the norm minus ``G00``.
-    :func:`_trig_sums` evaluates them at every t by one nonuniform FFT, in
-    O(T log T) and within 1e-13 of the exact sums.
+    ``C_q = (psi w^dagger + w psi^dagger) / (2M)``, each summed over the
+    classes: ``omega_q`` is the same for both, so their terms add.  Three
+    real sums carry ``G00``, ``Re G10`` and ``Im G10``; ``G11`` is the norm
+    minus ``G00``.  :func:`_trig_sums` evaluates them at every t by one
+    nonuniform FFT, in O((s + T) log(s + T)) and within 1e-13 of the exact
+    sums.  A walker at the origin is one class of one site, on ``T + 1``
+    wavenumbers.  Overflow is left to the caller's spectrum check: a table
+    near the float maximum gives non-finite Gram matrices.
 
     Raises
     ------
     ValueError
-        As :func:`momentum_state`, before any array is built.
+        If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, the coin is
+        not a unitary (2, 2) matrix or ``steps`` is not a non-negative
+        integer, before any array is built.
     """
-    alpha, beta, c, steps = _check_request(alpha, beta, coin, steps)
-    m = _fft_size(steps + 1)
-    _, _, w, sin_w, omega = _closed_form(alpha, beta, c, m)
-    np.divide(w, sin_w, out=w, where=sin_w > 0.0)  # where sin(omega) = 0, w is already 0
-    del sin_w
-    head, tail = w
-    power = head.real**2 + head.imag**2  # |w0|^2
-    cross = tail * head.conj()  # w1 conj(w0)
-    mixed = beta * head.conj() + alpha.conjugate() * tail  # beta conj(w0) + w1 conj(alpha)
-    rho00, rho10 = abs(alpha) ** 2, beta * alpha.conjugate()  # entries of psi psi^dagger
-    g00 = (rho00 + np.mean(power)) / 2.0  # Abar
-    g10 = (rho10 + np.mean(cross)) / 2.0
+    amp, c, steps = check_amplitudes(amplitudes), _check_coin(coin), check_steps(steps)
+    spans = []
+    for rows in (amp[:, 0::2], amp[:, 1::2]):
+        occupied = np.flatnonzero(np.any(rows != 0, axis=0))
+        if occupied.size:
+            spans.append(rows[:, occupied[0] : occupied[-1] + 1])
+    spans = spans or [amp[:, :1]]  # the zero table walks as one empty site
+    m = _fft_size(max(span.shape[1] for span in spans) + steps)
     # Rows: C + iB of G00, of Re G10 and of Im G10, times 2M.
-    coef = np.empty((3, m), dtype=np.complex128)
-    coef[0].real = 2.0 * (alpha.real * head.real + alpha.imag * head.imag)
-    coef[0].imag = rho00 - power
-    cross -= rho10
-    coef[1].real = mixed.real
-    coef[1].imag = -cross.real
-    coef[2].real = mixed.imag
-    coef[2].imag = -cross.imag
-    del w, head, tail, power, cross, mixed
-    coef /= 2 * m
-    omega *= 2.0
-    sums = _trig_sums(omega, coef, steps)
-    del coef, omega
+    coef = np.zeros((3, m), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # By Parseval the mean of psi psi^dagger over q is the table's Gram matrix G(0).
+        gram0 = amp @ amp.conj().T
+        g00, g10 = gram0[0, 0].real / 2.0, gram0[1, 0] / 2.0  # Abar
+        for span in spans:
+            alpha, beta = np.fft.fft(span, m, axis=1)
+            _, _, w, sin_w, omega = _closed_form(alpha, beta, c, m)
+            np.divide(w, sin_w, out=w, where=sin_w > 0.0)  # where sin(omega) = 0, w is already 0
+            head, tail = w
+            power = head.real**2 + head.imag**2  # |w0|^2
+            cross = tail * head.conj()  # w1 conj(w0)
+            mixed = beta * head.conj() + alpha.conj() * tail  # beta conj(w0) + w1 conj(alpha)
+            rho00, rho10 = alpha.real**2 + alpha.imag**2, beta * alpha.conj()  # psi psi^dagger
+            g00 += np.mean(power) / 2.0
+            g10 += np.mean(cross) / 2.0
+            coef[0].real += 2.0 * (alpha.real * head.real + alpha.imag * head.imag)
+            coef[0].imag += rho00 - power
+            cross -= rho10
+            coef[1].real += mixed.real
+            coef[1].imag -= cross.real
+            coef[2].real += mixed.imag
+            coef[2].imag -= cross.imag
+        del alpha, beta, w, sin_w, head, tail, power, cross, mixed, rho00, rho10
+        coef /= 2 * m
+        omega *= 2.0
+        sums = _trig_sums(omega, coef, steps)
+        del coef, omega
 
-    g00 = g00 + sums[0]
-    g10 = g10 + (sums[1] + 1j * sums[2])
-    grams = np.empty((steps + 1, 2, 2), dtype=np.complex128)
-    grams[:, 0, 0] = g00
-    grams[:, 1, 0] = g10
-    grams[:, 0, 1] = g10.conj()
-    grams[:, 1, 1] = (rho00 + abs(beta) ** 2) - g00
+        g00 = g00 + sums[0]
+        g10 = g10 + (sums[1] + 1j * sums[2])
+        grams = np.empty((steps + 1, 2, 2), dtype=np.complex128)
+        grams[:, 0, 0] = g00
+        grams[:, 1, 0] = g10
+        grams[:, 0, 1] = g10.conj()
+        grams[:, 1, 1] = (gram0[0, 0].real + gram0[1, 1].real) - g00
     return grams

@@ -178,9 +178,15 @@ def distribution(amplitudes: np.ndarray) -> ProbabilityDistribution:
     Raises
     ------
     ValueError
-        If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, or its
-        probabilities do not sum to 1.
+        If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, or its total
+        probability is not finite or deviates from 1 by more than 1e-10 (a
+        table near the float maximum squares to infinity).
     """
     amp = check_amplitudes(amplitudes)
     n = amp.shape[1] // 2
-    return ProbabilityDistribution(np.arange(-n, n + 1), np.sum(np.abs(amp) ** 2, axis=0))
+    with np.errstate(over="ignore"):
+        probs = np.sum(np.abs(amp) ** 2, axis=0)
+    total = float(np.sum(probs))
+    if not abs(total - 1.0) <= _NORM_TOL:
+        raise ValueError(f"the table must be normalized: its total probability is {total!r}")
+    return ProbabilityDistribution(np.arange(-n, n + 1), probs)

@@ -21,12 +21,12 @@ from coinwalk import (
     CoinParams,
     cli,
     dense_series,
+    entanglement_series,
     initial_state,
     iter_steps,
     make_coin,
     momentum_state,
     named_coin,
-    origin_entanglement_series,
     phase_diagram,
     run_walk,
 )
@@ -212,7 +212,7 @@ def test_oversized_requests_name_the_memory_cap(capsys, monkeypatch, argv):
 
     # Everything that would allocate the walk, its grids or its results.
     for name in ("_grid_values", "initial_state", "run_walk", "theta_sweep", "phase_diagram",
-                 "origin_entanglement_series"):
+                 "entanglement_series"):
         monkeypatch.setattr(cli, name, allocate)
     code, out, err = _run(capsys, *argv)
     assert code == 2
@@ -226,7 +226,8 @@ def test_entanglement_series_peaks_below_its_footprint_estimate(monkeypatch):
     coin = make_coin(named_coin("hadamard"))
     tracemalloc.start()
     try:
-        origin_entanglement_series(*UNBIASED_INIT, coin, steps)
+        # The call of CLI `entanglement`: the table at the origin, then its series.
+        entanglement_series(initial_state(*UNBIASED_INIT, 1), coin, steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -561,7 +562,8 @@ def _phase_reference(phi1s, phi2s, steps):
 def _entanglement_reference(coin, init, steps):
     # The library call the CLI makes; tests/test_entanglement.py checks it against the recurrence.
     params = named_coin(coin)
-    ranks, entropies = origin_entanglement_series(*cli.NAMED_INITS[init], make_coin(params), steps)
+    table = initial_state(*cli.NAMED_INITS[init], 1)
+    ranks, entropies = entanglement_series(table, make_coin(params), steps)
     ranks, entropies, t = ranks.tolist(), entropies.tolist(), list(range(steps + 1))
     degrees = [math.degrees(a) for a in (params.theta, params.phi1, params.phi2)]
     payload = dict(zip(("theta_deg", "phi1_deg", "phi2_deg"), degrees))
@@ -722,6 +724,31 @@ def test_unwritable_stdout_is_a_usage_error(fmt):
         )
     assert proc.returncode == 2
     assert proc.stderr == f"coinwalk: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+class _BrokenPipe(io.StringIO):
+    """A stream whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_an_unwritable_stderr_keeps_the_exit_codes(monkeypatch, tmp_path):
+    # `coinwalk walk ... 2>&1 | head -1` closes both streams: reporting the
+    # failure on stderr must not raise out of main and change its code.
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    monkeypatch.setattr(sys, "stderr", _BrokenPipe())
+    assert main(["walk", "--coin", "hadamard", "--steps", "3"]) == 2  # cannot write stdout
+    assert main(["walk", "--coin", "hadamard", "--steps", "0"]) == 2  # a usage error
+    out = str(tmp_path / "out.csv")
+    verify = ["verify", "--coin", "hadamard", "--max-steps", "10", "--corrupt-coin", "--out", out]
+    assert main(verify) == 1  # the mismatch line
+
+    def numeric_failure(*args):
+        raise ValueError("a numeric failure")
+
+    monkeypatch.setattr(cli, "run_walk", numeric_failure)
+    assert main(["walk", "--coin", "hadamard", "--steps", "3", "--out", out]) == 1
 
 
 # ------------------------------------------------------------

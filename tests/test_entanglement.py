@@ -10,19 +10,20 @@ from hypothesis import strategies as st
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
+    LatticeExhaustedError,
     SchmidtSpectrum,
     entanglement_entropy,
     entanglement_series,
     evolve,
     initial_state,
+    iter_steps,
     make_coin,
     momentum_state,
     named_coin,
-    origin_entanglement_series,
     schmidt_spectrum,
 )
 from coinwalk.entanglement import _gram, _spectra
-from coinwalk.momentum import _origin_grams
+from coinwalk.momentum import _grams
 
 from conftest import angles, normalized_pair, random_coin_angles
 
@@ -60,6 +61,8 @@ def test_zero_state_has_rank_zero():
     assert spectrum.rank == 0
     assert np.array_equal(spectrum.values, np.zeros(2))
     assert entanglement_entropy(state) == 0.0
+    ranks, entropies = entanglement_series(state, make_coin(named_coin("hadamard")), 5)
+    assert np.array_equal(ranks, np.zeros(6)) and np.array_equal(entropies, np.zeros(6))
 
 
 # ------------------------------------------------------------
@@ -167,7 +170,9 @@ def test_series_matches_the_per_state_functions(params, init, steps):
         if t > 0:
             state = evolve(state, coin, 1)
         assert ranks[t] == schmidt_spectrum(state).rank
-        assert abs(entropies[t] - entanglement_entropy(state)) <= 1e-14
+        # The series sums in momentum space and the per-state functions over
+        # the stepped table: the cross-engine bound of the README.
+        assert abs(entropies[t] - entanglement_entropy(state)) <= 1e-12
         if ranks[t] <= 1:
             assert entropies[t] == 0.0
 
@@ -204,31 +209,53 @@ def test_entropy_ignores_a_global_phase(seed, steps, chi):
 
 
 # ------------------------------------------------------------
-# The momentum-space series from the origin against the recurrence
+# The momentum-space series against the recurrence
 # ------------------------------------------------------------
 
 
-def _assert_series_agree(coin, alpha, beta, steps):
-    """Identical ranks, exact-zero entropies at the same t, entropies within 1e-12.
+def _recurrence_grams(table, coin, steps):
+    """The oracle: ``_gram`` over ``iter_steps``, on the table's window padded by ``steps``.
 
-    Both series start from a product state: rank 1 and entropy exactly 0 at t = 0.
+    No walk of ``steps`` steps leaves the padded window, so this is the walk
+    on the infinite line that :func:`entanglement_series` describes.
     """
-    state = initial_state(alpha, beta, max(steps, 1))
-    ranks, entropies = entanglement_series(state, coin, steps)
-    origin_ranks, origin_entropies = origin_entanglement_series(alpha, beta, coin, steps)
-    assert ranks[0] == origin_ranks[0] == 1 and entropies[0] == origin_entropies[0] == 0.0
-    assert np.array_equal(origin_ranks, ranks)
-    assert np.array_equal(origin_entropies == 0.0, entropies == 0.0)
-    assert np.max(np.abs(origin_entropies - entropies)) <= 1e-12
-    return origin_ranks
+    padded = np.pad(table, ((0, 0), (steps, steps)))
+    return np.array([_gram(padded), *map(_gram, iter_steps(padded, coin, steps))])
+
+
+def _assert_series_agree(table, coin, steps):
+    """Identical ranks, exact-zero entropies at the same t, entropies within 1e-12."""
+    _, ranks, entropies = _spectra(_recurrence_grams(table, coin, steps))
+    series_ranks, series_entropies = entanglement_series(table, coin, steps)
+    assert np.array_equal(series_ranks, ranks)
+    assert np.array_equal(series_entropies == 0.0, entropies == 0.0)
+    assert np.max(np.abs(series_entropies - entropies)) <= 1e-12
+    return series_ranks
+
+
+def _assert_origin_series_agree(coin, alpha, beta, steps):
+    """:func:`_assert_series_agree` from the origin: a product state, rank 1 and entropy 0 at t = 0."""
+    ranks = _assert_series_agree(initial_state(alpha, beta, 1), coin, steps)
+    assert ranks[0] == 1
+    return ranks
+
+
+def _random_table(rng, half_width, span):
+    """A table of random amplitudes on ``span`` sites from a random column, both parities occupied."""
+    table = np.zeros((2, 2 * half_width + 1), dtype=complex)
+    first = rng.integers(0, table.shape[1] - span + 1)
+    table[:, first : first + span] = rng.normal(size=(2, span)) + 1j * rng.normal(size=(2, span))
+    return table / np.linalg.norm(table)
 
 
 @settings(max_examples=40, deadline=None)
 @given(theta=angles, phi1=angles, phi2=angles, seed=st.integers(0, 2**32 - 1),
-       steps=st.integers(0, 400))
-def test_origin_series_matches_the_recurrence(theta, phi1, phi2, seed, steps):
-    coin = make_coin(CoinParams(theta, phi1, phi2))
-    _assert_series_agree(coin, *normalized_pair(np.random.default_rng(seed)), steps)
+       span=st.integers(2, 12), steps=st.integers(0, 400))
+def test_series_matches_the_recurrence(theta, phi1, phi2, seed, span, steps):
+    rng = np.random.default_rng(seed)
+    table = _random_table(rng, rng.integers(span // 2 + 1, 20), span)
+    assert np.any(table[:, 0::2]) and np.any(table[:, 1::2])
+    _assert_series_agree(table, make_coin(CoinParams(theta, phi1, phi2)), steps)
 
 
 @pytest.mark.parametrize(
@@ -237,7 +264,13 @@ def test_origin_series_matches_the_recurrence(theta, phi1, phi2, seed, steps):
     ids=["hadamard", "generic"],
 )
 def test_origin_series_matches_the_recurrence_at_3000_steps(params):
-    _assert_series_agree(make_coin(params), 0.6, 0.8j, 3000)
+    _assert_origin_series_agree(make_coin(params), 0.6, 0.8j, 3000)
+
+
+def test_a_table_series_matches_the_recurrence_at_3000_steps():
+    rng = np.random.default_rng(13)
+    coin = make_coin(CoinParams(*random_coin_angles(rng)))
+    _assert_series_agree(_random_table(rng, 5, 9), coin, 3000)
 
 
 @pytest.mark.parametrize(
@@ -251,12 +284,25 @@ def test_origin_grams_match_parseval_at_100000_steps(params):
     # and the middle of a series far beyond the reach of the recurrence.
     coin = make_coin(params)
     steps = 100_000
-    grams = _origin_grams(0.6, 0.8j, coin, steps)
+    grams = _grams(initial_state(0.6, 0.8j, 1), coin, steps)
     for t in (0, 1, 2, 3, steps // 2, steps - 1, steps):
         direct = _gram(momentum_state(0.6, 0.8j, coin, t))
         assert np.max(np.abs(grams[t] - direct)) <= 1e-12
     _, ranks, entropies = _spectra(grams[:1])
     assert ranks[0] == 1 and entropies[0] == 0.0
+
+
+def test_a_walk_that_leaves_its_window_is_the_walk_on_the_line():
+    # The recurrence refuses to step this table past its own window; the
+    # series has no window, and matches the recurrence on a padded one.
+    rng = np.random.default_rng(14)
+    coin = make_coin(CoinParams(*random_coin_angles(rng)))
+    table = _random_table(rng, 3, 7)
+    steps = 50
+    with pytest.raises(LatticeExhaustedError):
+        iter_steps(table, coin, steps)
+    assert np.max(np.abs(_grams(table, coin, steps) - _recurrence_grams(table, coin, steps))) <= 1e-13
+    _assert_series_agree(table, coin, steps)
 
 
 @pytest.mark.parametrize(
@@ -271,7 +317,7 @@ def test_origin_grams_match_parseval_at_100000_steps(params):
     ids=["grover-t2", "fourier-t1", "theta-0-head", "theta-90-head", "zero-steps"],
 )
 def test_origin_series_keeps_product_states_exact(params, init, steps, product_times):
-    ranks = _assert_series_agree(make_coin(params), *init, steps)
+    ranks = _assert_origin_series_agree(make_coin(params), *init, steps)
     assert np.all(ranks[list(product_times)] == 1)
 
 
@@ -298,7 +344,8 @@ def test_hadamard_entropy_reaches_its_plateau():
     plateau = _hadamard_plateau()
     assert abs(plateau - 0.8724293) <= 1e-7
     steps = 20_000
-    _, entropies = origin_entanglement_series(1.0, 0.0, make_coin(named_coin("hadamard")), steps)
+    hadamard = make_coin(named_coin("hadamard"))
+    _, entropies = entanglement_series(initial_state(1.0, 0.0, 1), hadamard, steps)
     # |S(t) - plateau| measured at t = T - 1 and t = T for T = 10^3, 2*10^3,
     # 4*10^3, 8*10^3 and 1.6*10^4 fits 0.3834 t^-0.5064 at these odd t and
     # 0.2600 t^-1.0060 at these even t (least squares in log-log).  At

@@ -13,13 +13,13 @@ from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     dense_series,
+    entanglement_series,
     evolve,
     initial_state,
     make_coin,
     momentum,
     momentum_state,
     named_coin,
-    origin_entanglement_series,
     run_walk,
 )
 from coinwalk.momentum import _fft_size
@@ -98,7 +98,9 @@ def test_zero_steps_return_the_initial_state():
 )
 def test_bad_input_raises_value_error(monkeypatch, alpha, beta, coin, steps):
     # Both momentum-space entry points reject a request, with one message,
-    # before they build any array.
+    # before they build any array: the series refuses a coin that is not
+    # unitary, which the recurrence would step.  The series takes a table,
+    # which need not be normalized: it refuses a non-finite one in its place.
     def build(*args):
         raise AssertionError("an array was built before the request was checked")
 
@@ -106,9 +108,14 @@ def test_bad_input_raises_value_error(monkeypatch, alpha, beta, coin, steps):
     monkeypatch.setattr(momentum, "_closed_form", build)
     with pytest.raises(ValueError) as expected:
         momentum_state(alpha, beta, coin, steps)
+    message = str(expected.value)
+    table = np.array([[0.0, alpha, 0.0], [0.0, beta, 0.0]])
+    if "normalized" in message:
+        table[0, 1] = np.nan
+        message = "amplitudes must be finite (no NaN or infinity)"
     with pytest.raises(ValueError) as raised:
-        origin_entanglement_series(alpha, beta, coin, steps)
-    assert str(raised.value) == str(expected.value)
+        entanglement_series(table, coin, steps)
+    assert str(raised.value) == message
 
 
 # ------------------------------------------------------------

@@ -23,7 +23,6 @@ from coinwalk import (
     make_coin,
     momentum_state,
     named_coin,
-    origin_entanglement_series,
     run_walk,
     schmidt_spectrum,
 )
@@ -210,6 +209,16 @@ def test_distribution_covers_the_full_stored_window():
     assert abs(dist.probs.sum() - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("scale, total", [(1e200, "inf"), (2.0, "4.0")])
+def test_distribution_refuses_an_unnormalized_table_by_its_total(scale, total):
+    # 1e200 squares past the float maximum without a warning; both tables
+    # are refused for their total, before any probability is checked.
+    table = initial_state(1.0, 0.0, 2) * scale
+    with pytest.raises(ValueError) as err:
+        distribution(table)
+    assert str(err.value) == f"the table must be normalized: its total probability is {total}"
+
+
 def test_probability_lookup_outside_window_is_zero():
     dist = distribution(initial_state(1.0, 0.0, 2))
     assert dist.probability(17) == 0.0
@@ -229,9 +238,6 @@ ENGINES = {
     "entanglement_series": lambda steps: entanglement_series(_START, _HADAMARD, steps),
     "momentum_state": lambda steps: momentum_state(*UNBIASED_INIT, _HADAMARD, steps),
     "run_walk": lambda steps: run_walk(named_coin("hadamard"), *UNBIASED_INIT, steps).probs,
-    "origin_entanglement_series": lambda steps: origin_entanglement_series(
-        *UNBIASED_INIT, _HADAMARD, steps
-    ),
     "dense_series": lambda steps: list(dense_series(*UNBIASED_INIT, _HADAMARD, steps)),
 }
 
