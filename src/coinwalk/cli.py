@@ -400,8 +400,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     coin = make_coin(params)
     dense_coin = coin.copy()
     if args.corrupt_coin:
-        # Fault-injection hook: small enough to slip past the step-operator
-        # unitarity guard (1e-10), large enough to trip the 1e-12 comparison.
+        # Fault-injection hook: small enough to slip past the dense engine's
+        # coin unitarity guard (1e-10), large enough to trip the 1e-12 comparison.
         dense_coin[0, 0] += 3e-11
     state = initial_state(alpha, beta, steps)
     references = dense_series(alpha, beta, dense_coin, steps)

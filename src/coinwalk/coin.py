@@ -30,7 +30,8 @@ __all__ = [
     "check_unitary",
 ]
 
-#: Largest entry of ``M^dagger M - I`` that :func:`check_unitary` accepts.
+#: Largest entry of ``M^dagger M - I`` that :func:`check_unitary` and the
+#: momentum-space engine accept.
 _UNITARY_TOL = 1e-12
 
 
@@ -139,11 +140,22 @@ def check_coin_matrix(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
+def _unitarity_residual(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """The checked coin (see :func:`check_coin_matrix`) and ``max |M^dagger M - I|``.
+
+    Finite entries can still overflow the product: the residual is then inf
+    or NaN, without a NumPy warning.  NaN fails every comparison, so callers
+    test ``not residual <= tol``.
+    """
+    m = check_coin_matrix(matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
+    return m, residual
+
+
 def check_unitary(matrix: np.ndarray) -> bool:
     """True iff a (2, 2) matrix is unitary: no entry of ``M^dagger M - I`` exceeds 1e-12.
 
     Raises ValueError unless the shape is (2, 2) and every entry is finite.
     """
-    m = check_coin_matrix(matrix)
-    residual = m.conj().T @ m - np.eye(2)
-    return bool(np.max(np.abs(residual)) <= _UNITARY_TOL)
+    return _unitarity_residual(matrix)[1] <= _UNITARY_TOL

@@ -21,10 +21,12 @@ engines compare table for table, and the cyclic window agrees exactly with
 the infinite line.
 
 The operator's 4(2N+1) nonzeros are written in place, O(N^2) with the
-zero fill; its unitarity check ``U^H U`` is the O(N^3) part of the build,
-and each step is an O(N^2) mat-vec.  Being O(N^2) in memory as well, this
-path is for validation, not production; it refuses walks of more than
-``DENSE_HALF_WIDTH_CAP`` (200) steps.
+zero fill, and each step is an O(N^2) mat-vec.  Its unitarity check runs
+on the coin: ``S`` is a permutation, so ``U^H U = (C^H C) kron I`` entry
+for entry, and ``max |C^H C - I|`` is the residual of the whole operator.
+Being O(N^2) in memory as well, this path is for validation, not
+production: ``build_step_unitary`` refuses a half-width, and
+``dense_series`` a walk, of more than ``DENSE_HALF_WIDTH_CAP`` (200).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .coin import check_coin_matrix
+from .coin import _unitarity_residual
 from .state import check_coin_state, check_steps, check_walk_steps
 
 __all__ = ["build_step_unitary", "dense_series"]
@@ -57,17 +59,29 @@ def build_step_unitary(coin: np.ndarray, half_width: int) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Complex ``(4N+2, 4N+2)`` array, verified unitary: no entry of
-        ``U^dagger U - I`` exceeds 1e-10 in magnitude.
+        Complex ``(4N+2, 4N+2)`` array, verified unitary before it is
+        allocated: no entry of ``C^dagger C - I`` exceeds 1e-10 in magnitude.
+        Every column pair of ``U`` meets in one head row and one tail row,
+        so each entry of ``U^dagger U`` is the matching two-term entry of
+        ``C^dagger C``, and the coin's residual is the operator's.
 
     Raises
     ------
     ValueError
-        If ``half_width`` is not a positive integer, or if ``coin`` is not
-        unitary (the assembled operator then fails its own unitarity check).
+        If ``half_width`` is not an integer from 1 to ``DENSE_HALF_WIDTH_CAP``
+        (200), or if ``coin`` is not unitary.
     """
     n = check_walk_steps(half_width, "half_width")
-    c = check_coin_matrix(coin)
+    if n > DENSE_HALF_WIDTH_CAP:
+        raise ValueError(
+            f"dense operator takes a half-width of 1 to {DENSE_HALF_WIDTH_CAP}, got {n}"
+        )
+    c, worst = _unitarity_residual(coin)
+    if not worst <= _UNITARY_TOL:
+        raise ValueError(
+            f"step operator is not unitary: max |U^H U - I| = {worst:.3e} "
+            f"exceeds {_UNITARY_TOL:.0e} (is the coin matrix unitary?)"
+        )
     w = 2 * n + 1
     col = np.arange(w)
     head = (col + 1) % w
@@ -77,15 +91,6 @@ def build_step_unitary(coin: np.ndarray, half_width: int) -> np.ndarray:
     step[head, w + col] = c[0, 1]
     step[tail, col] = c[1, 0]
     step[tail, w + col] = c[1, 1]
-    # The coin's entries are finite, but large ones overflow U^H U to inf or
-    # NaN, without a warning here; NaN fails every comparison, so "not <=".
-    with np.errstate(over="ignore", invalid="ignore"):
-        worst = float(np.max(np.abs(step.conj().T @ step - np.eye(2 * w))))
-    if not worst <= _UNITARY_TOL:
-        raise ValueError(
-            f"step operator is not unitary: max |U^H U - I| = {worst:.3e} "
-            f"exceeds {_UNITARY_TOL:.0e} (is the coin matrix unitary?)"
-        )
     return step
 
 

@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from .coin import check_unitary
+from .coin import _UNITARY_TOL, _unitarity_residual
 from .state import check_amplitudes, check_coin_state, check_steps
 
 __all__ = ["momentum_state"]
@@ -79,8 +79,8 @@ def _check_coin(coin: np.ndarray) -> np.ndarray:
 
     The closed-form power holds only for a unitary step.
     """
-    c = np.asarray(coin, dtype=np.complex128)
-    if not check_unitary(c):
+    c, residual = _unitarity_residual(coin)
+    if not residual <= _UNITARY_TOL:
         raise ValueError("the momentum-space engine needs a unitary coin")
     return c
 

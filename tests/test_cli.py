@@ -494,8 +494,8 @@ def test_verify_at_the_dense_cap(capsys):
     _, rows = _csv_rows(out)
     assert [int(r[0]) for r in rows] == list(range(1, 201))
     assert all(float(r[1]) <= 1e-12 for r in rows)
-    # The injected 3e-11 fault still slips past the 1e-10 operator guard at
-    # this size, and the 1e-12 comparison still catches it.
+    # The injected 3e-11 fault still slips past the 1e-10 coin guard of the
+    # dense engine, and the 1e-12 comparison still catches it.
     code, _, err = _run(capsys, *argv, "--corrupt-coin")
     assert code == 1
     assert "the recurrence and dense engines disagree" in err

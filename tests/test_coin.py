@@ -1,6 +1,7 @@
 """Tests for the three-parameter coin: angles, entries, unitarity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,3 +228,26 @@ def test_a_non_finite_coin_is_rejected_with_one_message(use_coin, bad):
     with pytest.raises(ValueError) as err:
         use_coin(coin)
     assert str(err.value) == f"coin entries must be finite, got {coin.tolist()}"
+
+
+@pytest.mark.parametrize(
+    "use_coin, message",
+    [
+        (check_unitary, None),
+        (lambda coin: momentum_state(*UNBIASED_INIT, coin, 2), "needs a unitary coin"),
+        (lambda coin: entanglement_series(_START, coin, 1), "needs a unitary coin"),
+        (lambda coin: build_step_unitary(coin, 2), "step operator is not unitary"),
+    ],
+    ids=["check_unitary", "momentum_state", "entanglement_series", "build_step_unitary"],
+)
+def test_an_overflowing_coin_fails_the_unitarity_check_without_a_warning(use_coin, message):
+    # Finite entries whose squares overflow M^dagger M to inf: each caller
+    # refuses the coin in its own way, and NumPy says nothing about it.
+    coin = np.array([[1e200, 0.0], [0.0, 1.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            assert use_coin(coin) is False
+        else:
+            with pytest.raises(ValueError, match=message):
+                use_coin(coin)

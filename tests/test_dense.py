@@ -16,6 +16,8 @@ from coinwalk import (
     named_coin,
     run_walk,
 )
+from coinwalk import dense
+from coinwalk.coin import _unitarity_residual
 
 from conftest import normalized_pair, random_coin_angles
 
@@ -150,6 +152,23 @@ def test_an_overflowing_coin_is_caught_at_assembly():
         build_step_unitary(coin, 2)
 
 
+def test_the_coin_residual_is_the_operator_residual():
+    # S is a permutation, so U^H U = (C^H C) kron I: the guard checks the coin
+    # alone.  Half the coins carry the 3e-11 fault of `verify --corrupt-coin`.
+    rng = np.random.default_rng(4000)
+    coins = [make_coin(CoinParams(*random_coin_angles(rng))) for _ in range(200)]
+    for coin in coins[1::2]:
+        coin[0, 0] += 3e-11
+    for half_width in range(1, 12):
+        w = 2 * half_width + 1
+        m = np.roll(np.eye(w), 1, axis=0)
+        shift = np.block([[m, np.zeros((w, w))], [np.zeros((w, w)), m.T]])
+        for coin in coins:
+            u = shift @ np.kron(coin, np.eye(w))
+            worst = np.max(np.abs(u.conj().T @ u - np.eye(2 * w)))
+            assert abs(_unitarity_residual(coin)[1] - worst) <= 1e-15
+
+
 # ------------------------------------------------------------
 # Dense evolution against closed forms
 # ------------------------------------------------------------
@@ -209,6 +228,30 @@ def test_the_size_cap_is_enforced():
         dense_series(*UNBIASED_INIT, coin, 201)
     with pytest.raises(ValueError, match="steps must be a non-negative integer, got -1"):
         dense_series(*UNBIASED_INIT, coin, -1)
+
+
+@pytest.mark.parametrize(
+    "coin, half_width, message",
+    [
+        (np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex), 3, "not unitary"),
+        (make_coin(named_coin("hadamard")), 201, "half-width of 1 to 200, got 201"),
+    ],
+    ids=["non-unitary", "over-the-cap"],
+)
+def test_the_operator_is_checked_before_it_is_allocated(monkeypatch, coin, half_width, message):
+    def build(*args, **kwargs):
+        raise AssertionError("the operator was allocated before the request was checked")
+
+    monkeypatch.setattr(dense.np, "zeros", build)
+    with pytest.raises(ValueError, match=message):
+        build_step_unitary(coin, half_width)
+
+
+def test_the_operator_size_cap_is_enforced():
+    coin = make_coin(named_coin("hadamard"))
+    assert build_step_unitary(coin, 200).shape == (802, 802)
+    with pytest.raises(ValueError, match="half-width of 1 to 200, got 201"):
+        build_step_unitary(coin, 201)
 
 
 def test_dense_rejects_unnormalized_start():
