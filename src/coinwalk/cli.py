@@ -124,10 +124,11 @@ def _check_footprint(steps: int, values: int) -> None:
     builds the table at the origin (three sites) and holds the
     ``(T + 1) x 2 x 2`` Gram stack of its momentum-space series (64 B a
     step), O(M) transform and coefficient arrays, the grid of its nonuniform
-    FFT (three rows of about ``2T`` amplitudes) and the temporaries of one
-    batched eigenvalue call: by tracemalloc the whole op peaks at 335 B a
-    step as CSV and 324 B as JSON at T = 2 * 10^4, and at 318 B as both at
-    10^5, against the 672 B a step estimated here.
+    FFT (three rows of about ``2T`` amplitudes) and the closed-form spectra
+    (a few arrays of ``T + 1`` values): by tracemalloc the whole op peaks at
+    324 B a step as CSV and as JSON at T = 2 * 10^4, and at 318 B as both at
+    10^5 (341 and 321 B on the first op of a process), against the 672 B a
+    step estimated here.
     ``phase-diagram`` holds two basis tables and their folds, at most 121 B a
     site measured up to T = 3 * 10^5; the ``2T + 3`` values of one walk it
     counts cover the rest.

@@ -16,7 +16,8 @@ in bits is the entanglement entropy, ranging from 0 (product state) to 1
 t = 0..steps, without stepping it: it takes the Gram matrices from
 :func:`coinwalk.momentum._grams`, sums of sines and cosines over the
 wavenumbers taken at every t by one nonuniform FFT, within 1e-13 of the
-exact sums, and solves them all in one batched eigenvalue call.
+exact sums.  Every spectrum, of one state or of a whole series, comes from
+the eigenvalues of its ``2 x 2`` Gram matrix in closed form.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .momentum import _grams
-from .state import check_amplitudes
+from .state import check_amplitudes, check_steps
 
 __all__ = [
     "SchmidtSpectrum",
@@ -70,25 +71,35 @@ def _check_spectra(values: np.ndarray, ranks: np.ndarray) -> None:
 def _spectra(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular values, ranks and entropies (bits) of a stack of ``(2, 2)`` Gram matrices.
 
-    The values pass :func:`_check_spectra`.  The one home of the rank cutoff
-    (weights above ``_RANK_TOL`` times the largest; rank 0 for the zero
-    state) and of the rule that rank <= 1 has entropy exactly 0: rounding
-    leaves a product state's single weight a few ulps off 1, which would
-    otherwise read as an entropy of about 1e-16.
+    The weights (squared singular values) are the eigenvalues of each
+    Hermitian PSD matrix in closed form, ``m +- r`` with
+    ``m = (G00 + G11) / 2`` and ``r = hypot((G00 - G11) / 2, |G10|)``, within
+    a few ulps of the trace.  The diagonal is halved before it is added, so
+    ``m`` overflows only where the first weight does, and rounding that
+    leaves the second weight below 0 is floored there.  The values pass
+    :func:`_check_spectra`.  The one home of the rank cutoff (weights above
+    ``_RANK_TOL`` times the largest; rank 0 for the zero state) and of the
+    rule that rank <= 1 has entropy exactly 0: rounding leaves a product
+    state's single weight a few ulps off 1, which would otherwise read as an
+    entropy of about 1e-16.
     """
-    # eigvalsh is ascending and can return tiny negatives for a PSD matrix.
-    weights = np.clip(np.linalg.eigvalsh(grams)[..., ::-1], 0.0, None)
+    g00, g11 = grams[..., 0, 0].real / 2.0, grams[..., 1, 1].real / 2.0
+    # An overflowing Gram matrix leaves inf or NaN weights, which
+    # _check_spectra refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = g00 + g11
+        radius = np.hypot(g00 - g11, np.abs(grams[..., 1, 0]))
+        weights = np.stack([mean + radius, np.maximum(mean - radius, 0.0)], axis=-1)
     values = np.sqrt(weights)
     top = weights[..., :1]
     ranks = np.where(top[..., 0] > 0.0, np.count_nonzero(weights > _RANK_TOL * top, axis=-1), 0)
     _check_spectra(values, ranks)
-    squares = values**2
-    logs = np.log2(squares, out=np.zeros_like(squares), where=squares > 0.0)
-    entropies = np.where(ranks >= 2, -np.sum(squares * logs, axis=-1), 0.0)
+    logs = np.log2(weights, out=np.zeros_like(weights), where=weights > 0.0)
+    entropies = np.where(ranks >= 2, -np.sum(weights * logs, axis=-1), 0.0)
     return values, ranks, entropies
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtSpectrum:
     """Singular values of the coin/position split of an amplitude table.
 
@@ -99,7 +110,11 @@ class SchmidtSpectrum:
         sum to the state's total probability.
     rank : int
         Number of Schmidt terms that survive the relative cutoff
-        ``_RANK_TOL``; 0 only for the zero state.
+        ``_RANK_TOL``; 0 only for the zero state.  A non-negative integer
+        (not a ``bool``), stored as an ``int``.
+
+    Instances compare and hash by identity: equality of the values array has
+    no single truth value.
     """
 
     values: np.ndarray = field(repr=False)
@@ -109,8 +124,10 @@ class SchmidtSpectrum:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size > 2:
             raise ValueError(f"expected at most two singular values, got shape {v.shape}")
-        _check_spectra(v, np.asarray(self.rank))
+        rank = check_steps(self.rank, "rank")
+        _check_spectra(v, np.asarray(rank))
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "rank", rank)
 
 
 def schmidt_spectrum(amplitudes: np.ndarray) -> SchmidtSpectrum:
@@ -168,7 +185,7 @@ def entanglement_series(
     :func:`coinwalk.momentum._grams`, sums of sines and cosines over the
     wavenumbers taken at every t by one nonuniform FFT, without stepping, in
     O((s + T) log(s + T)) for a table whose occupied sites span ``s``
-    columns; one batched eigenvalue call solves them all.
+    columns.
 
     Returns
     -------

@@ -1,5 +1,6 @@
 """Tests for Schmidt spectra, ranks and coin-position entropy."""
 
+import decimal
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from coinwalk import (
     named_coin,
     schmidt_spectrum,
 )
-from coinwalk.entanglement import _gram, _spectra
+from coinwalk.entanglement import _RANK_TOL, _gram, _spectra
 from coinwalk.momentum import _grams
 
 from conftest import angles, normalized_pair, random_coin_angles
@@ -128,6 +129,15 @@ def test_spectrum_validation():
     for values, rank in (([math.nan, 0.5], 1), ([math.inf, 0.5], 2)):
         with pytest.raises(ValueError, match="finite"):
             SchmidtSpectrum(np.array(values), rank=rank)
+    # The rank is a non-negative integer, as a step count is; a bool is not one.
+    for rank in (1.5, True, "1", None, -1):
+        with pytest.raises(ValueError, match="rank must be a non-negative integer"):
+            SchmidtSpectrum(np.array([1.0, 0.0]), rank=rank)
+    spectrum = SchmidtSpectrum(np.array([1.0, 0.0]), rank=np.int64(1))
+    assert type(spectrum.rank) is int and spectrum.rank == 1
+    # Identity equality and hash: equal values arrays have no single truth value.
+    assert spectrum == spectrum and spectrum != SchmidtSpectrum(np.array([1.0, 0.0]), rank=1)
+    assert hash(spectrum) == hash(spectrum)
 
 
 def test_a_table_whose_gram_matrix_overflows_is_refused():
@@ -144,6 +154,78 @@ def test_a_table_whose_gram_matrix_overflows_is_refused():
         with pytest.raises(ValueError) as err:
             measure(table)
         assert str(err.value) == "singular values must be finite, non-negative and descending"
+
+
+# ------------------------------------------------------------
+# The closed-form spectrum against LAPACK and exact arithmetic
+# ------------------------------------------------------------
+
+
+def _eigvalsh_spectra(grams):
+    """The oracle: the weights of LAPACK's ``eigvalsh``, with the rank and entropy rules of ``_spectra``."""
+    weights = np.clip(np.linalg.eigvalsh(grams)[..., ::-1], 0.0, None)
+    top = weights[..., :1]
+    ranks = np.where(top[..., 0] > 0.0, np.count_nonzero(weights > _RANK_TOL * top, axis=-1), 0)
+    logs = np.log2(weights, out=np.zeros_like(weights), where=weights > 0.0)
+    return weights, ranks, np.where(ranks >= 2, -np.sum(weights * logs, axis=-1), 0.0)
+
+
+def _exact_weights(gram):
+    """The two weights of one Gram matrix, from its float entries in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        g00, g11 = decimal.Decimal(gram[0, 0].real), decimal.Decimal(gram[1, 1].real)
+        cross = decimal.Decimal(gram[1, 0].real) ** 2 + decimal.Decimal(gram[1, 0].imag) ** 2
+        mean = (g00 + g11) / 2
+        radius = (((g00 - g11) / 2) ** 2 + cross).sqrt()
+        return [float(mean + radius), float(max(mean - radius, decimal.Decimal(0)))]
+
+
+def _psd_stack(kind, rng, count=200):
+    """``count`` Hermitian PSD ``(2, 2)`` matrices of unit trace (the zero matrix for "zero")."""
+    if kind == "zero":
+        return np.zeros((count, 2, 2), dtype=complex)
+    if kind == "diagonal":
+        grams = np.zeros((count, 2, 2), dtype=complex)
+        grams[:, [0, 1], [0, 1]] = rng.random((count, 2))
+    elif kind in ("rank-1", "random"):
+        rows = rng.normal(size=(count, 2, 1 if kind == "rank-1" else 5))
+        rows = rows + 1j * rng.normal(size=rows.shape)
+        grams = rows @ rows.conj().transpose(0, 2, 1)
+    else:  # a second weight of ``kind`` times the first, in a random basis
+        basis, _ = np.linalg.qr(rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)))
+        grams = (basis * [1.0, kind]) @ basis.conj().transpose(0, 2, 1)
+    return grams / (grams[:, 0, 0].real + grams[:, 1, 1].real)[:, None, None]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize(
+    "kind, rank",
+    [("zero", 0), ("rank-1", 1), ("diagonal", 2), ("random", 2), (1e-11, 1), (1e-9, 2)],
+)
+def test_closed_form_spectra_match_eigvalsh(kind, rank, scale):
+    # Second weights of 1e-11 and 1e-9 times the first lie on either side of
+    # the 1e-10 rank cutoff.
+    grams = _psd_stack(kind, np.random.default_rng(21), count=200) * scale
+    values, ranks, entropies = _spectra(grams)
+    weights, oracle_ranks, oracle_entropies = _eigvalsh_spectra(grams)
+    assert np.array_equal(ranks, oracle_ranks) and np.all(ranks == rank)
+    trace = (grams[:, 0, 0].real + grams[:, 1, 1].real)[:, None]
+    eps = np.finfo(float).eps
+    # Against exact arithmetic the closed form's weights (squared back from
+    # the values) were measured within 1.7 eps * trace over these stacks;
+    # eigvalsh's within 3.7 eps * trace.
+    exact = np.array([_exact_weights(gram) for gram in grams])
+    assert np.all(np.abs(values**2 - exact) <= 3 * eps * trace)
+    assert np.all(np.abs(values**2 - weights) <= 8 * eps * trace)
+    # An error d in a weight w moves the entropy by about |log2 w + 1/ln 2| d,
+    # so that is the bound.  Measured at unit trace: at most 5.6e-16 with
+    # both weights of order 1, and 1.0e-14 for the 1e-9 second weight, whose
+    # log2 is about -30.
+    logs = np.log2(weights, out=np.zeros_like(weights), where=weights > 0.0)
+    sensitivity = np.sum(np.abs(logs) + 2.0, axis=-1)
+    assert np.all(np.abs(entropies - oracle_entropies) <= sensitivity * 8 * eps * trace[:, 0])
+    assert np.array_equal(entropies == 0.0, ranks <= 1)
 
 
 # ------------------------------------------------------------
@@ -321,31 +403,38 @@ def test_origin_series_keeps_product_states_exact(params, init, steps, product_t
     assert np.all(ranks[list(product_times)] == 1)
 
 
-# The T -> infinity limit of the Hadamard walk from a head start: the start
-# state's density matrix dephased in the eigenbasis of U(q), averaged over q
-# (the non-oscillating term of the series).  The integrand is analytic and
-# periodic, so the midpoint rule on 1024 points is exact to rounding; it
-# reads 0.8724293 bits, the plateau of Carneiro et al., New J. Phys. 7, 156
-# (2005) and Abal et al., PRA 73, 042302 (2006).
-def _hadamard_plateau(points=1024):
+# The T -> infinity limit of the walk from a table: each parity class's
+# transform psi(q) dephased in the eigenbasis of U(q), summed over the
+# classes and averaged over q (the non-oscillating term ``Abar`` of the
+# series, by Riemann-Lebesgue the limit of every Gram matrix).  The
+# integrand is analytic and periodic, so the midpoint rule on 1024 points is
+# exact to rounding (4096 points move it by at most 7e-16).  From a head
+# start with the Hadamard coin it reads 0.8724293 bits, the plateau of
+# Carneiro et al., New J. Phys. 7, 156 (2005) and Abal et al., PRA 73, 042302
+# (2006).
+def _plateau(coin, table, points=1024):
     q = 2.0 * math.pi * (np.arange(points) + 0.5) / points
-    hadamard = make_coin(named_coin("hadamard"))
     step = np.empty((points, 2, 2), dtype=complex)
-    step[:, 0] = np.exp(-1j * q)[:, None] * hadamard[0]
-    step[:, 1] = hadamard[1]
+    step[:, 0] = np.exp(-1j * q)[:, None] * coin[0]
+    step[:, 1] = coin[1]
     _, vectors = np.linalg.eig(step)
-    overlaps = np.abs(vectors[:, 0, :]) ** 2  # |<v_k|H>|^2
-    rho = np.einsum("pk,pik,pjk->ij", overlaps, vectors, vectors.conj()) / points
+    rho = np.zeros((2, 2), dtype=complex)
+    for rows in (table[:, 0::2], table[:, 1::2]):
+        # psi(q) = sum_y psi_y e^{-iqy}, the label y of a class counting its columns.
+        psi = rows @ np.exp(-1j * np.outer(np.arange(rows.shape[1]), q))
+        overlaps = np.abs(np.einsum("pik,ip->pk", vectors.conj(), psi)) ** 2  # |<v_k|psi>|^2
+        rho += np.einsum("pk,pik,pjk->ij", overlaps, vectors, vectors.conj()) / points
     weights = np.linalg.eigvalsh(rho)
     return float(-np.sum(weights * np.log2(weights)))
 
 
 def test_hadamard_entropy_reaches_its_plateau():
-    plateau = _hadamard_plateau()
+    hadamard = make_coin(named_coin("hadamard"))
+    head = initial_state(1.0, 0.0, 1)
+    plateau = _plateau(hadamard, head)
     assert abs(plateau - 0.8724293) <= 1e-7
     steps = 20_000
-    hadamard = make_coin(named_coin("hadamard"))
-    _, entropies = entanglement_series(initial_state(1.0, 0.0, 1), hadamard, steps)
+    _, entropies = entanglement_series(head, hadamard, steps)
     # |S(t) - plateau| measured at t = T - 1 and t = T for T = 10^3, 2*10^3,
     # 4*10^3, 8*10^3 and 1.6*10^4 fits 0.3834 t^-0.5064 at these odd t and
     # 0.2600 t^-1.0060 at these even t (least squares in log-log).  At
@@ -354,3 +443,23 @@ def test_hadamard_entropy_reaches_its_plateau():
     odd, even = steps - 1, steps
     assert abs(entropies[odd] - plateau) <= 2 * 0.3834 * odd**-0.5064
     assert abs(entropies[even] - plateau) <= 2 * 0.2600 * even**-1.0060
+
+
+def test_entropy_from_a_non_local_start_reaches_its_plateau():
+    # A generic coin from a start on three sites, both parity classes
+    # occupied: 0.6 |x=-1, H> + 0.6i |x=1, T> (the two-site class of Abal et
+    # al.) plus sqrt(0.28) |x=0, H>.
+    coin = make_coin(CoinParams(*random_coin_angles(np.random.default_rng(11))))
+    table = np.zeros((2, 3), dtype=complex)
+    table[0, 0], table[1, 2], table[0, 1] = 0.6, 0.6j, math.sqrt(0.28)
+    plateau = _plateau(coin, table)
+    steps = 20_000
+    _, entropies = entanglement_series(table, coin, steps)
+    # The distance oscillates within an envelope: its maximum over the 64
+    # steps up to T = 10^3, 2*10^3, 4*10^3, 8*10^3 and 1.6*10^4 fits
+    # 0.0447 T^-0.5229 (least squares in log-log), which predicts 2.52e-4 at
+    # T = 2*10^4 (measured 2.54e-4); the bound is twice the fit.  The start
+    # lies 0.051 below the plateau.
+    bound = 2 * 0.0447 * steps**-0.5229
+    assert np.max(np.abs(entropies[-64:] - plateau)) <= bound
+    assert abs(entropies[0] - plateau) >= 50 * bound
