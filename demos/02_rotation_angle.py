@@ -9,6 +9,9 @@ theta interpolates between two extremes:
 A second, less obvious fact: theta and theta + 180 deg give the *same*
 distribution at every time (the matrices differ by an overall sign, which
 squares away), so the physically distinct range of theta is just [0, 180).
+
+``theta_sweep`` solves every angle of its grid in one momentum-space pass and
+returns one row of probabilities per angle, over the positions -T .. T.
 """
 
 import numpy as np
@@ -16,9 +19,9 @@ import numpy as np
 from coinwalk import UNBIASED_INIT, CoinParams, run_walk, theta_sweep
 
 
-def spread(dist):
+def spread(probs, positions):
     """Root-mean-square distance from the origin."""
-    return float(np.sqrt(np.sum(dist.probs * dist.positions.astype(float) ** 2)))
+    return float(np.sqrt(np.sum(probs * positions.astype(float) ** 2)))
 
 
 def main():
@@ -28,11 +31,12 @@ def main():
     print(f"{steps}-step walks, unbiased start, phi1 = phi2 = 0")
     print(f"{'theta':>6} {'P(0)':>9} {'P(+-t)':>9} {'rms spread':>11}")
     thetas = np.radians([0, 15, 30, 45, 60, 75, 90])
-    for theta, dist in theta_sweep(thetas, 0.0, 0.0, alpha, beta, steps):
-        edge = dist.probability(steps) + dist.probability(-steps)
+    positions = np.arange(-steps, steps + 1)  # row k, column x + T holds P(x) at thetas[k]
+    for theta, probs in zip(thetas, theta_sweep(thetas, 0.0, 0.0, alpha, beta, steps)):
+        edge = probs[0] + probs[-1]
         print(
-            f"{np.degrees(theta):6.0f} {dist.probability(0):9.5f} "
-            f"{edge:9.5f} {spread(dist):11.3f}"
+            f"{np.degrees(theta):6.0f} {probs[steps]:9.5f} "
+            f"{edge:9.5f} {spread(probs, positions):11.3f}"
         )
 
     print()

@@ -9,8 +9,9 @@ Two scalar summaries drive the parameter studies:
 * ``symmetry_deviation`` — the worst-case difference ``|P(x) - P(-x)|``,
   i.e. how far the distribution is from exact left/right symmetry.
 
-``theta_sweep`` runs one walk per rotation angle, ``phase_diagram`` two walks
-for the whole (phi1, phi2) grid, and both collect these summaries.
+``theta_sweep`` solves the walks of all its rotation angles in one
+momentum-space pass, ``phase_diagram`` two walks for the whole (phi1, phi2)
+grid.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import cmath
 import numpy as np
 
 from .coin import CoinParams, make_coin
-from .evolution import run_walk
-from .momentum import momentum_state
-from .state import ProbabilityDistribution, check_coin_state, check_unit_interval, check_walk_steps
+from .momentum import _states, momentum_state
+from .state import ProbabilityDistribution, _probabilities, check_coin_state, check_unit_interval
+from .state import check_walk_steps
 
 __all__ = [
     "peak_gap",
@@ -82,18 +83,32 @@ def theta_sweep(
     alpha: complex,
     beta: complex,
     steps: int,
-) -> list[tuple[float, ProbabilityDistribution]]:
-    """Run one walk per rotation angle; distributions in input order.
+) -> np.ndarray:
+    """The distribution of the walk at each rotation angle, from one momentum-space pass.
 
-    The angles reach the coin as given.  An empty angle list yields an empty
-    result, once ``steps`` is checked as :func:`~coinwalk.evolution.run_walk`
-    checks it: ValueError unless it is a positive integer.
+    Returns the ``(len(thetas), 2T + 1)`` float array whose row ``k`` is
+    ``run_walk(CoinParams(thetas[k], phi1, phi2), alpha, beta, steps).probs``
+    bit for bit, over the positions ``-T .. T``, with the angles as given.
+    The coins share the wavenumbers, the spectra and one inverse FFT (see
+    :func:`coinwalk.momentum._states`); only the 2x2 arithmetic of each
+    coin is done per angle.
+
+    Raises
+    ------
+    ValueError
+        If ``steps`` is not a positive integer, the coin state is not
+        normalized, an angle is NaN or infinite, or a coin is not unitary,
+        before any array is built; and if a distribution does not sum to 1
+        or leaves [0, 1] (both within 1e-10).
     """
-    check_walk_steps(steps)
-    return [
-        (float(theta), run_walk(CoinParams(float(theta), phi1, phi2), alpha, beta, steps))
-        for theta in np.asarray(thetas, dtype=np.float64)
-    ]
+    steps = check_walk_steps(steps)
+    check_coin_state(alpha, beta)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    coins = [make_coin(CoinParams(float(theta), phi1, phi2)) for theta in thetas]
+    # _states checks each coin's unitarity before it builds an array.
+    probs = _probabilities(_states(alpha, beta, coins, steps))
+    check_unit_interval(probs, "probabilities")
+    return probs
 
 
 def phase_diagram(

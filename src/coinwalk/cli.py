@@ -5,8 +5,8 @@ Subcommands
 walk
     One walk; rows ``position,probability`` over the ``2N+1`` reachable sites.
 sweep-theta
-    One walk per rotation angle of a degree grid; rows
-    ``theta_deg,position,probability``.
+    The walk at each rotation angle of a degree grid, all solved in one
+    momentum-space pass; rows ``theta_deg,position,probability``.
 phase-diagram
     Peak gap over a (phi1, phi2) degree grid at the theta of --theta-deg or
     of the named coin; rows ``phi1_deg,phi2_deg,delta`` in row-major grid
@@ -131,7 +131,11 @@ def _check_footprint(steps: int, values: int) -> None:
     step estimated here.
     ``phase-diagram`` holds two basis tables and their folds, at most 121 B a
     site measured up to T = 3 * 10^5; the ``2T + 3`` values of one walk it
-    counts cover the rest.
+    counts cover the rest.  ``sweep-theta`` solves its K walks in one pass,
+    so it holds the FFT arrays and tables of all K at once, which its
+    ``K (2T + 4)`` values cover: by tracemalloc the whole op peaks at 56 B a
+    value as CSV and as JSON, with 72 angles at T = 300, 8 at 2 * 10^4 and
+    2 at 10^5 (43 to 61 B when the walks ran one at a time).
     On top come 256 B for each value the op keeps and writes out (a site of a
     kept distribution, a grid point, half a step of a series): the number and
     at most 24 B of CSV columns built from it.  Both formats are written a
@@ -201,22 +205,67 @@ def _require_steps(args: argparse.Namespace, minimum: int = 1) -> int:
     return args.steps
 
 
-def _csv(header: str, *columns: np.ndarray) -> Iterator[str]:
-    """CSV text of equal-length ``columns`` under ``header``, a block of rows per string.
+def _csv(header: str, *columns: np.ndarray, labels: np.ndarray | None = None) -> Iterator[str]:
+    """CSV text of ``columns`` under ``header``, at most ``CSV_BLOCK_ROWS`` rows per string.
 
-    Integer columns print with ``%d``, float columns with ``%.17g``, the same
-    text as ``format(value, ".17g")``.  Each column passes through ``tolist``
-    on its own, so integer cells stay Python ints, exact at any size.
+    Without ``labels`` the columns are 1-D and of equal length, a row per
+    entry.  With ``labels`` the rows come in one run per label: the rows of
+    ``labels[k]`` lead with it and then take each column in turn, whole if
+    it is 1-D, and its row ``k`` if it is 2-D.  Integer cells print with
+    ``%d``, float cells with ``%.17g``, the same text as
+    ``format(value, ".17g")``.  A label is formatted once per block, and the
+    1-D columns of a labelled table once in all.  Each column passes through
+    ``tolist`` on its own, so integer cells stay Python ints, exact at any
+    size.
     """
-    template = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    k = len(columns)
+    if labels is None:
+        leads, columns = [None], [column[None] for column in columns]
+    else:
+        leads = [_cell_format(labels) % label for label in labels.tolist()]
+    fixed = [column for column in columns if column.ndim == 1]
+    per_label = [column for column in columns if column.ndim == 2]
+    # The template of a row: its label, then the text of the 1-D columns and
+    # the format of the 2-D ones.  A first ``%`` fills in the 1-D text and
+    # turns the doubled ``%%`` of the rest into formats; with no 1-D column
+    # the formats are written as they are, and no first pass is needed.
+    esc = "%" if fixed else ""
+    cells = (_cell_format(c) if c.ndim == 1 else esc + _cell_format(c) for c in columns)
+    row = (esc + "%s," if labels is not None else "") + ",".join(cells) + "\n"
+    width = columns[0].shape[-1]
+    # The templates of the blocks, made once: by first row while 1-D text is
+    # in them, else by length, of which there are at most two.
+    templates = {}
     yield header + "\n"
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        parts = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in columns]
-        cells = [None] * (k * len(parts[0]))
-        for j, part in enumerate(parts):
-            cells[j::k] = part
-        yield template * len(parts[0]) % tuple(cells)
+    for k, lead in enumerate(leads):
+        for start in range(0, width, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, width)
+            key = start if fixed else stop - start
+            template = templates.get(key)
+            if template is None:
+                template = row * (stop - start)
+                if fixed:
+                    template %= _interleave(c[start:stop] for c in fixed)
+                templates[key] = template
+            yield template % _interleave((c[k, start:stop] for c in per_label), lead)
+
+
+def _cell_format(column: np.ndarray) -> str:
+    """``%d`` for an integer column, ``%.17g`` for a float one."""
+    return "%d" if column.dtype.kind in "iu" else "%.17g"
+
+
+def _interleave(columns: Iterable[np.ndarray], lead: str | None = None) -> tuple:
+    """The cells of ``columns`` in row order, each row led by ``lead`` unless it is None."""
+    parts = [column.tolist() for column in columns]
+    if not parts:
+        return ()
+    if lead is not None:
+        parts.insert(0, [lead] * len(parts[0]))
+    k = len(parts)
+    cells = [None] * (k * len(parts[0]))
+    for j, part in enumerate(parts):
+        cells[j::k] = part
+    return tuple(cells)
 
 
 def _json(obj: object, level: int = 0) -> Iterator[str]:
@@ -255,12 +304,21 @@ def _json(obj: object, level: int = 0) -> Iterator[str]:
         yield json.dumps(obj, default=lambda a: a.tolist())
 
 
-def _emit(args: argparse.Namespace, payload: object, header: str, *columns: np.ndarray) -> None:
-    """Write ``payload`` as JSON, or ``columns`` as CSV under ``header``, as --format asks."""
+def _emit(
+    args: argparse.Namespace,
+    payload: object,
+    header: str,
+    *columns: np.ndarray,
+    labels: np.ndarray | None = None,
+) -> None:
+    """Write ``payload`` as JSON, or ``columns`` (and ``labels``) as CSV under ``header``.
+
+    --format chooses; see :func:`_csv` for the columns and labels.
+    """
     if args.format == "json":
         _write(itertools.chain(_json(payload), "\n"), args.out)
     else:
-        _write(_csv(header, *columns), args.out)
+        _write(_csv(header, *columns, labels=labels), args.out)
 
 
 def _write(chunks: Iterable[str], out_path: str | None) -> None:
@@ -288,15 +346,17 @@ def _report(line: str) -> None:
         print(line, file=sys.stderr)
 
 
-def _walk_payload(degrees: tuple[float, float, float], steps: int, dist) -> dict:
+def _walk_payload(
+    degrees: tuple[float, float, float], steps: int, positions: np.ndarray, probs: np.ndarray
+) -> dict:
     """One walk's angles and its 2N+1 reachable sites."""
     return {
         "theta_deg": degrees[0],
         "phi1_deg": degrees[1],
         "phi2_deg": degrees[2],
         "steps": steps,
-        "positions": dist.positions,
-        "probs": dist.probs,
+        "positions": positions,
+        "probs": probs,
     }
 
 
@@ -310,8 +370,9 @@ def cmd_walk(args: argparse.Namespace) -> int:
     _check_footprint(steps, 2 * steps + 3)
     params, degrees = _coin_params(args)
     alpha, beta = _init_amplitudes(args)
-    payload = _walk_payload(degrees, steps, run_walk(params, alpha, beta, steps))
-    _emit(args, payload, "position,probability", payload["positions"], payload["probs"])
+    dist = run_walk(params, alpha, beta, steps)
+    payload = _walk_payload(degrees, steps, dist.positions, dist.probs)
+    _emit(args, payload, "position,probability", dist.positions, dist.probs)
     return 0
 
 
@@ -324,7 +385,7 @@ def cmd_sweep_theta(args: argparse.Namespace) -> int:
     phi1_deg = args.phi1_deg or 0.0
     phi2_deg = args.phi2_deg or 0.0
     try:
-        sweep = theta_sweep(
+        probs = theta_sweep(
             np.radians(thetas_deg),
             math.radians(phi1_deg),
             math.radians(phi2_deg),
@@ -334,14 +395,15 @@ def cmd_sweep_theta(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    payload = [
-        _walk_payload((theta_deg, phi1_deg, phi2_deg), steps, dist)
-        for theta_deg, (_, dist) in zip(thetas_deg, sweep)
-    ]
     positions = np.arange(-steps, steps + 1)
-    rows = np.repeat(thetas_deg, positions.size), np.tile(positions, thetas_deg.size)
-    probs = np.concatenate([block["probs"] for block in payload])
-    _emit(args, payload, "theta_deg,position,probability", *rows, probs)
+    payload = None
+    if args.format == "json":
+        payload = [
+            _walk_payload((theta_deg, phi1_deg, phi2_deg), steps, positions, row)
+            for theta_deg, row in zip(thetas_deg, probs)
+        ]
+    header = "theta_deg,position,probability"
+    _emit(args, payload, header, positions, probs, labels=thetas_deg)
     return 0
 
 
@@ -363,8 +425,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         "phi2_deg": phi2_deg,
         "delta": delta,
     }
-    rows = (*np.meshgrid(phi1_deg, phi2_deg, indexing="ij"), delta)
-    _emit(args, payload, "phi1_deg,phi2_deg,delta", *(r.ravel() for r in rows))
+    _emit(args, payload, "phi1_deg,phi2_deg,delta", phi2_deg, delta, labels=phi1_deg)
     return 0
 
 

@@ -53,6 +53,12 @@ def _gram(rows: np.ndarray) -> np.ndarray:
     return np.array([[np.vdot(head, head), cross.conjugate()], [cross, np.vdot(tail, tail)]])
 
 
+#: The refusal of a spectrum.  A finite table of amplitudes near 1e154
+#: overflows its Gram matrix and gets it; so does one near 1e153, whose
+#: weights are finite but whose entropy terms overflow.
+_BAD_SPECTRUM = "singular values must be finite, non-negative and descending"
+
+
 def _check_spectra(values: np.ndarray, ranks: np.ndarray) -> None:
     """ValueError unless each row of values is finite, non-negative, descending and fits its rank.
 
@@ -62,26 +68,23 @@ def _check_spectra(values: np.ndarray, ranks: np.ndarray) -> None:
     """
     finite = np.all(np.isfinite(values))
     if not finite or np.any(values < 0.0) or np.any(np.diff(values, axis=-1) > 0.0):
-        raise ValueError("singular values must be finite, non-negative and descending")
+        raise ValueError(_BAD_SPECTRUM)
     bad = (ranks < 0) | (ranks > values.shape[-1])
     if np.any(bad):
         raise ValueError(f"rank {ranks[bad][0]} inconsistent with {values.shape[-1]} values")
 
 
-def _spectra(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular values, ranks and entropies (bits) of a stack of ``(2, 2)`` Gram matrices.
+def _spectra(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schmidt weights (squared singular values) and ranks of a stack of ``(2, 2)`` Gram matrices.
 
-    The weights (squared singular values) are the eigenvalues of each
-    Hermitian PSD matrix in closed form, ``m +- r`` with
-    ``m = (G00 + G11) / 2`` and ``r = hypot((G00 - G11) / 2, |G10|)``, within
-    a few ulps of the trace.  The diagonal is halved before it is added, so
-    ``m`` overflows only where the first weight does, and rounding that
-    leaves the second weight below 0 is floored there.  The values pass
-    :func:`_check_spectra`.  The one home of the rank cutoff (weights above
-    ``_RANK_TOL`` times the largest; rank 0 for the zero state) and of the
-    rule that rank <= 1 has entropy exactly 0: rounding leaves a product
-    state's single weight a few ulps off 1, which would otherwise read as an
-    entropy of about 1e-16.
+    The weights are the eigenvalues of each Hermitian PSD matrix in closed
+    form, ``m +- r`` with ``m = (G00 + G11) / 2`` and
+    ``r = hypot((G00 - G11) / 2, |G10|)``, within a few ulps of the trace.
+    The diagonal is halved before it is added, so ``m`` overflows only where
+    the first weight does, and rounding that leaves the second weight below
+    0 is floored there.  The weights pass :func:`_check_spectra`.  The one
+    home of the rank cutoff: weights above ``_RANK_TOL`` times the largest,
+    and rank 0 for the zero state.
     """
     g00, g11 = grams[..., 0, 0].real / 2.0, grams[..., 1, 1].real / 2.0
     # An overflowing Gram matrix leaves inf or NaN weights, which
@@ -90,13 +93,27 @@ def _spectra(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         mean = g00 + g11
         radius = np.hypot(g00 - g11, np.abs(grams[..., 1, 0]))
         weights = np.stack([mean + radius, np.maximum(mean - radius, 0.0)], axis=-1)
-    values = np.sqrt(weights)
     top = weights[..., :1]
     ranks = np.where(top[..., 0] > 0.0, np.count_nonzero(weights > _RANK_TOL * top, axis=-1), 0)
-    _check_spectra(values, ranks)
+    _check_spectra(weights, ranks)
+    return weights, ranks
+
+
+def _entropies(weights: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Entropies in bits, ``-sum w log2 w``, of the weights and ranks of :func:`_spectra`.
+
+    The one home of the rule that rank <= 1 has entropy exactly 0: rounding
+    leaves a product state's single weight a few ulps off 1, which would
+    otherwise read as an entropy of about 1e-16.  ValueError (the message of
+    an overflowing Gram matrix) where a term ``w log2 w`` overflows, for
+    weights above about 1e305.
+    """
     logs = np.log2(weights, out=np.zeros_like(weights), where=weights > 0.0)
-    entropies = np.where(ranks >= 2, -np.sum(weights * logs, axis=-1), 0.0)
-    return values, ranks, entropies
+    with np.errstate(over="ignore", invalid="ignore"):
+        entropies = np.where(ranks >= 2, -np.sum(weights * logs, axis=-1), 0.0)
+    if not np.all(np.isfinite(entropies)):
+        raise ValueError(_BAD_SPECTRUM)
+    return entropies
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +166,8 @@ def schmidt_spectrum(amplitudes: np.ndarray) -> SchmidtSpectrum:
         If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, or its Gram
         matrix overflows (entries near the square root of the float maximum).
     """
-    values, ranks, _ = _spectra(_gram(check_amplitudes(amplitudes)))
-    return SchmidtSpectrum(values, int(ranks))
+    weights, ranks = _spectra(_gram(check_amplitudes(amplitudes)))
+    return SchmidtSpectrum(np.sqrt(weights), int(ranks))
 
 
 def entanglement_entropy(amplitudes: np.ndarray) -> float:
@@ -165,10 +182,11 @@ def entanglement_entropy(amplitudes: np.ndarray) -> float:
     Raises
     ------
     ValueError
-        As :func:`schmidt_spectrum`.
+        As :func:`schmidt_spectrum`, and with its message where a Schmidt
+        weight passes about 1e305, so that ``w log2 w`` overflows (amplitudes
+        near 1e153).
     """
-    _, _, entropy = _spectra(_gram(check_amplitudes(amplitudes)))
-    return float(entropy)
+    return float(_entropies(*_spectra(_gram(check_amplitudes(amplitudes)))))
 
 
 def entanglement_series(
@@ -201,6 +219,8 @@ def entanglement_series(
         If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, the coin is
         not a unitary (2, 2) matrix (the momentum-space engine needs one) or
         ``steps`` is not a non-negative integer, before any array is built;
-        also as :func:`schmidt_spectrum` when a Gram matrix overflows.
+        also as :func:`entanglement_entropy` when a Gram matrix or an
+        entropy term overflows.
     """
-    return _spectra(_grams(amplitudes, coin, steps))[1:]
+    weights, ranks = _spectra(_grams(amplitudes, coin, steps))
+    return ranks, _entropies(weights, ranks)

@@ -30,6 +30,12 @@ half-width ``N >= T``.  ``M`` is the smallest 2-3-5-smooth size ``>= T+1``:
 a prime length sends the FFT to a Bluestein transform several times slower,
 and a power of two can pad the window to twice its size.
 
+The closed form of ``K`` coins runs in one pass (``_states``, the engine of
+:func:`coinwalk.analysis.theta_sweep`): the wavenumbers, the ``(K, 2, M)``
+spectra, ``omega``, the ratio and one inverse FFT are shared, and only the
+2x2 arithmetic of each coin is done coin by coin.  :func:`momentum_state`
+is its one-coin case.
+
 The same pieces give the coin's Gram matrix at every ``t = 0 .. T`` without
 stepping, from any start table (``_grams``, the engine of
 :func:`coinwalk.entanglement.entanglement_series`): each parity class of
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -86,17 +93,35 @@ def _check_coin(coin: np.ndarray) -> np.ndarray:
 
 
 def _closed_form(
-    alpha: complex | np.ndarray, beta: complex | np.ndarray, c: np.ndarray, m: int
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The SU(2) pieces of the closed form at the ``m`` wavenumbers ``q = 2 pi j / m``.
+    alpha: complex | np.ndarray,
+    beta: complex | np.ndarray,
+    coins: Sequence[np.ndarray],
+    m: int,
+) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The SU(2) pieces of the closed form of ``K`` coins at the wavenumbers ``q = 2 pi j / m``.
 
-    Returns ``delta / 2``, ``u = e^{-iq/2}``, the ``(2, m)`` table
-    ``(V - cos(omega) I) (alpha, beta)``, ``sin(omega)`` and ``omega``.
-    ``alpha`` and ``beta`` are the coin state, or its transform at each
-    wavenumber.
+    Returns the ``K`` values ``delta / 2``, ``u = e^{-iq/2}``, the ``(K, 2, m)``
+    tables ``(V - cos(omega) I) (alpha, beta)``, and ``sin(omega)`` and
+    ``omega``, each ``(K, m)``.  ``alpha`` and ``beta`` are the coin state,
+    or its transform at each wavenumber.  The 2x2 arithmetic of each coin is
+    scalar; only the O(m) arrays hold all the coins.  Row ``k`` is the
+    one-coin result bit for bit: every array operation is elementwise, on
+    the operands of the one-coin case, with each coin's scalars broadcast
+    along its row.
     """
-    half_delta = cmath.phase(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) / 2.0
-    c = c * cmath.exp(-1j * half_delta)  # C' in SU(2)
+    k = len(coins)
+    half_deltas = []
+    diag = np.empty((k, 2, 1), dtype=np.complex128)  # C'00 and C'11
+    off = np.empty((k, 1))  # hypot(|C'01|, |C'10|)
+    mixed = np.empty((k, 2, np.size(alpha)), dtype=np.complex128)  # C'01 beta and C'10 alpha
+    for j, c in enumerate(coins):
+        half_delta = cmath.phase(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) / 2.0
+        c = c * cmath.exp(-1j * half_delta)  # C' in SU(2)
+        half_deltas.append(half_delta)
+        diag[j, :, 0] = c[0, 0], c[1, 1]
+        off[j] = math.hypot(abs(c[0, 1]), abs(c[1, 0]))
+        mixed[j, 0] = c[0, 1] * beta
+        mixed[j, 1] = c[1, 0] * alpha
     angle = np.arange(m) * (-math.pi / m)
     u = np.empty(m, dtype=np.complex128)  # e^{-iq/2}
     np.cos(angle, out=u.real)
@@ -104,24 +129,71 @@ def _closed_form(
     del angle
     # Rows of ``spec``: first the diagonal of V, then of V - cos(omega) I, and
     # at last (V - cos(omega) I) (alpha, beta).
-    spec = np.empty((2, m), dtype=np.complex128)
-    np.multiply(c[0, 0], u, out=spec[0])
-    np.multiply(c[1, 1], u.conj(), out=spec[1])
-    cos_w = np.add(spec[0].real, spec[1].real)
+    spec = np.empty((k, 2, m), dtype=np.complex128)
+    np.multiply(diag[:, 0], u, out=spec[:, 0])
+    np.multiply(diag[:, 1], u.conj(), out=spec[:, 1])
+    cos_w = np.add(spec[:, 0].real, spec[:, 1].real)
     cos_w *= 0.5
-    spec -= cos_w
+    spec -= cos_w[:, None]
     # sin(omega) = ||V - cos(omega) I||_F / sqrt(2); the off-diagonal entries
     # have the constant moduli |C'01| and |C'10|.
-    sin_w = np.hypot(np.abs(spec[0]), np.abs(spec[1]))
-    np.hypot(sin_w, math.hypot(abs(c[0, 1]), abs(c[1, 0])), out=sin_w)
+    sin_w = np.hypot(np.abs(spec[:, 0]), np.abs(spec[:, 1]))
+    np.hypot(sin_w, off, out=sin_w)
     sin_w *= math.sqrt(0.5)
     omega = np.arctan2(sin_w, cos_w)
     del cos_w
-    spec[0] *= alpha
-    spec[0] += (c[0, 1] * beta) * u
-    spec[1] *= beta
-    spec[1] += (c[1, 0] * alpha) * u.conj()
-    return half_delta, u, spec, sin_w, omega
+    spec[:, 0] *= alpha
+    spec[:, 0] += mixed[:, 0] * u
+    spec[:, 1] *= beta
+    spec[:, 1] += mixed[:, 1] * u.conj()
+    return half_deltas, u, spec, sin_w, omega
+
+
+def _states(alpha: complex, beta: complex, coins: Sequence[np.ndarray], steps: int) -> np.ndarray:
+    """The ``(K, 2, 2N + 1)`` tables of :func:`momentum_state` for each of ``K`` coins, in one pass.
+
+    The wavenumbers, the spectra, ``omega``, the ratio and one inverse FFT
+    are shared by the coins; row ``k`` is the one-coin table bit for bit
+    (see :func:`_closed_form`).  Every input is checked, as
+    :func:`momentum_state` documents, before any array is built.
+    """
+    alpha, beta = check_coin_state(alpha, beta)
+    coins, steps = [_check_coin(coin) for coin in coins], check_steps(steps)
+    n = max(steps, 1)
+    m = _fft_size(steps + 1)
+    half_deltas, u, spec, sin_w, omega = _closed_form(alpha, beta, coins, m)
+    # ratio = sin(T omega) / sin(omega), with the limit T cos((T-1) omega) where sin(omega) = 0.
+    still = sin_w == 0.0
+    limit = steps * np.cos((steps - 1) * omega[still])
+    omega *= steps
+    ratio = np.sin(omega)
+    np.divide(ratio, sin_w, out=ratio, where=~still)
+    ratio[still] = limit
+    cos_tw = np.cos(omega, out=omega)
+    del sin_w, still, limit
+
+    # The closed form: U^T (alpha, beta) / s^T.
+    spec *= ratio[:, None]
+    spec[:, 0] += alpha * cos_tw
+    spec[:, 1] += beta * cos_tw
+    del ratio, cos_tw
+    # s^T = e^{i T delta / 2} u^(T mod 2) e^{-i q k} with k = T // 2.  The last
+    # factor is a cyclic shift by k sites, applied exactly when reading out.
+    phases = np.array([cmath.exp(1j * steps * hd) for hd in half_deltas], dtype=np.complex128)
+    phases = phases[:, None]
+    spec *= (phases * u if steps % 2 else phases)[:, None]
+    del u
+    # No ``out=``: numpy 1.x lacks it, and the other arrays are freed by now.
+    spec = np.fft.ifft(spec, axis=-1)
+
+    amp = np.zeros((len(coins), 2, 2 * n + 1), dtype=np.complex128)
+    # Position x = 2y - T sits at column x + N; y sits at (y - k) mod m of spec.
+    start = n - steps
+    k = steps // 2
+    cols = amp[..., start : start + 2 * steps + 1 : 2]
+    cols[..., :k] = spec[..., m - k :]
+    cols[..., k:] = spec[..., : steps - k + 1]
+    return amp
 
 
 def momentum_state(alpha: complex, beta: complex, coin: np.ndarray, steps: int) -> np.ndarray:
@@ -154,41 +226,7 @@ def momentum_state(alpha: complex, beta: complex, coin: np.ndarray, steps: int) 
         If the coin state is not normalized, the coin is not a unitary
         (2, 2) matrix, or ``steps`` is not a non-negative integer.
     """
-    alpha, beta = check_coin_state(alpha, beta)
-    c, steps = _check_coin(coin), check_steps(steps)
-    n = max(steps, 1)
-    m = _fft_size(steps + 1)
-    half_delta, u, spec, sin_w, omega = _closed_form(alpha, beta, c, m)
-    # ratio = sin(T omega) / sin(omega), with the limit T cos((T-1) omega) where sin(omega) = 0.
-    still = sin_w == 0.0
-    limit = steps * np.cos((steps - 1) * omega[still])
-    omega *= steps
-    ratio = np.sin(omega)
-    np.divide(ratio, sin_w, out=ratio, where=~still)
-    ratio[still] = limit
-    cos_tw = np.cos(omega, out=omega)
-    del sin_w, still, limit
-
-    # The closed form: U^T (alpha, beta) / s^T.
-    spec *= ratio
-    spec[0] += alpha * cos_tw
-    spec[1] += beta * cos_tw
-    del ratio, cos_tw
-    # s^T = e^{i T delta / 2} u^(T mod 2) e^{-i q k} with k = T // 2.  The last
-    # factor is a cyclic shift by k sites, applied exactly when reading out.
-    spec *= cmath.exp(1j * steps * half_delta) * (u if steps % 2 else 1.0)
-    del u
-    # No ``out=``: numpy 1.x lacks it, and the other arrays are freed by now.
-    spec = np.fft.ifft(spec, axis=1)
-
-    amp = np.zeros((2, 2 * n + 1), dtype=np.complex128)
-    # Position x = 2y - T sits at column x + N; y sits at (y - k) mod m of spec.
-    start = n - steps
-    k = steps // 2
-    cols = amp[:, start : start + 2 * steps + 1 : 2]
-    cols[:, :k] = spec[:, m - k :]
-    cols[:, k:] = spec[:, : steps - k + 1]
-    return amp
+    return _states(alpha, beta, [coin], steps)[0]
 
 
 def _trig_sums(freq: np.ndarray, coef: np.ndarray, steps: int) -> np.ndarray:
@@ -300,7 +338,7 @@ def _grams(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> np.ndarray:
         g00, g10 = gram0[0, 0].real / 2.0, gram0[1, 0] / 2.0  # Abar
         for span in spans:
             alpha, beta = np.fft.fft(span, m, axis=1)
-            _, _, w, sin_w, omega = _closed_form(alpha, beta, c, m)
+            _, _, (w,), (sin_w,), (omega,) = _closed_form(alpha, beta, [c], m)
             np.divide(w, sin_w, out=w, where=sin_w > 0.0)  # where sin(omega) = 0, w is already 0
             head, tail = w
             power = head.real**2 + head.imag**2  # |w0|^2

@@ -184,9 +184,20 @@ def distribution(amplitudes: np.ndarray) -> ProbabilityDistribution:
     """
     amp = check_amplitudes(amplitudes)
     n = amp.shape[1] // 2
+    return ProbabilityDistribution(np.arange(-n, n + 1), _probabilities(amp))
+
+
+def _probabilities(tables: np.ndarray) -> np.ndarray:
+    """The ``(..., 2N + 1)`` position probabilities of a stack of ``(..., 2, 2N + 1)`` tables.
+
+    ValueError unless the total of each table is finite and within 1e-10 of
+    1: a table near the float maximum squares to infinity.
+    """
     with np.errstate(over="ignore"):
-        probs = np.sum(np.abs(amp) ** 2, axis=0)
-    total = float(np.sum(probs))
-    if not abs(total - 1.0) <= _NORM_TOL:
+        probs = np.sum(np.abs(tables) ** 2, axis=-2)
+        totals = np.sum(probs, axis=-1)
+    bad = ~(np.abs(totals - 1.0) <= _NORM_TOL)
+    if np.any(bad):
+        total = float(totals[bad][0])
         raise ValueError(f"the table must be normalized: its total probability is {total!r}")
-    return ProbabilityDistribution(np.arange(-n, n + 1), probs)
+    return probs

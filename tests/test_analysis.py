@@ -104,7 +104,8 @@ def test_phi1_180_restores_the_symmetric_distribution():
 
 
 def test_empty_sweep_is_empty():
-    assert theta_sweep([], 0.0, 0.0, *UNBIASED_INIT, steps=5) == []
+    out = theta_sweep([], 0.0, 0.0, *UNBIASED_INIT, steps=5)
+    assert out.shape == (0, 11) and out.dtype == np.float64
 
 
 @pytest.mark.parametrize(
@@ -124,18 +125,94 @@ def test_empty_sweep_still_checks_its_steps(steps, match):
 def test_sweep_preserves_order_and_runs_each_angle():
     thetas = [0.0, math.pi / 4.0, math.pi / 2.0]
     out = theta_sweep(thetas, 0.0, 0.0, *UNBIASED_INIT, steps=10)
-    assert [theta for theta, _ in out] == thetas
-    corner, hadamard, localized = (dist for _, dist in out)
-    assert corner.probability(10) == pytest.approx(0.5, abs=1e-12)
-    assert symmetry_deviation(hadamard) <= 1e-12
-    assert localized.probability(0) == pytest.approx(1.0, abs=1e-12)
+    assert out.shape == (3, 21)  # one row per angle, positions -10 .. 10
+    corner, hadamard, localized = out
+    assert corner[20] == pytest.approx(0.5, abs=1e-12)  # x = 10
+    assert np.max(np.abs(hadamard - hadamard[::-1])) <= 1e-12
+    assert localized[10] == pytest.approx(1.0, abs=1e-12)  # x = 0
 
 
 def test_sweep_thetas_half_a_turn_apart_agree():
     thetas = [0.35, 0.35 + math.pi, 1.8, 1.8 + math.pi]
     out = theta_sweep(thetas, 0.7, 0.2, *UNBIASED_INIT, steps=30)
-    assert np.max(np.abs(out[0][1].probs - out[1][1].probs)) <= 1e-12
-    assert np.max(np.abs(out[2][1].probs - out[3][1].probs)) <= 1e-12
+    assert np.max(np.abs(out[0] - out[1])) <= 1e-12
+    assert np.max(np.abs(out[2] - out[3])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"thetas": [0.3, math.nan]}, "theta must be finite"),
+        ({"thetas": [math.inf]}, "theta must be finite"),
+        ({"phi1": math.nan}, "phi1 must be finite"),
+        ({"phi2": -math.inf}, "phi2 must be finite"),
+        ({"alpha": 1.0, "beta": 1.0}, "must be normalized"),
+        ({"alpha": 0.6, "beta": 0.6j}, "must be normalized"),
+        ({"steps": 0}, "steps must be positive"),
+        ({"steps": -3}, "steps must be a non-negative integer"),
+        ({"steps": 2.5}, "steps must be a non-negative integer"),
+    ],
+)
+def test_theta_sweep_checks_its_input_before_walking(monkeypatch, bad, match):
+    def walk(*args, **kwargs):
+        raise AssertionError("the walks ran before the input was checked")
+
+    monkeypatch.setattr(analysis, "_states", walk)
+    request = {
+        "thetas": [0.0, 0.7, math.pi / 2.0],
+        "phi1": 0.4,
+        "phi2": 1.3,
+        "alpha": UNBIASED_INIT[0],
+        "beta": UNBIASED_INIT[1],
+        "steps": 5,
+    }
+    with pytest.raises(ValueError, match=match):
+        theta_sweep(**(request | bad))
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 72])
+def test_a_sweep_makes_one_inverse_fft(monkeypatch, count):
+    # However many angles, the walks share one batched inverse FFT.
+    calls = []
+    ifft = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    out = theta_sweep(np.linspace(0.0, 2.0 * math.pi, count), 0.4, 1.3, *UNBIASED_INIT, steps=50)
+    assert out.shape == (count, 101)
+    assert len(calls) == 1 and calls[0][0] == count
+
+
+@st.composite
+def _theta_grids(draw):
+    """Angle grids of 0, 1 or many points; a grid of two or more holds 0 and pi/2."""
+    size = draw(st.sampled_from([0, 1, 2, 3, 8, 17]))
+    thetas = draw(st.lists(angles, min_size=size, max_size=size))
+    if size >= 2:
+        # The ballistic and the localized ends: a diagonal and an off-diagonal coin.
+        thetas[:2] = [0.0, math.pi / 2.0]
+        draw(st.randoms(use_true_random=False)).shuffle(thetas)
+    return thetas
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    thetas=_theta_grids(),
+    phi1=angles,
+    phi2=angles,
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 500),
+)
+def test_each_sweep_row_is_the_walk_at_its_angle(thetas, phi1, phi2, seed, steps):
+    alpha, beta = normalized_pair(np.random.default_rng(seed))
+    out = theta_sweep(thetas, phi1, phi2, alpha, beta, steps)
+    assert out.shape == (len(thetas), 2 * steps + 1)
+    for theta, row in zip(thetas, out):
+        walk = run_walk(CoinParams(theta, phi1, phi2), alpha, beta, steps)
+        assert np.array_equal(row, walk.probs)
 
 
 # ------------------------------------------------------------

@@ -597,6 +597,11 @@ _EXACT_CASES = {
               lambda: _sweep_reference(0.0, 0.1, 4, 33.0, 4)),
     "sweep-one-point": (("sweep-theta", "--theta-grid", "10:10:1", "--steps", "3"),
                         lambda: _sweep_reference(10.0, 1.0, 1, 0.0, 3)),
+    # 4097 rows an angle: each angle's run spans two CSV blocks; theta = 0 is
+    # the ballistic walk and theta = 90 the localized one.
+    "sweep-long": (("sweep-theta", "--theta-grid", "0:90:30", "--phi1-deg", "-40",
+                    "--steps", "2048"),
+                   lambda: _sweep_reference(0.0, 30.0, 4, -40.0, 2048)),
     "phase": (("phase-diagram", "--coin", "hadamard", "--phi1-grid", "0:90:45",
                "--phi2-grid", "0:60:30", "--steps", "8"),
               lambda: _phase_reference([0.0, 45.0, 90.0], [0.0, 30.0, 60.0], 8)),
@@ -642,6 +647,26 @@ def test_csv_writer_formats_blocks_of_integer_and_float_rows():
     assert "".join(cli._csv("i,f", np.array([2**53 + 1]), np.array([0.5]))) == (
         "i,f\n9007199254740993,0.5\n"
     )
+
+
+def test_csv_writer_leads_each_run_of_rows_with_its_label():
+    # Each label leads its rows, which take a 1-D column whole and row k of a
+    # 2-D one; a run of more than one block starts a new string per block.
+    width = cli.CSV_BLOCK_ROWS + 3
+    inner = np.arange(width) - 5
+    values = np.linspace(-1.0, 1.0, 2 * width).reshape(2, width)
+    labels = np.array([0.1 * 3, -0.0])
+    chunks = list(cli._csv("a,b,c", inner, values, labels=labels))
+    assert len(chunks) == 1 + 2 * 2  # the header, then two blocks per label
+    cell = lambda v: str(v) if isinstance(v, int) else format(v, ".17g")  # noqa: E731
+    rows = [(label, x, v) for label, run in zip(labels.tolist(), values.tolist())
+            for x, v in zip(inner.tolist(), run)]
+    assert "".join(chunks) == "a,b,c\n" + "".join(",".join(map(cell, r)) + "\n" for r in rows)
+    # Integer labels and 2-D integer columns stay exact above 2**53.
+    text = "".join(cli._csv("i,f,j", np.array([0.5, -2.0]), np.array([[2**53 + 1, 7], [0, -1]]),
+                            labels=np.array([2**53 + 3, -4])))
+    assert text == ("i,f,j\n9007199254740995,0.5,9007199254740993\n9007199254740995,-2,7\n"
+                    "-4,0.5,0\n-4,-2,-1\n")
 
 
 _EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf])

@@ -23,7 +23,7 @@ from coinwalk import (
     named_coin,
     schmidt_spectrum,
 )
-from coinwalk.entanglement import _RANK_TOL, _gram, _spectra
+from coinwalk.entanglement import _RANK_TOL, _entropies, _gram, _spectra
 from coinwalk.momentum import _grams
 
 from conftest import angles, normalized_pair, random_coin_angles
@@ -156,6 +156,22 @@ def test_a_table_whose_gram_matrix_overflows_is_refused():
         assert str(err.value) == "singular values must be finite, non-negative and descending"
 
 
+def test_weights_whose_entropy_terms_overflow_have_a_spectrum_but_no_entropy():
+    # Amplitudes near 1e153 give a finite Gram matrix with weights near
+    # 1e306, whose terms w log2 w pass the float maximum.  The spectrum needs
+    # no entropy and is returned; the entropy is refused, not -inf.  Warnings
+    # are errors here, so an overflow warning would fail the test too.
+    hadamard = make_coin(named_coin("hadamard"))
+    table = evolve(initial_state(0.6, 0.8, 2), hadamard, 2) * 1e153
+    spectrum = schmidt_spectrum(table)
+    assert spectrum.rank == 2 and np.all(np.isfinite(spectrum.values))
+    assert spectrum.values[0] > 1e152
+    for measure in (entanglement_entropy, lambda amp: entanglement_series(amp, hadamard, 3)):
+        with pytest.raises(ValueError) as err:
+            measure(table)
+        assert str(err.value) == "singular values must be finite, non-negative and descending"
+
+
 # ------------------------------------------------------------
 # The closed-form spectrum against LAPACK and exact arithmetic
 # ------------------------------------------------------------
@@ -207,7 +223,8 @@ def test_closed_form_spectra_match_eigvalsh(kind, rank, scale):
     # Second weights of 1e-11 and 1e-9 times the first lie on either side of
     # the 1e-10 rank cutoff.
     grams = _psd_stack(kind, np.random.default_rng(21), count=200) * scale
-    values, ranks, entropies = _spectra(grams)
+    weights, ranks = _spectra(grams)
+    values, entropies = np.sqrt(weights), _entropies(weights, ranks)
     weights, oracle_ranks, oracle_entropies = _eigvalsh_spectra(grams)
     assert np.array_equal(ranks, oracle_ranks) and np.all(ranks == rank)
     trace = (grams[:, 0, 0].real + grams[:, 1, 1].real)[:, None]
@@ -307,7 +324,8 @@ def _recurrence_grams(table, coin, steps):
 
 def _assert_series_agree(table, coin, steps):
     """Identical ranks, exact-zero entropies at the same t, entropies within 1e-12."""
-    _, ranks, entropies = _spectra(_recurrence_grams(table, coin, steps))
+    weights, ranks = _spectra(_recurrence_grams(table, coin, steps))
+    entropies = _entropies(weights, ranks)
     series_ranks, series_entropies = entanglement_series(table, coin, steps)
     assert np.array_equal(series_ranks, ranks)
     assert np.array_equal(series_entropies == 0.0, entropies == 0.0)
@@ -370,8 +388,8 @@ def test_origin_grams_match_parseval_at_100000_steps(params):
     for t in (0, 1, 2, 3, steps // 2, steps - 1, steps):
         direct = _gram(momentum_state(0.6, 0.8j, coin, t))
         assert np.max(np.abs(grams[t] - direct)) <= 1e-12
-    _, ranks, entropies = _spectra(grams[:1])
-    assert ranks[0] == 1 and entropies[0] == 0.0
+    weights, ranks = _spectra(grams[:1])
+    assert ranks[0] == 1 and _entropies(weights, ranks)[0] == 0.0
 
 
 def test_a_walk_that_leaves_its_window_is_the_walk_on_the_line():

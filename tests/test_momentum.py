@@ -87,6 +87,39 @@ def test_zero_steps_return_the_initial_state():
     assert np.array_equal(state, initial_state(alpha, beta, 1))
 
 
+def _same_bits(a, b):
+    """Equal shapes and equal bits, so -0.0 and 0.0 differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coins=st.lists(
+        st.tuples(st.sampled_from([None, 0.0, math.pi / 2.0, "identity"]), angles, angles, angles),
+        min_size=0,
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(0, 500),
+)
+def test_a_batched_pass_is_the_one_coin_pass_bit_for_bit(coins, seed, steps):
+    # Coins of all of U(2), e^{i gamma} C(theta, phi1, phi2), with theta = 0
+    # and pi/2 among the random angles, and the identity, whose sin(omega)
+    # is exactly 0 at q = 0, where the ratio takes its limit.
+    rng = np.random.default_rng(seed)
+    stack = [
+        np.eye(2, dtype=complex) if theta == "identity"
+        else np.exp(1j * gamma) * make_coin(
+            CoinParams(rng.uniform(-7.0, 7.0) if theta is None else theta, phi1, phi2))
+        for theta, phi1, phi2, gamma in coins
+    ]
+    alpha, beta = normalized_pair(rng)
+    tables = momentum._states(alpha, beta, stack, steps)
+    assert tables.shape == (len(stack), 2, 2 * max(steps, 1) + 1)
+    for coin, table in zip(stack, tables):
+        assert _same_bits(table, momentum_state(alpha, beta, coin, steps))
+
+
 @pytest.mark.parametrize(
     "alpha, beta, coin, steps",
     [
