@@ -25,25 +25,27 @@ def main():
     params = named_coin("hadamard")
     alpha, beta = UNBIASED_INIT
 
-    dist = run_walk(params, alpha, beta, steps)
+    # One probability per site x = -steps .. steps; x sits at index x + steps.
+    probs = run_walk(params, alpha, beta, steps)
+    positions = np.arange(-steps, steps + 1)
 
     print(f"Hadamard walk, {steps} steps, unbiased initial coin state")
-    print(f"total probability : {dist.probs.sum():.15f}")
-    print(f"P(origin)         : {dist.probability(0):.6f}")
-    print(f"symmetry deviation: {symmetry_deviation(dist):.3e}")
-    print(f"peak gap          : {peak_gap(dist):.3e}")
+    print(f"total probability : {probs.sum():.15f}")
+    print(f"P(origin)         : {probs[steps]:.6f}")
+    print(f"symmetry deviation: {symmetry_deviation(probs):.3e}")
+    print(f"peak gap          : {peak_gap(probs):.3e}")
     print()
 
     # The two frontier peaks sit near +-steps/sqrt(2).
-    peak = dist.positions[np.argmax(dist.probs)]
+    peak = positions[np.argmax(probs)]
     print(f"largest peak at x = {peak} (steps/sqrt(2) ~ {steps / np.sqrt(2):.1f})")
     print()
 
-    ascii_bars(dist.positions, dist.probs)
+    ascii_bars(positions, probs)
 
     # Odd positions carry nothing after an even number of steps: the walker
     # always lands on sites with the parity of t.
-    odd_mass = dist.probs[dist.positions % 2 != 0].sum()
+    odd_mass = probs[positions % 2 != 0].sum()
     print(f"\nprobability on odd sites after an even t: {odd_mass:.1e}")
 
 

@@ -53,7 +53,7 @@ def main():
         phi2 = rng.uniform(0, np.pi)
         a = run_walk(CoinParams(theta, phi1, phi2), alpha, beta, steps)
         b = run_walk(CoinParams(theta + np.pi, phi1, phi2), alpha, beta, steps)
-        worst = max(worst, float(np.abs(a.probs - b.probs).max()))
+        worst = max(worst, float(np.abs(a - b).max()))
     print(f"max |P_theta - P_(theta+180deg)| over 5 random coins: {worst:.2e}")
 
 

@@ -46,13 +46,13 @@ def main():
     worst = 0.0
     for phi1_deg in range(0, 331, 30):
         params = CoinParams(theta, np.radians(phi1_deg), 0.0)
-        dist = run_walk(params, alpha, beta, steps)
-        mean = float(np.sum(dist.probs * dist.positions)) / steps
+        probs = run_walk(params, alpha, beta, steps)
+        mean = float(np.sum(probs * np.arange(-steps, steps + 1))) / steps
         konno = math.sin(math.radians(phi1_deg)) * (1.0 - 1.0 / math.sqrt(2.0))
         worst = max(worst, abs(mean - konno))
         print(
-            f"{phi1_deg:6d} {symmetry_deviation(dist):15.6f} "
-            f"{peak_gap(dist):10.6f} {mean:10.6f} {konno:10.6f}"
+            f"{phi1_deg:6d} {symmetry_deviation(probs):15.6f} "
+            f"{peak_gap(probs):10.6f} {mean:10.6f} {konno:10.6f}"
         )
     print("-> symmetric at phi1 = 0 and 180, most skewed at 90 and, mirrored, at 270;")
     print(f"   E[X]/T misses Konno's limit by at most {worst * steps:.3f}/T (a 1/T error).")
@@ -61,12 +61,7 @@ def main():
     # phi2 inertness, head-on: vary phi2 with everything else fixed.
     ref = run_walk(CoinParams(theta, 1.1, 0.0), alpha, beta, steps)
     worst = max(
-        float(
-            np.abs(
-                run_walk(CoinParams(theta, 1.1, phi2), alpha, beta, steps).probs
-                - ref.probs
-            ).max()
-        )
+        float(np.abs(run_walk(CoinParams(theta, 1.1, phi2), alpha, beta, steps) - ref).max())
         for phi2 in np.linspace(0.0, np.pi, 7)
     )
     print(f"max change in any probability as phi2 sweeps 0..180 deg: {worst:.2e}")
@@ -74,7 +69,7 @@ def main():
     # phi1 moved onto the start state: no coin phases, beta -> e^{i phi1} beta.
     phased = run_walk(CoinParams(theta, 1.1, 0.7), alpha, beta, steps)
     moved = run_walk(CoinParams(theta, 0.0, 0.0), alpha, cmath.exp(1.1j) * beta, steps)
-    worst = float(np.abs(phased.probs - moved.probs).max())
+    worst = float(np.abs(phased - moved).max())
     print(f"phases (1.1, 0.7) rad vs start state (alpha, e^(1.1i) beta): max diff {worst:.2e}")
     print()
 

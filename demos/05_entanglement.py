@@ -42,8 +42,8 @@ def trace(params, steps, init=UNBIASED_INIT):
     state = initial_state(*init, max(steps, 1))
     rows = []
     for t in range(steps + 1):
-        spectrum = schmidt_spectrum(state)
-        rows.append((t, spectrum.rank, tuple(spectrum.values), entanglement_entropy(state)))
+        values, rank = schmidt_spectrum(state)
+        rows.append((t, rank, tuple(values), entanglement_entropy(state)))
         if t < steps:
             state = evolve(state, coin, 1)
     return rows
@@ -74,7 +74,7 @@ def main():
     started = time.perf_counter()
     ranks, entropies = [], []
     for table in itertools.chain([start], iter_steps(start, coin, steps)):
-        ranks.append(schmidt_spectrum(table).rank)
+        ranks.append(schmidt_spectrum(table)[1])
         entropies.append(entanglement_entropy(table))
     ranks, entropies = np.array(ranks), np.array(entropies)
     stepped_s = time.perf_counter() - started

@@ -9,6 +9,9 @@ Two scalar summaries drive the parameter studies:
 * ``symmetry_deviation`` — the worst-case difference ``|P(x) - P(-x)|``,
   i.e. how far the distribution is from exact left/right symmetry.
 
+Both take the ``(2N + 1,)`` probability array of the sites ``-N .. N`` that
+:func:`~coinwalk.evolution.run_walk` returns.
+
 ``theta_sweep`` solves the walks of all its rotation angles in one
 momentum-space pass, ``phase_diagram`` two walks for the whole (phi1, phi2)
 grid.
@@ -22,8 +25,7 @@ import numpy as np
 
 from .coin import CoinParams, make_coin
 from .momentum import _states, momentum_state
-from .state import ProbabilityDistribution, _probabilities, check_coin_state, check_unit_interval
-from .state import check_walk_steps
+from .state import _probabilities, check_coin_state, check_unit_interval, check_walk_steps
 
 __all__ = [
     "peak_gap",
@@ -33,7 +35,7 @@ __all__ = [
 ]
 
 
-def peak_gap(dist: ProbabilityDistribution) -> float:
+def peak_gap(probs: np.ndarray) -> float:
     """Height of the global probability maximum over the runner-up.
 
     Computed as ``max(P) - second_max(P)`` with multiplicity: if the global
@@ -42,13 +44,11 @@ def peak_gap(dist: ProbabilityDistribution) -> float:
     Raises
     ------
     ValueError
-        If the distribution has fewer than two positions (no runner-up).
+        If ``probs`` has fewer than two entries (no runner-up).
     """
-    p = dist.probs
+    p = np.asarray(probs, dtype=np.float64)
     if p.size < 2:
-        raise ValueError(
-            f"peak gap needs at least two positions, got {p.size}"
-        )
+        raise ValueError(f"peak gap needs at least two positions, got {p.size}")
     return _gap(p)
 
 
@@ -58,22 +58,19 @@ def _gap(p: np.ndarray) -> float:
     return float(top_two[1] - top_two[0])
 
 
-def symmetry_deviation(dist: ProbabilityDistribution) -> float:
-    """Worst-case asymmetry ``max_x |P(x) - P(-x)|``.
+def symmetry_deviation(probs: np.ndarray) -> float:
+    """Worst-case asymmetry ``max_x |P(x) - P(-x)|`` of the probabilities of sites ``-N .. N``.
 
     Raises
     ------
     ValueError
-        If the position window is not symmetric about 0 (then P(-x) is not
-        defined for every stored x).
+        If ``probs`` is not a 1-D array of odd length, the sites ``-N .. N``
+        (then P(-x) is not defined for every stored x).
     """
-    pos = dist.positions
-    if not np.array_equal(pos[::-1], -pos):
-        raise ValueError(
-            "symmetry deviation needs a position window symmetric about 0, "
-            f"got [{pos[0]}, {pos[-1]}]"
-        )
-    return float(np.max(np.abs(dist.probs - dist.probs[::-1])))
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 1 or p.size % 2 == 0:
+        raise ValueError(f"symmetry deviation needs a 1-D array of odd length, got shape {p.shape}")
+    return float(np.max(np.abs(p - p[::-1])))
 
 
 def theta_sweep(
@@ -87,7 +84,7 @@ def theta_sweep(
     """The distribution of the walk at each rotation angle, from one momentum-space pass.
 
     Returns the ``(len(thetas), 2T + 1)`` float array whose row ``k`` is
-    ``run_walk(CoinParams(thetas[k], phi1, phi2), alpha, beta, steps).probs``
+    ``run_walk(CoinParams(thetas[k], phi1, phi2), alpha, beta, steps)``
     bit for bit, over the positions ``-T .. T``, with the angles as given.
     The coins share the wavenumbers, the spectra and one inverse FFT (see
     :func:`coinwalk.momentum._states`); only the 2x2 arithmetic of each
@@ -106,9 +103,7 @@ def theta_sweep(
     thetas = np.asarray(thetas, dtype=np.float64)
     coins = [make_coin(CoinParams(float(theta), phi1, phi2)) for theta in thetas]
     # _states checks each coin's unitarity before it builds an array.
-    probs = _probabilities(_states(alpha, beta, coins, steps))
-    check_unit_interval(probs, "probabilities")
-    return probs
+    return _probabilities(_states(alpha, beta, coins, steps))
 
 
 def phase_diagram(

@@ -370,9 +370,10 @@ def cmd_walk(args: argparse.Namespace) -> int:
     _check_footprint(steps, 2 * steps + 3)
     params, degrees = _coin_params(args)
     alpha, beta = _init_amplitudes(args)
-    dist = run_walk(params, alpha, beta, steps)
-    payload = _walk_payload(degrees, steps, dist.positions, dist.probs)
-    _emit(args, payload, "position,probability", dist.positions, dist.probs)
+    probs = run_walk(params, alpha, beta, steps)
+    positions = np.arange(-steps, steps + 1)
+    payload = _walk_payload(degrees, steps, positions, probs)
+    _emit(args, payload, "position,probability", positions, probs)
     return 0
 
 

@@ -22,15 +22,12 @@ the eigenvalues of its ``2 x 2`` Gram matrix in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .momentum import _grams
-from .state import check_amplitudes, check_steps
+from .state import check_amplitudes
 
 __all__ = [
-    "SchmidtSpectrum",
     "schmidt_spectrum",
     "entanglement_entropy",
     "entanglement_series",
@@ -59,8 +56,8 @@ def _gram(rows: np.ndarray) -> np.ndarray:
 _BAD_SPECTRUM = "singular values must be finite, non-negative and descending"
 
 
-def _check_spectra(values: np.ndarray, ranks: np.ndarray) -> None:
-    """ValueError unless each row of values is finite, non-negative, descending and fits its rank.
+def _check_spectra(values: np.ndarray) -> None:
+    """ValueError unless each row of values is finite, non-negative and descending.
 
     NaN fails both order comparisons, so finiteness is tested by name: a
     finite table of amplitudes near 1e200 overflows its Gram matrix and
@@ -69,9 +66,6 @@ def _check_spectra(values: np.ndarray, ranks: np.ndarray) -> None:
     finite = np.all(np.isfinite(values))
     if not finite or np.any(values < 0.0) or np.any(np.diff(values, axis=-1) > 0.0):
         raise ValueError(_BAD_SPECTRUM)
-    bad = (ranks < 0) | (ranks > values.shape[-1])
-    if np.any(bad):
-        raise ValueError(f"rank {ranks[bad][0]} inconsistent with {values.shape[-1]} values")
 
 
 def _spectra(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +89,7 @@ def _spectra(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         weights = np.stack([mean + radius, np.maximum(mean - radius, 0.0)], axis=-1)
     top = weights[..., :1]
     ranks = np.where(top[..., 0] > 0.0, np.count_nonzero(weights > _RANK_TOL * top, axis=-1), 0)
-    _check_spectra(weights, ranks)
+    _check_spectra(weights)
     return weights, ranks
 
 
@@ -116,38 +110,7 @@ def _entropies(weights: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return entropies
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtSpectrum:
-    """Singular values of the coin/position split of an amplitude table.
-
-    Attributes
-    ----------
-    values : numpy.ndarray
-        At most two non-negative singular values, descending; their squares
-        sum to the state's total probability.
-    rank : int
-        Number of Schmidt terms that survive the relative cutoff
-        ``_RANK_TOL``; 0 only for the zero state.  A non-negative integer
-        (not a ``bool``), stored as an ``int``.
-
-    Instances compare and hash by identity: equality of the values array has
-    no single truth value.
-    """
-
-    values: np.ndarray = field(repr=False)
-    rank: int = 0
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size > 2:
-            raise ValueError(f"expected at most two singular values, got shape {v.shape}")
-        rank = check_steps(self.rank, "rank")
-        _check_spectra(v, np.asarray(rank))
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "rank", rank)
-
-
-def schmidt_spectrum(amplitudes: np.ndarray) -> SchmidtSpectrum:
+def schmidt_spectrum(amplitudes: np.ndarray) -> tuple[np.ndarray, int]:
     """Schmidt singular values of an amplitude table across the coin/position split.
 
     Any finite ``(2, 2N + 1)`` table is accepted; normalization is not
@@ -157,8 +120,10 @@ def schmidt_spectrum(amplitudes: np.ndarray) -> SchmidtSpectrum:
 
     Returns
     -------
-    SchmidtSpectrum
-        Both singular values (descending) and the effective rank.
+    values : numpy.ndarray
+        Both singular values, non-negative and descending.
+    rank : int
+        The number of Schmidt terms that survive the cutoff: 0, 1 or 2.
 
     Raises
     ------
@@ -166,8 +131,8 @@ def schmidt_spectrum(amplitudes: np.ndarray) -> SchmidtSpectrum:
         If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, or its Gram
         matrix overflows (entries near the square root of the float maximum).
     """
-    weights, ranks = _spectra(_gram(check_amplitudes(amplitudes)))
-    return SchmidtSpectrum(np.sqrt(weights), int(ranks))
+    weights, rank = _spectra(_gram(check_amplitudes(amplitudes)))
+    return np.sqrt(weights), int(rank)
 
 
 def entanglement_entropy(amplitudes: np.ndarray) -> float:
@@ -195,11 +160,12 @@ def entanglement_series(
     """Schmidt ranks and entropies (bits) of the walk from a table, at t = 0..steps.
 
     The walk is that of the infinite line: element ``t`` of each array equals
-    ``schmidt_spectrum(a).rank`` and ``entanglement_entropy(a)`` of the table
-    ``a`` after ``t`` steps of :func:`~coinwalk.evolution.iter_steps` on any
-    window the walk never leaves, with identical ranks and entropies within
-    1e-12.  No window is needed, so a walk that would leave the table's own
-    window is not refused.  The Gram matrices come from
+    the rank of ``schmidt_spectrum(a)`` and ``entanglement_entropy(a)`` of
+    the table ``a`` after ``t`` steps of
+    :func:`~coinwalk.evolution.iter_steps` on any window the walk never
+    leaves, with identical ranks and entropies within 1e-12.  No window is
+    needed, so a walk that would leave the table's own window is not
+    refused.  The Gram matrices come from
     :func:`coinwalk.momentum._grams`, sums of sines and cosines over the
     wavenumbers taken at every t by one nonuniform FFT, without stepping, in
     O((s + T) log(s + T)) for a table whose occupied sites span ``s``

@@ -25,8 +25,8 @@ import numpy as np
 
 from .coin import CoinParams, check_coin_matrix, make_coin
 from .momentum import momentum_state
-from .state import LatticeExhaustedError, ProbabilityDistribution
-from .state import check_amplitudes, check_steps, check_walk_steps, distribution
+from .state import LatticeExhaustedError, check_amplitudes, check_steps, check_walk_steps
+from .state import distribution
 
 __all__ = ["iter_steps", "evolve", "run_walk"]
 
@@ -99,13 +99,14 @@ def run_walk(
     alpha: complex,
     beta: complex,
     steps: int,
-) -> ProbabilityDistribution:
+) -> np.ndarray:
     """Run a fresh ``steps``-step walk from the origin and measure it.
 
     The state comes from :func:`coinwalk.momentum.momentum_state`, in
     O(T log T).  Its window is sized exactly to the walk
-    (``half_width = steps``), so the result covers positions
-    ``-steps .. steps`` with the sites of the wrong parity exactly zero.
+    (``half_width = steps``), so the result covers the positions
+    ``-steps .. steps``, position ``x`` at entry ``x + steps``, with the sites
+    of the wrong parity exactly zero.
 
     Parameters
     ----------
@@ -118,8 +119,9 @@ def run_walk(
 
     Returns
     -------
-    ProbabilityDistribution
-        The position distribution after ``steps`` steps.
+    numpy.ndarray
+        The ``(2 steps + 1,)`` position probabilities after ``steps`` steps,
+        as :func:`coinwalk.state.distribution` measures them.
     """
     steps = check_walk_steps(steps)
     return distribution(momentum_state(alpha, beta, make_coin(params), steps))

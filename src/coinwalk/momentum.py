@@ -23,12 +23,13 @@ The power has a closed form.  Write ``det C = e^{i delta}`` and
 
 ``sin omega`` is taken as ``||V - cos(omega) I||_F / sqrt(2)``, not as
 ``sqrt(1 - cos^2 omega)``, which loses all precision near ``omega = 0`` or
-``pi``; where it is exactly 0 the ratio takes its limit
-``T cos((T-1) omega)``.  The work is O(M log M) whatever the coin, against
-O(T * N) for the recurrence of :mod:`coinwalk.evolution` on a window of
-half-width ``N >= T``.  ``M`` is the smallest 2-3-5-smooth size ``>= T+1``:
-a prime length sends the FFT to a Bluestein transform several times slower,
-and a power of two can pad the window to twice its size.
+``pi``.  It is exactly 0 only where ``V - cos(omega) I`` is exactly zero, so
+the column that ``sin(T omega) / sin(omega)`` multiplies is exactly zero
+there and the division is skipped.  The work is O(M log M) whatever the
+coin, against O(T * N) for the recurrence of :mod:`coinwalk.evolution` on a
+window of half-width ``N >= T``.  ``M`` is the smallest 2-3-5-smooth size
+``>= T+1``: a prime length sends the FFT to a Bluestein transform several
+times slower, and a power of two can pad the window to twice its size.
 
 The closed form of ``K`` coins runs in one pass (``_states``, the engine of
 :func:`coinwalk.analysis.theta_sweep`): the wavenumbers, the ``(K, 2, M)``
@@ -162,15 +163,12 @@ def _states(alpha: complex, beta: complex, coins: Sequence[np.ndarray], steps: i
     n = max(steps, 1)
     m = _fft_size(steps + 1)
     half_deltas, u, spec, sin_w, omega = _closed_form(alpha, beta, coins, m)
-    # ratio = sin(T omega) / sin(omega), with the limit T cos((T-1) omega) where sin(omega) = 0.
-    still = sin_w == 0.0
-    limit = steps * np.cos((steps - 1) * omega[still])
+    # ratio = sin(T omega) / sin(omega); where sin(omega) = 0, spec is already 0.
     omega *= steps
     ratio = np.sin(omega)
-    np.divide(ratio, sin_w, out=ratio, where=~still)
-    ratio[still] = limit
+    np.divide(ratio, sin_w, out=ratio, where=sin_w > 0.0)
     cos_tw = np.cos(omega, out=omega)
-    del sin_w, still, limit
+    del sin_w
 
     # The closed form: U^T (alpha, beta) / s^T.
     spec *= ratio[:, None]

@@ -7,7 +7,8 @@ positions ``x`` with ``|x| <= N``.  A state is therefore a plain
 amplitudes and row 1 the tail (|T>, "beta") amplitudes.  Position ``x``
 lives at zero-based column ``x + N``; the origin sits at column ``N``.
 Every engine takes and returns this array; :func:`check_amplitudes` is its
-one validator.
+one validator.  A measurement is a plain array too: :func:`distribution`
+returns the ``(2N + 1,)`` probabilities, position ``x`` at entry ``x + N``.
 
 The recurrence refuses a walk whose occupied sites could leave the window,
 so the finite window is an exact representation of the infinite line for
@@ -18,13 +19,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "LatticeExhaustedError",
-    "ProbabilityDistribution",
     "UNBIASED_INIT",
     "initial_state",
     "distribution",
@@ -106,45 +105,6 @@ def check_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
     return amp
 
 
-@dataclass(frozen=True)
-class ProbabilityDistribution:
-    """Measured position distribution of a walker state.
-
-    Attributes
-    ----------
-    positions : numpy.ndarray
-        Strictly increasing integer position labels.
-    probs : numpy.ndarray
-        Probability at each position; entries in [0, 1] and summing to 1
-        (both up to a 1e-10 absolute tolerance).
-    """
-
-    positions: np.ndarray = field(repr=False)
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=np.int64)
-        p = np.asarray(self.probs, dtype=np.float64)
-        if pos.ndim != 1 or p.ndim != 1 or pos.shape != p.shape:
-            raise ValueError(
-                f"positions and probs must be 1-D arrays of equal length, "
-                f"got shapes {pos.shape} and {p.shape}"
-            )
-        if pos.size and np.any(np.diff(pos) <= 0):
-            raise ValueError("positions must be strictly increasing")
-        check_unit_interval(p, "probabilities")
-        total = float(np.sum(p))
-        if not abs(total - 1.0) <= _NORM_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "probs", p)
-
-    def probability(self, x: int) -> float:
-        """Probability at position ``x`` (0.0 for positions outside the window)."""
-        hits = np.nonzero(self.positions == x)[0]
-        return float(self.probs[hits[0]]) if hits.size else 0.0
-
-
 def initial_state(alpha: complex, beta: complex, half_width: int) -> np.ndarray:
     """The table of the walker at the origin with coin state ``alpha |H> + beta |T>``.
 
@@ -172,26 +132,29 @@ def initial_state(alpha: complex, beta: complex, half_width: int) -> np.ndarray:
     return amp
 
 
-def distribution(amplitudes: np.ndarray) -> ProbabilityDistribution:
-    """Measure the walker: the position distribution over the window, positions ``-N .. N``.
+def distribution(amplitudes: np.ndarray) -> np.ndarray:
+    """Measure the walker: the ``(2N + 1,)`` probabilities of the positions ``-N .. N``.
+
+    Entry ``x + N`` is the probability of position ``x``; the positions are
+    ``np.arange(-N, N + 1)``.
 
     Raises
     ------
     ValueError
-        If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, or its total
+        If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, its total
         probability is not finite or deviates from 1 by more than 1e-10 (a
-        table near the float maximum squares to infinity).
+        table near the float maximum squares to infinity), or a probability
+        leaves [0, 1] by more than 1e-10.
     """
-    amp = check_amplitudes(amplitudes)
-    n = amp.shape[1] // 2
-    return ProbabilityDistribution(np.arange(-n, n + 1), _probabilities(amp))
+    return _probabilities(check_amplitudes(amplitudes))
 
 
 def _probabilities(tables: np.ndarray) -> np.ndarray:
     """The ``(..., 2N + 1)`` position probabilities of a stack of ``(..., 2, 2N + 1)`` tables.
 
-    ValueError unless the total of each table is finite and within 1e-10 of
-    1: a table near the float maximum squares to infinity.
+    The one place that measures tables.  ValueError unless the total of each
+    table is finite and within 1e-10 of 1 (a table near the float maximum
+    squares to infinity), and every probability lies in [0, 1] within 1e-10.
     """
     with np.errstate(over="ignore"):
         probs = np.sum(np.abs(tables) ** 2, axis=-2)
@@ -200,4 +163,5 @@ def _probabilities(tables: np.ndarray) -> np.ndarray:
     if np.any(bad):
         total = float(totals[bad][0])
         raise ValueError(f"the table must be normalized: its total probability is {total!r}")
+    check_unit_interval(probs, "probabilities")
     return probs

@@ -17,7 +17,6 @@ import pytest
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
-    ProbabilityDistribution,
     build_step_unitary,
     dense_series,
     entanglement_entropy,
@@ -101,8 +100,8 @@ def test_c02_golden_amplitudes_one_and_two_steps():
 def test_c03_localization_at_quarter_turns():
     worst = 1.0
     for theta_deg in (90.0, 270.0):
-        dist = run_walk(CoinParams.from_degrees(theta_deg), *UNBIASED_INIT, steps=100)
-        worst = min(worst, dist.probability(0))
+        probs = run_walk(CoinParams.from_degrees(theta_deg), *UNBIASED_INIT, steps=100)
+        worst = min(worst, probs[100])  # x = 0 at entry T
     _report(
         "revival-theta-90-270", abs(worst - 1.0) <= 1e-12, f"min P(0) = {worst:.15f}"
     )
@@ -118,10 +117,10 @@ def test_c04_corner_peaks_at_theta_0_180():
     rest = 0.0
     detail = []
     for theta_deg in (0.0, 180.0):
-        dist = run_walk(CoinParams.from_degrees(theta_deg), *UNBIASED_INIT, steps=100)
-        left, right = dist.probability(-100), dist.probability(100)
+        probs = run_walk(CoinParams.from_degrees(theta_deg), *UNBIASED_INIT, steps=100)
+        left, right = probs[0], probs[-1]  # x = -100 and x = 100
         peaks_ok &= abs(left - 0.5) <= 1e-12 and abs(right - 0.5) <= 1e-12
-        others = dist.probs[np.abs(dist.positions) != 100]
+        others = probs[1:-1]
         rest = max(rest, float(np.max(others)))
         detail.append(f"theta={theta_deg:g}: P(+-100)=({left:.12f},{right:.12f})")
     _report(
@@ -149,9 +148,9 @@ def test_c05_phi2_is_inert():
                 )
                 for phi2 in phi2_values
             ]
-            base = dists[0].probs
+            base = dists[0]
             for other in dists[1:]:
-                worst = max(worst, float(np.max(np.abs(base - other.probs))))
+                worst = max(worst, float(np.max(np.abs(base - other))))
     _report("phi2-inertness-3x3x6", worst <= 1e-12, f"max pairwise |diff| = {worst:.3e}")
 
 
@@ -168,7 +167,7 @@ def test_c06_half_turn_shift_of_theta():
         alpha, beta = normalized_pair(rng)
         d0 = run_walk(CoinParams(theta, phi1, phi2), alpha, beta, steps=100)
         d1 = run_walk(CoinParams(theta + math.pi, phi1, phi2), alpha, beta, steps=100)
-        worst = max(worst, float(np.max(np.abs(d0.probs - d1.probs))))
+        worst = max(worst, float(np.max(np.abs(d0 - d1))))
     _report("theta-half-turn-20-random", worst <= 1e-12, f"max |diff| = {worst:.3e}")
 
 
@@ -189,10 +188,13 @@ def test_c07_phi1_controls_the_asymmetry(capsys):
         assert main([*argv, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["phi1_deg"] == phi1_deg
-        dist = ProbabilityDistribution(np.array(payload["positions"]), np.array(payload["probs"]))
-        sym[phi1_deg] = symmetry_deviation(dist)
-        gap[phi1_deg] = peak_gap(dist)
-        mean = float(np.sum(dist.probs * dist.positions)) / steps
+        positions, probs = np.array(payload["positions"]), np.array(payload["probs"])
+        assert np.array_equal(positions, np.arange(-steps, steps + 1))
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+        assert abs(float(np.sum(probs)) - 1.0) <= 1e-10
+        sym[phi1_deg] = symmetry_deviation(probs)
+        gap[phi1_deg] = peak_gap(probs)
+        mean = float(np.sum(probs * positions)) / steps
         error[phi1_deg] = mean - math.sin(math.radians(phi1_deg)) * (1.0 - 1.0 / math.sqrt(2.0))
     half = [v for v in grid if v <= 180.0]
     symmetric_ends = sym[0.0] <= 1e-12 and sym[180.0] <= 1e-12
@@ -274,16 +276,16 @@ def test_c08b_assembled_operator_matches_the_explicit_matrix():
 def test_c09_schmidt_rank_and_entropy():
     coin45 = make_coin(CoinParams.from_degrees(45.0))
     state = initial_state(1.0, 0.0, 20)
-    rank0 = schmidt_spectrum(state).rank
+    _, rank0 = schmidt_spectrum(state)
     state1 = evolve(state, coin45, 1)
-    rank1 = schmidt_spectrum(state1).rank
+    _, rank1 = schmidt_spectrum(state1)
     entropy1 = entanglement_entropy(state1)
     swap_ok = True
     swap_state = initial_state(1.0, 0.0, 20)
     coin90 = make_coin(CoinParams.from_degrees(90.0))
     for _ in range(20):
         swap_state = evolve(swap_state, coin90, 1)
-        swap_ok &= schmidt_spectrum(swap_state).rank == 1
+        swap_ok &= schmidt_spectrum(swap_state)[1] == 1
     _report(
         "schmidt-rank-entropy",
         rank0 == 1 and rank1 == 2 and abs(entropy1 - 1.0) <= 1e-12 and swap_ok,
@@ -302,13 +304,13 @@ def test_c10_twin_peaks_of_the_unbiased_walk():
     worst_sym = 0.0
     for steps in (50, 100):
         for phi2_deg in range(0, 180, 30):
-            dist = run_walk(
+            probs = run_walk(
                 CoinParams.from_degrees(45.0, 0.0, float(phi2_deg)),
                 *UNBIASED_INIT,
                 steps=steps,
             )
-            worst_gap = max(worst_gap, peak_gap(dist))
-            worst_sym = max(worst_sym, symmetry_deviation(dist))
+            worst_gap = max(worst_gap, peak_gap(probs))
+            worst_sym = max(worst_sym, symmetry_deviation(probs))
     _report(
         "unbiased-twin-peaks",
         worst_gap <= 1e-10 and worst_sym <= 1e-12,
@@ -323,9 +325,9 @@ def test_c10_twin_peaks_of_the_unbiased_walk():
 
 def test_c11_performance_floors():
     started = time.perf_counter()
-    dist = run_walk(named_coin("hadamard"), *UNBIASED_INIT, steps=1000)
+    probs = run_walk(named_coin("hadamard"), *UNBIASED_INIT, steps=1000)
     walk_elapsed = time.perf_counter() - started
-    assert abs(dist.probs.sum() - 1.0) <= 1e-10
+    assert abs(probs.sum() - 1.0) <= 1e-10
     started = time.perf_counter()
     phase_diagram(
         math.pi / 4.0,

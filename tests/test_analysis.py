@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
-    ProbabilityDistribution,
     analysis,
     named_coin,
     peak_gap,
@@ -24,42 +23,36 @@ from coinwalk import (
 from conftest import angles, normalized_pair
 
 
-def _dist(positions, probs):
-    return ProbabilityDistribution(np.array(positions), np.array(probs, dtype=float))
-
-
 # ------------------------------------------------------------
 # peak_gap
 # ------------------------------------------------------------
 
 
 def test_two_equal_peaks_have_zero_gap():
-    assert peak_gap(_dist([-1, 1], [0.5, 0.5])) == 0.0
+    assert peak_gap(np.array([0.5, 0.5])) == 0.0
 
 
 def test_fully_localized_distribution_has_gap_one():
-    assert peak_gap(_dist([-1, 0, 1], [0.0, 1.0, 0.0])) == 1.0
+    assert peak_gap(np.array([0.0, 1.0, 0.0])) == 1.0
 
 
 def test_gap_is_max_minus_runner_up():
-    assert peak_gap(_dist([0, 1, 2], [0.5, 0.3, 0.2])) == pytest.approx(0.2, abs=1e-15)
+    assert peak_gap(np.array([0.5, 0.3, 0.2])) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_gap_needs_at_least_two_positions():
     with pytest.raises(ValueError, match="two positions"):
-        peak_gap(_dist([0], [1.0]))
+        peak_gap(np.array([1.0]))
 
 
 def test_gap_is_invariant_under_mirroring():
-    probs = [0.1, 0.0, 0.35, 0.3, 0.25]
-    d = _dist([-2, -1, 0, 1, 2], probs)
-    mirrored = _dist([-2, -1, 0, 1, 2], probs[::-1])
-    assert peak_gap(d) == peak_gap(mirrored)
+    probs = np.array([0.1, 0.0, 0.35, 0.3, 0.25])
+    assert peak_gap(probs) == peak_gap(probs[::-1])
 
 
 def test_hadamard_walk_has_twin_peaks():
-    dist = run_walk(named_coin("hadamard"), *UNBIASED_INIT, steps=100)
-    assert peak_gap(dist) <= 1e-10
+    probs = run_walk(named_coin("hadamard"), *UNBIASED_INIT, steps=100)
+    assert peak_gap(probs) <= 1e-10
 
 
 # ------------------------------------------------------------
@@ -68,26 +61,28 @@ def test_hadamard_walk_has_twin_peaks():
 
 
 def test_symmetric_distribution_has_zero_deviation():
-    assert symmetry_deviation(_dist([-1, 0, 1], [0.25, 0.5, 0.25])) == 0.0
+    assert symmetry_deviation(np.array([0.25, 0.5, 0.25])) == 0.0
 
 
 def test_deviation_picks_the_worst_pair():
-    assert symmetry_deviation(_dist([-1, 0, 1], [0.3, 0.2, 0.5])) == pytest.approx(0.2, abs=1e-15)
+    assert symmetry_deviation(np.array([0.3, 0.2, 0.5])) == pytest.approx(0.2, abs=1e-15)
 
 
-def test_asymmetric_window_is_rejected():
-    with pytest.raises(ValueError, match="symmetric about 0"):
-        symmetry_deviation(_dist([0, 1], [0.5, 0.5]))
+def test_even_length_is_rejected():
+    # The sites -N .. N are an odd number; an even length has no centre x = 0.
+    for probs in ([0.5, 0.5], [], [[0.25, 0.5, 0.25]]):
+        with pytest.raises(ValueError, match="odd length"):
+            symmetry_deviation(np.array(probs))
 
 
 def test_unbiased_hadamard_walk_is_symmetric():
-    dist = run_walk(named_coin("hadamard"), *UNBIASED_INIT, steps=100)
-    assert symmetry_deviation(dist) <= 1e-12
+    probs = run_walk(named_coin("hadamard"), *UNBIASED_INIT, steps=100)
+    assert symmetry_deviation(probs) <= 1e-12
 
 
 def test_phi1_90_makes_the_walk_asymmetric():
-    dist = run_walk(CoinParams.from_degrees(45.0, 90.0), *UNBIASED_INIT, steps=100)
-    assert symmetry_deviation(dist) > 0.05
+    probs = run_walk(CoinParams.from_degrees(45.0, 90.0), *UNBIASED_INIT, steps=100)
+    assert symmetry_deviation(probs) > 0.05
 
 
 def test_phi1_180_restores_the_symmetric_distribution():
@@ -95,7 +90,7 @@ def test_phi1_180_restores_the_symmetric_distribution():
     # the unbiased start must nevertheless match the phi1 = 0 one.
     base = run_walk(CoinParams.from_degrees(45.0, 0.0), *UNBIASED_INIT, steps=100)
     restored = run_walk(CoinParams.from_degrees(45.0, 180.0), *UNBIASED_INIT, steps=100)
-    assert np.max(np.abs(base.probs - restored.probs)) <= 1e-12
+    assert np.max(np.abs(base - restored)) <= 1e-12
 
 
 # ------------------------------------------------------------
@@ -212,7 +207,7 @@ def test_each_sweep_row_is_the_walk_at_its_angle(thetas, phi1, phi2, seed, steps
     assert out.shape == (len(thetas), 2 * steps + 1)
     for theta, row in zip(thetas, out):
         walk = run_walk(CoinParams(theta, phi1, phi2), alpha, beta, steps)
-        assert np.array_equal(row, walk.probs)
+        assert np.array_equal(row, walk)
 
 
 # ------------------------------------------------------------
@@ -321,8 +316,8 @@ def test_coin_phases_act_as_a_start_state_phase(theta, phi1, phi2, seed, steps):
     alpha, beta = normalized_pair(np.random.default_rng(seed))
     walk = run_walk(CoinParams(theta, phi1, phi2), alpha, beta, steps)
     rotated = run_walk(CoinParams(theta, 0.0, 0.0), alpha, cmath.exp(1j * phi1) * beta, steps)
-    assert np.array_equal(walk.positions, rotated.positions)
-    assert np.max(np.abs(walk.probs - rotated.probs)) <= 1e-12
+    assert walk.shape == rotated.shape == (2 * steps + 1,)
+    assert np.max(np.abs(walk - rotated)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)

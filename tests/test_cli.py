@@ -65,7 +65,7 @@ def test_walk_csv_round_trips_the_doubles(capsys):
     code, out, _ = _run(capsys, "walk", "--coin", "fourier", "--steps", "40")
     assert code == 0
     _, rows = _csv_rows(out)
-    expected = run_walk(named_coin("fourier"), *UNBIASED_INIT, 40).probs
+    expected = run_walk(named_coin("fourier"), *UNBIASED_INIT, 40)
     parsed = np.array([float(r[1]) for r in rows])
     assert np.array_equal(parsed, expected)  # bit-for-bit
 
@@ -80,7 +80,7 @@ def test_walk_json_round_trips_the_doubles(capsys):
     assert payload["phi1_deg"] == 0.0 and payload["phi2_deg"] == 0.0
     assert payload["steps"] == 25
     assert payload["positions"] == list(range(-25, 26))
-    expected = run_walk(named_coin("hadamard"), *UNBIASED_INIT, 25).probs
+    expected = run_walk(named_coin("hadamard"), *UNBIASED_INIT, 25)
     assert np.array_equal(np.array(payload["probs"]), expected)
 
 
@@ -535,8 +535,8 @@ def test_raw_theta_mod_two_pi_is_physically_identical(capsys):
 
 
 def _walk_reference(theta, phi1, phi2, steps):
-    dist = run_walk(CoinParams.from_degrees(theta, phi1, phi2), *UNBIASED_INIT, steps)
-    positions, probs = dist.positions.tolist(), dist.probs.tolist()
+    probs = run_walk(CoinParams.from_degrees(theta, phi1, phi2), *UNBIASED_INIT, steps).tolist()
+    positions = list(range(-steps, steps + 1))
     payload = {"theta_deg": theta, "phi1_deg": phi1, "phi2_deg": phi2, "steps": steps,
                "positions": positions, "probs": probs}
     return "position,probability", list(zip(positions, probs)), payload

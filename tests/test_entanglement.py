@@ -12,7 +12,6 @@ from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     LatticeExhaustedError,
-    SchmidtSpectrum,
     entanglement_entropy,
     entanglement_series,
     evolve,
@@ -47,20 +46,20 @@ def _state_from_rows(row_h, row_t, half_width):
 @pytest.mark.parametrize("alpha, beta", [UNBIASED_INIT, (1.0, 0.0), (0.6, 0.8j)])
 def test_initial_states_are_separable(alpha, beta):
     state = initial_state(alpha, beta, 4)
-    spectrum = schmidt_spectrum(state)
-    assert spectrum.rank == 1
-    assert spectrum.values[0] == pytest.approx(1.0, abs=1e-12)
+    values, rank = schmidt_spectrum(state)
+    assert rank == 1
+    assert values[0] == pytest.approx(1.0, abs=1e-12)
     # The raw second value sits on the Gram-matrix noise floor (~sqrt(eps)),
     # not at an exact zero; the rank cutoff is what certifies separability.
-    assert spectrum.values[1] <= 1e-7
+    assert values[1] <= 1e-7
     assert entanglement_entropy(state) <= 1e-12
 
 
 def test_zero_state_has_rank_zero():
     state = np.zeros((2, 7), dtype=complex)
-    spectrum = schmidt_spectrum(state)
-    assert spectrum.rank == 0
-    assert np.array_equal(spectrum.values, np.zeros(2))
+    values, rank = schmidt_spectrum(state)
+    assert rank == 0
+    assert np.array_equal(values, np.zeros(2))
     assert entanglement_entropy(state) == 0.0
     ranks, entropies = entanglement_series(state, make_coin(named_coin("hadamard")), 5)
     assert np.array_equal(ranks, np.zeros(6)) and np.array_equal(entropies, np.zeros(6))
@@ -73,17 +72,18 @@ def test_zero_state_has_rank_zero():
 
 def test_one_hadamard_step_is_maximally_entangled():
     state = evolve(initial_state(1.0, 0.0, 3), make_coin(named_coin("hadamard")), 1)
-    spectrum = schmidt_spectrum(state)
-    assert spectrum.rank == 2
-    assert spectrum.values == pytest.approx([math.sqrt(0.5), math.sqrt(0.5)], abs=1e-12)
+    values, rank = schmidt_spectrum(state)
+    assert type(rank) is int and rank == 2
+    assert values.shape == (2,) and values.dtype == np.float64
+    assert values == pytest.approx([math.sqrt(0.5), math.sqrt(0.5)], abs=1e-12)
     assert entanglement_entropy(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_one_step_spectrum_is_cos_sin_of_theta():
     theta = CoinParams.from_degrees(30.0)
     state = evolve(initial_state(1.0, 0.0, 3), make_coin(theta), 1)
-    spectrum = schmidt_spectrum(state)
-    assert spectrum.values == pytest.approx([math.cos(theta.theta), math.sin(theta.theta)], abs=1e-12)
+    values, _ = schmidt_spectrum(state)
+    assert values == pytest.approx([math.cos(theta.theta), math.sin(theta.theta)], abs=1e-12)
     assert entanglement_entropy(state) == pytest.approx(ENTROPY_THETA_30, abs=1e-12)
 
 
@@ -92,7 +92,7 @@ def test_swap_coin_never_entangles_a_head_start():
     state = initial_state(1.0, 0.0, 20)
     for _ in range(20):
         state = evolve(state, coin, 1)
-        assert schmidt_spectrum(state).rank == 1
+        assert schmidt_spectrum(state)[1] == 1
         assert entanglement_entropy(state) <= 1e-12
 
 
@@ -106,38 +106,16 @@ def test_rank_uses_the_relative_weight_cutoff():
     # first counts, one of 1e-12 times the first does not.
     counted = _state_from_rows([1.0], [0.0, 1e-4], half_width=2)
     dropped = _state_from_rows([1.0], [0.0, 1e-6], half_width=2)
-    assert schmidt_spectrum(counted).rank == 2
-    assert schmidt_spectrum(dropped).rank == 1
-    assert schmidt_spectrum(dropped).values[1] == pytest.approx(1e-6, rel=1e-3)
+    assert schmidt_spectrum(counted)[1] == 2
+    assert schmidt_spectrum(dropped)[1] == 1
+    assert schmidt_spectrum(dropped)[0][1] == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_separability_is_robust_for_generic_product_states():
     # Forming the Gram matrix of an exactly separable state leaves weight
     # noise near machine epsilon; the rank must not count it.
     state = initial_state(complex(0.6, -0.1), complex(0.2, 0.7681145747868607), 2)
-    assert schmidt_spectrum(state).rank == 1
-
-
-def test_spectrum_validation():
-    with pytest.raises(ValueError, match="descending"):
-        SchmidtSpectrum(np.array([0.3, 0.9]), rank=2)
-    with pytest.raises(ValueError, match="at most two"):
-        SchmidtSpectrum(np.array([0.9, 0.3, 0.1]), rank=3)
-    with pytest.raises(ValueError, match="rank"):
-        SchmidtSpectrum(np.array([1.0, 0.0]), rank=3)
-    # NaN fails both order comparisons; it and infinity are refused by name.
-    for values, rank in (([math.nan, 0.5], 1), ([math.inf, 0.5], 2)):
-        with pytest.raises(ValueError, match="finite"):
-            SchmidtSpectrum(np.array(values), rank=rank)
-    # The rank is a non-negative integer, as a step count is; a bool is not one.
-    for rank in (1.5, True, "1", None, -1):
-        with pytest.raises(ValueError, match="rank must be a non-negative integer"):
-            SchmidtSpectrum(np.array([1.0, 0.0]), rank=rank)
-    spectrum = SchmidtSpectrum(np.array([1.0, 0.0]), rank=np.int64(1))
-    assert type(spectrum.rank) is int and spectrum.rank == 1
-    # Identity equality and hash: equal values arrays have no single truth value.
-    assert spectrum == spectrum and spectrum != SchmidtSpectrum(np.array([1.0, 0.0]), rank=1)
-    assert hash(spectrum) == hash(spectrum)
+    assert schmidt_spectrum(state)[1] == 1
 
 
 def test_a_table_whose_gram_matrix_overflows_is_refused():
@@ -163,9 +141,9 @@ def test_weights_whose_entropy_terms_overflow_have_a_spectrum_but_no_entropy():
     # are errors here, so an overflow warning would fail the test too.
     hadamard = make_coin(named_coin("hadamard"))
     table = evolve(initial_state(0.6, 0.8, 2), hadamard, 2) * 1e153
-    spectrum = schmidt_spectrum(table)
-    assert spectrum.rank == 2 and np.all(np.isfinite(spectrum.values))
-    assert spectrum.values[0] > 1e152
+    values, rank = schmidt_spectrum(table)
+    assert rank == 2 and np.all(np.isfinite(values))
+    assert values[0] > 1e152
     for measure in (entanglement_entropy, lambda amp: entanglement_series(amp, hadamard, 3)):
         with pytest.raises(ValueError) as err:
             measure(table)
@@ -268,7 +246,7 @@ def test_series_matches_the_per_state_functions(params, init, steps):
     for t in range(steps + 1):
         if t > 0:
             state = evolve(state, coin, 1)
-        assert ranks[t] == schmidt_spectrum(state).rank
+        assert ranks[t] == schmidt_spectrum(state)[1]
         # The series sums in momentum space and the per-state functions over
         # the stepped table: the cross-engine bound of the README.
         assert abs(entropies[t] - entanglement_entropy(state)) <= 1e-12
@@ -288,10 +266,10 @@ def test_squared_values_sum_to_the_total_probability(seed, steps):
     alpha, beta = normalized_pair(rng)
     state = initial_state(alpha, beta, 15)
     state = evolve(state, make_coin(CoinParams(*random_coin_angles(rng))), steps)
-    spectrum = schmidt_spectrum(state)
+    values, _ = schmidt_spectrum(state)
     total_probability = np.sum(np.abs(state) ** 2)
-    assert np.sum(spectrum.values**2) == pytest.approx(total_probability, abs=1e-10)
-    assert spectrum.values[0] >= spectrum.values[1] >= 0.0
+    assert np.sum(values**2) == pytest.approx(total_probability, abs=1e-10)
+    assert values[0] >= values[1] >= 0.0
 
 
 @settings(max_examples=25, deadline=None)

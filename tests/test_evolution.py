@@ -244,11 +244,11 @@ def test_the_evolved_state_keeps_only_its_own_table_alive(steps):
 
 
 def test_two_step_hadamard_distribution_from_head():
-    dist = run_walk(named_coin("hadamard"), 1.0, 0.0, steps=2)
-    assert np.array_equal(dist.positions, np.arange(-2, 3))
-    assert dist.probability(-2) == pytest.approx(0.25, abs=1e-15)
-    assert dist.probability(0) == pytest.approx(0.5, abs=1e-15)
-    assert dist.probability(2) == pytest.approx(0.25, abs=1e-15)
+    probs = run_walk(named_coin("hadamard"), 1.0, 0.0, steps=2)
+    assert probs.shape == (5,) and probs.dtype == np.float64  # x = -2 .. 2 at x + 2
+    assert probs[0] == pytest.approx(0.25, abs=1e-15)
+    assert probs[2] == pytest.approx(0.5, abs=1e-15)
+    assert probs[4] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_run_walk_requires_positive_steps():
@@ -257,8 +257,8 @@ def test_run_walk_requires_positive_steps():
 
 
 def test_run_walk_total_probability():
-    dist = run_walk(CoinParams(1.1, 0.3, 0.8), *UNBIASED_INIT, steps=60)
-    assert abs(dist.probs.sum() - 1.0) <= 1e-10
+    probs = run_walk(CoinParams(1.1, 0.3, 0.8), *UNBIASED_INIT, steps=60)
+    assert abs(probs.sum() - 1.0) <= 1e-10
 
 
 # ------------------------------------------------------------
@@ -274,7 +274,7 @@ def test_theta_shifted_by_pi_gives_the_same_distribution(seed):
     alpha, beta = normalized_pair(rng)
     d0 = run_walk(CoinParams(theta, phi1, phi2), alpha, beta, steps=40)
     d1 = run_walk(CoinParams(theta + math.pi, phi1, phi2), alpha, beta, steps=40)
-    assert np.max(np.abs(d0.probs - d1.probs)) <= 1e-12
+    assert np.max(np.abs(d0 - d1)) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -285,4 +285,4 @@ def test_phi2_never_changes_the_distribution(seed):
     alpha, beta = normalized_pair(rng)
     d0 = run_walk(CoinParams(theta, phi1, 0.0), alpha, beta, steps=40)
     d1 = run_walk(CoinParams(theta, phi1, phi2), alpha, beta, steps=40)
-    assert np.max(np.abs(d0.probs - d1.probs)) <= 1e-12
+    assert np.max(np.abs(d0 - d1)) <= 1e-12

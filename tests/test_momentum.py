@@ -30,10 +30,14 @@ from conftest import angles, normalized_pair, random_coin_angles
 # 108); 201 = 3 * 67 pads to 216.
 STEPS = [1, 2, 3, 7, 60, 100, 200]
 
+# Raw matrices last: the identity and diag(1, i), whose sin(omega) is
+# exactly 0 at some wavenumbers (q = 0 for the identity).
 SPECIAL_COINS = [named_coin(name) for name in sorted(NAMED_COINS)] + [
     CoinParams(0.0, 0.0, 0.0),
     CoinParams(1e-6, 0.0, 0.0),
     CoinParams(math.pi / 2.0, 0.0, 0.0),
+    np.eye(2, dtype=complex),
+    np.diag([1.0, 1j]),
 ]
 
 
@@ -58,7 +62,8 @@ def test_random_walks_match_the_recurrence_and_dense_engines(steps, seed):
 @pytest.mark.parametrize("steps", STEPS)
 @pytest.mark.parametrize("params", SPECIAL_COINS)
 def test_named_and_extreme_coins_match_the_other_engines(params, steps):
-    _assert_matches_the_other_engines(*UNBIASED_INIT, make_coin(params), steps)
+    coin = make_coin(params) if isinstance(params, CoinParams) else params
+    _assert_matches_the_other_engines(*UNBIASED_INIT, coin, steps)
 
 
 def test_window_is_the_smallest_2_3_5_smooth_size():
@@ -105,7 +110,7 @@ def _same_bits(a, b):
 def test_a_batched_pass_is_the_one_coin_pass_bit_for_bit(coins, seed, steps):
     # Coins of all of U(2), e^{i gamma} C(theta, phi1, phi2), with theta = 0
     # and pi/2 among the random angles, and the identity, whose sin(omega)
-    # is exactly 0 at q = 0, where the ratio takes its limit.
+    # is exactly 0 at q = 0, where the ratio is not divided.
     rng = np.random.default_rng(seed)
     stack = [
         np.eye(2, dtype=complex) if theta == "identity"
@@ -167,11 +172,34 @@ LONG = 10_000
 )
 def test_long_walks_follow_the_weak_limit(theta_deg, phi1, phi2, init):
     theta = math.radians(theta_deg)
-    dist = run_walk(CoinParams(theta, phi1, phi2), *init, LONG)
-    second_moment = float(np.sum(dist.probs * (dist.positions / LONG) ** 2))
+    probs = run_walk(CoinParams(theta, phi1, phi2), *init, LONG)
+    positions = np.arange(-LONG, LONG + 1)
+    second_moment = float(np.sum(probs * (positions / LONG) ** 2))
     assert abs(second_moment - (1.0 - abs(math.sin(theta)))) <= 1e-5
-    beyond = np.abs(dist.positions) > (abs(math.cos(theta)) + 0.05) * LONG
-    assert float(np.sum(dist.probs[beyond])) <= 1e-12
+    beyond = np.abs(positions) > (abs(math.cos(theta)) + 0.05) * LONG
+    assert float(np.sum(probs[beyond])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "theta, steps", [(0.45, 10**5), (0.8, 10**5), (1.2, 10**5), (1.55, 10**5), (1.0, 10**6)]
+)
+def test_second_moment_depends_on_theta_and_steps_only(theta, steps):
+    # E[x^2] after T steps depends on neither phi1, phi2 nor the coin state,
+    # and E[x^2] - (1 - |sin theta|) T^2 stays O(1): it was 0.4966 to 0.6844
+    # for theta in [0.45, 1.55] at T = 10^5 and 10^6 over random draws, and
+    # 0.488 to 0.705 from T = 10^3.  Draws at one theta agreed within 9e-16
+    # relative.  At T = 10^6 the band is a relative check near 1e-12.
+    rng = np.random.default_rng(int(1000 * theta) + steps)
+    positions = np.arange(-steps, steps + 1, dtype=np.float64)
+    moments = []
+    for _ in range(2 if steps > 10**5 else 3):
+        alpha, beta = normalized_pair(rng)
+        phi1, phi2 = rng.uniform(-7.0, 7.0, size=2)
+        probs = run_walk(CoinParams(theta, phi1, phi2), alpha, beta, steps)
+        moments.append(float(np.sum(probs * positions**2)))
+    assert max(moments) - min(moments) <= 1e-13 * min(moments)
+    remainder = np.array(moments) - (1.0 - abs(math.sin(theta))) * steps**2
+    assert np.all((remainder >= 0.45) & (remainder <= 0.75)), remainder
 
 
 def _konno_k(coin, alpha, beta):
@@ -215,8 +243,8 @@ def test_first_moment_follows_konnos_limit(theta, phi1, phi2, seed):
     # for theta near 0 and near 90 degrees too.  The bound is twice the worst
     # at T = 500.
     for steps in (500, 2000):
-        dist = run_walk(params, alpha, beta, steps)
-        mean = float(np.sum(dist.probs * dist.positions)) / steps
+        probs = run_walk(params, alpha, beta, steps)
+        mean = float(np.sum(probs * np.arange(-steps, steps + 1))) / steps
         assert abs(mean - drift) <= 1.25 / steps
 
 
@@ -232,10 +260,10 @@ def test_limiting_cdf_follows_konnos_law(theta, phi1, phi2, seed):
     a, k = abs(coin[0, 0]), _konno_k(coin, alpha, beta)
     distance = {}
     for steps in (500, 2000):
-        dist = run_walk(params, alpha, beta, steps)
-        limit = _konno_cdf(dist.positions / steps, a, k)
-        after = np.cumsum(dist.probs)  # the CDF just after each jump; minus it, just before
-        before = after - dist.probs
+        probs = run_walk(params, alpha, beta, steps)
+        limit = _konno_cdf(np.arange(-steps, steps + 1) / steps, a, k)
+        after = np.cumsum(probs)  # the CDF just after each jump; minus it, just before
+        before = after - probs
         distance[steps] = max(np.max(np.abs(after - limit)), np.max(np.abs(before - limit)))
     # Over about 2 * 10^4 random draws (a targeted search near |sin theta| = 0.085
     # included) D(2000) / D(500) was at most 0.85, median 0.54; its median was
@@ -244,11 +272,11 @@ def test_limiting_cdf_follows_konnos_law(theta, phi1, phi2, seed):
 
 
 def test_long_hadamard_walk_peaks_near_one_over_root_two():
-    dist = run_walk(named_coin("hadamard"), *UNBIASED_INIT, LONG)
-    peak = abs(int(dist.positions[np.argmax(dist.probs)])) / LONG
+    probs = run_walk(named_coin("hadamard"), *UNBIASED_INIT, LONG)
+    peak = abs(int(np.argmax(probs)) - LONG) / LONG  # x = argmax - T
     assert abs(peak - 1.0 / math.sqrt(2.0)) <= 0.005
 
 
 def test_a_walk_of_100000_steps_conserves_probability():
-    dist = run_walk(named_coin("hadamard"), *UNBIASED_INIT, 100_000)
-    assert abs(float(np.sum(dist.probs)) - 1.0) <= 1e-10
+    probs = run_walk(named_coin("hadamard"), *UNBIASED_INIT, 100_000)
+    assert abs(float(np.sum(probs)) - 1.0) <= 1e-10

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
-    ProbabilityDistribution,
     build_step_unitary,
     dense_series,
     distribution,
@@ -40,10 +39,10 @@ def test_lattice_geometry():
     assert state.shape == (2, 201)
     assert state.dtype == np.complex128
     assert state[0, 100] == 1.0  # the origin at column N
-    positions = distribution(state).positions
-    assert positions[0] == -100
-    assert positions[-1] == 100
-    assert positions[100] == 0
+    probs = distribution(state)
+    assert probs.shape == (201,)
+    assert probs.dtype == np.float64
+    assert probs[100] == 1.0  # position x at entry x + N
 
 
 def _half_width_users():
@@ -80,16 +79,16 @@ def test_a_numpy_integer_half_width_is_taken_as_an_int():
 def test_position_index_examples(x, expected):
     amp = np.zeros((2, 7), dtype=complex)
     amp[0, expected] = 1.0
-    dist = distribution(amp)
-    assert dist.positions[expected] == x
-    assert dist.probability(x) == 1.0
+    probs = distribution(amp)
+    assert np.arange(-3, 4)[expected] == x
+    assert probs[x + 3] == 1.0
 
 
 def test_indices_cover_the_window_in_order():
     state = initial_state(1.0, 0.0, 7)
-    positions = distribution(state).positions
-    assert positions.tolist() == list(range(-7, 8))
-    assert [7 + x for x in positions] == list(range(state.shape[1]))
+    probs = distribution(state)
+    assert probs.shape == (state.shape[1],)
+    assert np.flatnonzero(probs).tolist() == [7]  # the origin, x = 0, at entry N
 
 
 # ------------------------------------------------------------
@@ -110,12 +109,12 @@ def test_unbiased_start():
     state = initial_state(alpha, beta, 4)
     assert state[0, 4] == alpha
     assert state[1, 4] == beta
-    assert abs(distribution(state).probs.sum() - 1.0) <= 1e-15
+    assert abs(distribution(state).sum() - 1.0) <= 1e-15
 
 
 def test_complex_components_are_accepted():
     state = initial_state(0.6, 0.8j, 3)
-    assert distribution(state).probability(0) == pytest.approx(1.0, abs=1e-15)
+    assert distribution(state)[3] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_unnormalized_state_reports_the_deficit():
@@ -133,7 +132,7 @@ def test_non_finite_amplitudes_are_rejected(alpha):
 def test_random_normalized_pairs_are_accepted(seed):
     alpha, beta = normalized_pair(np.random.default_rng(seed))
     state = initial_state(alpha, beta, 2)
-    assert abs(distribution(state).probs.sum() - 1.0) <= 1e-12
+    assert abs(distribution(state).sum() - 1.0) <= 1e-12
 
 
 # ------------------------------------------------------------
@@ -177,7 +176,7 @@ def test_half_width_is_derived_from_the_shape():
     for n in (1, 20):
         amp = np.zeros((2, 2 * n + 1), dtype=complex)
         amp[0, n] = 1.0
-        assert np.array_equal(distribution(amp).positions, np.arange(-n, n + 1))
+        assert distribution(amp).shape == (2 * n + 1,)
         assert evolve(amp, _HADAMARD, n)[:, [0, -1]].any()  # n steps reach the edges
 
 
@@ -188,25 +187,25 @@ def test_half_width_is_derived_from_the_shape():
 
 def test_one_step_probabilities_at_theta_30():
     state = initial_state(1.0, 0.0, 3)
-    dist = distribution(evolve(state, make_coin(CoinParams.from_degrees(30.0)), 1))
-    assert dist.probability(1) == pytest.approx(0.75, abs=1e-15)  # cos^2(30)
-    assert dist.probability(-1) == pytest.approx(0.25, abs=1e-15)  # sin^2(30)
-    assert dist.probability(0) == 0.0
+    probs = distribution(evolve(state, make_coin(CoinParams.from_degrees(30.0)), 1))
+    assert probs[1 + 3] == pytest.approx(0.75, abs=1e-15)  # cos^2(30)
+    assert probs[-1 + 3] == pytest.approx(0.25, abs=1e-15)  # sin^2(30)
+    assert probs[0 + 3] == 0.0
 
 
 def test_one_step_unbiased_hadamard_splits_evenly():
     state = initial_state(*UNBIASED_INIT, 3)
-    dist = distribution(evolve(state, make_coin(named_coin("hadamard")), 1))
-    assert dist.probability(1) == pytest.approx(0.5, abs=1e-15)
-    assert dist.probability(-1) == pytest.approx(0.5, abs=1e-15)
+    probs = distribution(evolve(state, make_coin(named_coin("hadamard")), 1))
+    assert probs[1 + 3] == pytest.approx(0.5, abs=1e-15)
+    assert probs[-1 + 3] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_distribution_covers_the_full_stored_window():
     state = initial_state(*UNBIASED_INIT, 5)
-    dist = distribution(state)
-    assert np.array_equal(dist.positions, np.arange(-5, 6))
-    assert dist.probability(0) == pytest.approx(1.0, abs=1e-12)
-    assert abs(dist.probs.sum() - 1.0) <= 1e-12
+    probs = distribution(state)
+    assert probs.shape == (11,)
+    assert probs[5] == pytest.approx(1.0, abs=1e-12)
+    assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("scale, total", [(1e200, "inf"), (2.0, "4.0")])
@@ -217,11 +216,6 @@ def test_distribution_refuses_an_unnormalized_table_by_its_total(scale, total):
     with pytest.raises(ValueError) as err:
         distribution(table)
     assert str(err.value) == f"the table must be normalized: its total probability is {total}"
-
-
-def test_probability_lookup_outside_window_is_zero():
-    dist = distribution(initial_state(1.0, 0.0, 2))
-    assert dist.probability(17) == 0.0
 
 
 # ------------------------------------------------------------
@@ -237,7 +231,7 @@ ENGINES = {
     "evolve": lambda steps: evolve(_START, _HADAMARD, steps),
     "entanglement_series": lambda steps: entanglement_series(_START, _HADAMARD, steps),
     "momentum_state": lambda steps: momentum_state(*UNBIASED_INIT, _HADAMARD, steps),
-    "run_walk": lambda steps: run_walk(named_coin("hadamard"), *UNBIASED_INIT, steps).probs,
+    "run_walk": lambda steps: run_walk(named_coin("hadamard"), *UNBIASED_INIT, steps),
     "dense_series": lambda steps: list(dense_series(*UNBIASED_INIT, _HADAMARD, steps)),
 }
 
@@ -258,36 +252,6 @@ def test_steps_follow_one_rule_in_every_engine(engine):
 
 
 # ------------------------------------------------------------
-# ProbabilityDistribution validation
-# ------------------------------------------------------------
-
-
-def test_positions_must_strictly_increase():
-    with pytest.raises(ValueError, match="increasing"):
-        ProbabilityDistribution(np.array([0, 0, 1]), np.array([0.5, 0.25, 0.25]))
-
-
-def test_probabilities_must_sum_to_one():
-    with pytest.raises(ValueError, match="sum to 1"):
-        ProbabilityDistribution(np.array([-1, 1]), np.array([0.5, 0.4]))
-
-
-def test_probabilities_must_stay_in_range():
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        ProbabilityDistribution(np.array([-1, 0, 1]), np.array([1.5, -0.5, 0.0]))
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        ProbabilityDistribution(np.array([0, 1]), np.array([math.nan, math.nan]))
-    # The 1e-10 tolerance admits the rounding of a sum of squares.
-    dist = ProbabilityDistribution(np.array([0, 1]), np.array([1.0 + 2e-16, 0.0]))
-    assert dist.probs[0] > 1.0
-
-
-def test_mismatched_lengths_are_rejected():
-    with pytest.raises(ValueError, match="equal length"):
-        ProbabilityDistribution(np.array([-1, 1]), np.array([1.0]))
-
-
-# ------------------------------------------------------------
 # Structure of evolved states: window edges, parity, reach
 # ------------------------------------------------------------
 
@@ -304,19 +268,19 @@ def test_window_edges_stay_exactly_zero_until_reached(steps):
 @pytest.mark.parametrize("steps", [1, 2, 9, 16])
 def test_origin_walks_have_exact_parity_support(steps):
     state = initial_state(*UNBIASED_INIT, 16)
-    dist = distribution(evolve(state, make_coin(CoinParams(0.7, 1.0, 0.2)), steps))
-    for x in range(-17, 18):
+    probs = distribution(evolve(state, make_coin(CoinParams(0.7, 1.0, 0.2)), steps))
+    for x in range(-16, 17):
         if (x - steps) % 2 != 0:
-            assert dist.probability(x) == 0.0
+            assert probs[x + 16] == 0.0
 
 
 @pytest.mark.parametrize("steps", [3, 10])
 def test_amplitude_never_outruns_the_step_count(steps):
     state = initial_state(*UNBIASED_INIT, 12)
-    dist = distribution(evolve(state, make_coin(named_coin("hadamard")), steps))
-    for x in range(-13, 14):
+    probs = distribution(evolve(state, make_coin(named_coin("hadamard")), steps))
+    for x in range(-12, 13):
         if abs(x) > steps:
-            assert dist.probability(x) == 0.0
+            assert probs[x + 12] == 0.0
 
 
 @settings(max_examples=25, deadline=None)
