@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -140,17 +141,30 @@ def check_coin_matrix(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def _unitarity_residual(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """The checked coin (see :func:`check_coin_matrix`) and ``max |M^dagger M - I|``.
+def _unitarity_residuals(coins: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``K`` coins, each checked (see :func:`check_coin_matrix`), and ``max |M^dagger M - I|`` of each.
 
-    Finite entries can still overflow the product: the residual is then inf
-    or NaN, without a NumPy warning.  NaN fails every comparison, so callers
-    test ``not residual <= tol``.
+    The coins are checked and their residuals computed in one pass over
+    their ``(K, 2, 2)`` stack; a coin that fails is refused with its own
+    message.  Finite entries can still overflow the product: a residual is
+    then inf or NaN, without a NumPy warning.  NaN fails every comparison,
+    so callers test ``not residual <= tol``.
     """
-    m = check_coin_matrix(matrix)
+    stack = np.asarray(coins, dtype=np.complex128)
+    if stack.shape[1:] != (2, 2) or not np.all(np.isfinite(stack)):
+        for coin in coins:  # the first coin that fails raises
+            check_coin_matrix(coin)
+    stack = stack.reshape(-1, 2, 2)  # an empty list of coins gives shape (0,)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
-    return m, residual
+        gram = stack.conj().transpose(0, 2, 1) @ stack
+        residuals = np.max(np.abs(gram - np.eye(2)), axis=(1, 2))
+    return stack, residuals
+
+
+def _unitarity_residual(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """The checked coin and ``max |M^dagger M - I|``: :func:`_unitarity_residuals` of one coin."""
+    (m,), (residual,) = _unitarity_residuals([matrix])
+    return m, float(residual)
 
 
 def check_unitary(matrix: np.ndarray) -> bool:

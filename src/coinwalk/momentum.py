@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coin import _UNITARY_TOL, _unitarity_residual
+from .coin import _UNITARY_TOL, _unitarity_residuals
 from .state import check_amplitudes, check_coin_state, check_steps
 
 __all__ = ["momentum_state"]
@@ -82,15 +82,16 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _check_coin(coin: np.ndarray) -> np.ndarray:
-    """The coin as a complex array; ValueError unless it is a unitary (2, 2) matrix.
+def _check_coins(coins: Sequence[np.ndarray]) -> np.ndarray:
+    """The coins as a complex ``(K, 2, 2)`` stack; ValueError unless each is a unitary (2, 2) matrix.
 
-    The closed-form power holds only for a unitary step.
+    The closed-form power holds only for a unitary step.  The residuals of
+    all ``K`` coins come from one pass over the stack.
     """
-    c, residual = _unitarity_residual(coin)
-    if not residual <= _UNITARY_TOL:
+    stack, residuals = _unitarity_residuals(coins)
+    if not np.all(residuals <= _UNITARY_TOL):
         raise ValueError("the momentum-space engine needs a unitary coin")
-    return c
+    return stack
 
 
 def _closed_form(
@@ -159,7 +160,7 @@ def _states(alpha: complex, beta: complex, coins: Sequence[np.ndarray], steps: i
     :func:`momentum_state` documents, before any array is built.
     """
     alpha, beta = check_coin_state(alpha, beta)
-    coins, steps = [_check_coin(coin) for coin in coins], check_steps(steps)
+    coins, steps = _check_coins(coins), check_steps(steps)
     n = max(steps, 1)
     m = _fft_size(steps + 1)
     half_deltas, u, spec, sin_w, omega = _closed_form(alpha, beta, coins, m)
@@ -320,7 +321,7 @@ def _grams(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> np.ndarray:
         not a unitary (2, 2) matrix or ``steps`` is not a non-negative
         integer, before any array is built.
     """
-    amp, c, steps = check_amplitudes(amplitudes), _check_coin(coin), check_steps(steps)
+    amp, (c,), steps = check_amplitudes(amplitudes), _check_coins([coin]), check_steps(steps)
     spans = []
     for rows in (amp[:, 0::2], amp[:, 1::2]):
         occupied = np.flatnonzero(np.any(rows != 0, axis=0))

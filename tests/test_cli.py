@@ -22,6 +22,7 @@ from coinwalk import (
     cli,
     dense_series,
     entanglement_series,
+    evolve,
     initial_state,
     iter_steps,
     make_coin,
@@ -571,20 +572,39 @@ def _entanglement_reference(coin, init, steps):
     return "t,schmidt_rank,entropy", list(zip(t, ranks, entropies)), payload
 
 
-def _verify_reference(theta, phi1, steps):
-    coin = make_coin(CoinParams.from_degrees(theta, phi1, 0.0))
+def _verify_reference(theta, phi1, steps, phi2=0.0, corrupt=False, endpoint=momentum_state,
+                      walk=iter_steps):
+    """`verify` by the step-by-step loop: its output and the worst (gap, t, x, engine) over 1e-12.
+
+    Each step of ``walk`` is compared on its own, and a step over the
+    tolerance becomes the worst only if it is strictly worse than the worst
+    so far, the momentum ``endpoint`` last of all.
+    """
+    coin = make_coin(CoinParams.from_degrees(theta, phi1, phi2))
+    dense_coin = coin.copy()
+    if corrupt:
+        dense_coin[0, 0] += 3e-11  # the fault of --corrupt-coin
     state = initial_state(*UNBIASED_INIT, steps)
-    references = dense_series(*UNBIASED_INIT, coin, steps)
+    references = dense_series(*UNBIASED_INIT, dense_coin, steps)
     next(references)
-    gaps = []
-    for table, reference in zip(iter_steps(state, coin, steps), references):
-        gaps.append(float(np.max(np.abs(table - reference))))
-    final = momentum_state(*UNBIASED_INIT, coin, steps)
-    gaps[-1] = max(gaps[-1], float(np.max(np.abs(final - reference))))
+    gaps, worst = [], None
+
+    def compare(engine, table, reference, t):
+        nonlocal worst
+        diff = np.abs(table - reference)
+        gap = float(np.max(diff))
+        if gap > cli.VERIFY_TOL and (worst is None or gap > worst[0]):
+            worst = (gap, t, int(np.argmax(np.max(diff, axis=0))) - steps, engine)
+        return gap
+
+    for t, (table, reference) in enumerate(zip(walk(state, coin, steps), references), 1):
+        gaps.append(compare("recurrence", table, reference, t))
+    final = endpoint(*UNBIASED_INIT, coin, steps)
+    gaps[-1] = max(gaps[-1], compare("momentum", final, reference, steps))
     t = list(range(1, steps + 1))
-    payload = {"tolerance": cli.VERIFY_TOL, "ok": max(gaps) <= cli.VERIFY_TOL, "t": t,
+    payload = {"tolerance": cli.VERIFY_TOL, "ok": worst is None, "t": t,
                "max_abs_discrepancy": gaps}
-    return "t,max_abs_discrepancy", list(zip(t, gaps)), payload
+    return "t,max_abs_discrepancy", list(zip(t, gaps)), payload, worst
 
 
 _EXACT_CASES = {
@@ -616,8 +636,70 @@ _EXACT_CASES = {
                               "--steps", "40"),
                              lambda: _entanglement_reference("fourier", "tail", 40)),
     "verify": (("verify", "--theta-deg", "33", "--phi1-deg", "70", "--max-steps", "8"),
-               lambda: _verify_reference(33.0, 70.0, 8)),
+               lambda: _verify_reference(33.0, 70.0, 8)[:3]),
 }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("drift", [None, "tie", "above", "far", "repeat"])
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_picks_the_worst_step_as_the_step_by_step_loop(capsys, monkeypatch, seed,
+                                                               corrupt, drift, fmt):
+    # The one-pass comparison of the stacked tables against the loop it
+    # replaced: the same gaps bit for bit and the same worst step.  The
+    # momentum endpoint is drifted at x = 1 - T, where the dense table holds
+    # an exact zero: far off, or on top of the recurrence's own last table,
+    # where it ties the worst recurrence gap or beats it by one ulp.  Or the
+    # first and the last recurrence table drift alike, at x = 1 - t.
+    rng = np.random.default_rng(5000 + seed)
+    theta, phi1, phi2 = (float(a) for a in rng.uniform(0.0, 360.0, size=3))
+    steps = int(rng.integers(1, 41))
+
+    def recurrence_endpoint(alpha, beta, coin, steps):
+        return evolve(initial_state(alpha, beta, steps), coin, steps)
+
+    _, _, payload, _ = _verify_reference(theta, phi1, steps, phi2, corrupt, recurrence_endpoint)
+    recurrence_worst = max(payload["max_abs_discrepancy"])
+    drifted = {"tie": recurrence_worst, "above": np.nextafter(recurrence_worst, 1.0), "far": 1e-9}
+
+    def endpoint(*args):
+        state = (recurrence_endpoint if drift in ("tie", "above") else momentum_state)(*args)
+        if drift in drifted:
+            state[0, 1] = drifted[drift]
+        return state
+
+    def walk(state, coin, steps):
+        for t, table in enumerate(iter_steps(state, coin, steps), 1):
+            if drift == "repeat" and t in (1, steps):
+                table[0, steps + 1 - t] = 1e-6
+            yield table
+
+    monkeypatch.setattr(cli, "momentum_state", endpoint)
+    monkeypatch.setattr(cli, "iter_steps", walk)
+    argv = ["verify", "--theta-deg", repr(theta), "--phi1-deg", repr(phi1),
+            "--phi2-deg", repr(phi2), "--max-steps", str(steps), "--format", fmt]
+    code, out, err = _run(capsys, *argv, *(["--corrupt-coin"] if corrupt else []))
+    header, rows, payload, worst = _verify_reference(theta, phi1, steps, phi2, corrupt, endpoint,
+                                                     walk)
+    if fmt == "json":
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert json.loads(out)["ok"] is (worst is None)
+    else:
+        assert out == "".join([header + "\n"] + [f"{t},{gap:.17g}\n" for t, gap in rows])
+    if worst is None:
+        assert (code, err) == (0, "")
+    else:
+        gap, t, x, engine = worst
+        assert code == 1
+        assert err == (f"verify: the {engine} and dense engines disagree by {gap:.3e} "
+                       f"(> 1e-12) at t={t}, position x={x}\n")
+    if drift == "repeat":
+        assert worst[1:] == (1, 0, "recurrence")
+    if drift == "tie" and corrupt:
+        assert worst[3] == "recurrence"
+    if drift == "above" and corrupt:
+        assert worst[1:] == (steps, 1 - steps, "momentum")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

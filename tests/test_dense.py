@@ -282,18 +282,26 @@ def test_engines_agree_amplitude_by_amplitude(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_dense_series_takes_one_matvec_per_step(seed):
+    # A step multiplies only the light-cone band of the operator, so its sums
+    # skip exact zeros of the full mat-vec and may round differently in the
+    # last bit; the operator itself is pinned bit for bit above.
     rng = np.random.default_rng(2000 + seed)
     alpha, beta = normalized_pair(rng)
     coin = make_coin(CoinParams(*random_coin_angles(rng)))
-    n = 9
+    n = (9, 57, dense.DENSE_HALF_WIDTH_CAP)[seed]
     step = build_step_unitary(coin, n)
     tables = list(dense_series(alpha, beta, coin, n))
     assert len(tables) == n + 1
     start = np.zeros((2, 2 * n + 1), dtype=complex)
     start[:, n] = alpha, beta
     assert np.array_equal(tables[0], start)
-    for before, after in zip(tables, tables[1:]):
-        assert np.array_equal(after.ravel(), step @ before.ravel())
+    distance = np.abs(np.arange(-n, n + 1))
+    chain = start.ravel()
+    for t, (before, after) in enumerate(zip(tables, tables[1:]), start=1):
+        assert np.max(np.abs(after.ravel() - step @ before.ravel())) <= 1e-15
+        assert not np.any(after[:, distance > t])
+        chain = step @ chain
+        assert np.max(np.abs(after.ravel() - chain)) <= 1e-14
 
 
 def test_dense_distribution_matches_run_walk_window():
