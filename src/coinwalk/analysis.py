@@ -23,7 +23,7 @@ import cmath
 
 import numpy as np
 
-from .coin import CoinParams, make_coin
+from .coin import CoinParams, _coins, make_coin
 from .momentum import _states, momentum_state
 from .state import _probabilities, check_coin_state, check_unit_interval, check_walk_steps
 
@@ -86,7 +86,10 @@ def theta_sweep(
     Returns the ``(len(thetas), 2T + 1)`` float array whose row ``k`` is
     ``run_walk(CoinParams(thetas[k], phi1, phi2), alpha, beta, steps)``
     bit for bit, over the positions ``-T .. T``, with the angles as given.
-    The coins share the wavenumbers, the spectra and one inverse FFT (see
+    The ``(K, 2, 2)`` stack of coins is built in one pass by
+    :func:`coinwalk.coin._coins`, whose one-angle case is
+    :func:`~coinwalk.coin.make_coin`.  The coins share the
+    wavenumbers, the spectra and one inverse FFT (see
     :func:`coinwalk.momentum._states`); only the 2x2 arithmetic of each
     coin is done per angle.
 
@@ -101,8 +104,12 @@ def theta_sweep(
     steps = check_walk_steps(steps)
     check_coin_state(alpha, beta)
     thetas = np.asarray(thetas, dtype=np.float64)
-    coins = [make_coin(CoinParams(float(theta), phi1, phi2)) for theta in thetas]
-    # _states checks each coin's unitarity before it builds an array.
+    if not np.all(np.isfinite(thetas)):
+        for theta in thetas:  # the first bad angle raises CoinParams' own message
+            CoinParams(float(theta), phi1, phi2)
+    phases = CoinParams(0.0, phi1, phi2)
+    coins = _coins(thetas, phases.phi1, phases.phi2)
+    # _states checks the coins' unitarity before it builds an array.
     return _probabilities(_states(alpha, beta, coins, steps))
 
 
@@ -124,7 +131,10 @@ def phase_diagram(
     alpha, e^{i phi1} beta)`` (Tregenna, Flanagan, Maile & Kendon, New J.
     Phys. 5, 83 (2003); see the README), row ``i`` is the peak gap of
     ``|alpha H + e^{i phi1} beta T|^2`` for the walks ``H`` and ``T`` of the
-    coin ``R(theta)`` from a head and a tail start, repeated along phi2.
+    coin ``R(theta)`` from a head and a tail start.  Nothing is repeated
+    along phi2: ``delta`` is a read-only view of the ``len(phi1_grid)``
+    gaps broadcast along it (stride 0), O(len(phi1_grid)) memory;
+    ``.copy()`` it to write into it.
 
     Raises
     ------
@@ -136,13 +146,17 @@ def phase_diagram(
     p2 = np.asarray(phi2_grid, dtype=np.float64)
     if p1.size == 0 or p2.size == 0:
         raise ValueError("phase grids must be non-empty")
-    for phi1 in p1:  # every grid angle is checked as a coin angle before any walk
-        CoinParams(theta, phi1, 0.0)
-    for phi2 in p2:
-        CoinParams(theta, 0.0, phi2)
+    params = CoinParams(theta, 0.0, 0.0)
+    # Every grid angle is checked as a coin angle before any walk; the first
+    # bad one raises CoinParams' own message.
+    if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(p2))):
+        for phi1 in p1:
+            CoinParams(theta, phi1, 0.0)
+        for phi2 in p2:
+            CoinParams(theta, 0.0, phi2)
     alpha, beta = check_coin_state(alpha, beta)
     check_walk_steps(steps)
-    coin = make_coin(CoinParams(theta, 0.0, 0.0))
+    coin = make_coin(params)
     head = alpha * momentum_state(1.0, 0.0, coin, steps)
     tail = beta * momentum_state(0.0, 1.0, coin, steps)
     # |head + e^{i phi1} tail|^2 summed over the coin, expanded: a head or a
@@ -151,4 +165,4 @@ def phase_diagram(
     cross = 2.0 * np.sum(head.conj() * tail, axis=0)
     gaps = np.array([_gap(base + (cmath.exp(1j * phi1) * cross).real) for phi1 in p1])
     check_unit_interval(gaps, "delta entries")
-    return np.repeat(gaps[:, None], p2.size, axis=1)
+    return np.broadcast_to(gaps[:, None], (gaps.size, p2.size))

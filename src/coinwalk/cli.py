@@ -217,9 +217,11 @@ def _csv(header: str, *columns: np.ndarray, labels: np.ndarray | None = None) ->
     it is 1-D, and its row ``k`` if it is 2-D.  Integer cells print with
     ``%d``, float cells with ``%.17g``, the same text as
     ``format(value, ".17g")``.  A label is formatted once per block, and the
-    1-D columns of a labelled table once in all.  Each column passes through
-    ``tolist`` on its own, so integer cells stay Python ints, exact at any
-    size.
+    1-D columns of a labelled table once in all.  A column broadcast along
+    its rows (stride 0 on its last axis, such as a phase diagram's gaps)
+    holds one value a run: it is formatted once per run, and its text is
+    repeated down each block.  Each column passes through ``tolist`` on its
+    own, so integer cells stay Python ints, exact at any size.
     """
     if labels is None:
         leads, columns = [None], [column[None] for column in columns]
@@ -228,11 +230,15 @@ def _csv(header: str, *columns: np.ndarray, labels: np.ndarray | None = None) ->
     fixed = [column for column in columns if column.ndim == 1]
     per_label = [column for column in columns if column.ndim == 2]
     # The template of a row: its label, then the text of the 1-D columns and
-    # the format of the 2-D ones.  A first ``%`` fills in the 1-D text and
-    # turns the doubled ``%%`` of the rest into formats; with no 1-D column
-    # the formats are written as they are, and no first pass is needed.
+    # the format of the 2-D ones, ``%s`` for text made once.  A first ``%``
+    # fills in the 1-D text and turns the doubled ``%%`` of the rest into
+    # formats; with no 1-D column the formats are written as they are, and
+    # no first pass is needed.
     esc = "%" if fixed else ""
-    cells = (_cell_format(c) if c.ndim == 1 else esc + _cell_format(c) for c in columns)
+    cells = (
+        _cell_format(c) if c.ndim == 1 else esc + ("%s" if c.strides[-1] == 0 else _cell_format(c))
+        for c in columns
+    )
     row = (esc + "%s," if labels is not None else "") + ",".join(cells) + "\n"
     width = columns[0].shape[-1]
     # The templates of the blocks, made once: by first row while 1-D text is
@@ -240,6 +246,11 @@ def _csv(header: str, *columns: np.ndarray, labels: np.ndarray | None = None) ->
     templates = {}
     yield header + "\n"
     for k, lead in enumerate(leads):
+        # The label, then row k of each 2-D column: the label and a broadcast
+        # row as the one-item list of their text, made once; other rows as they are.
+        runs = [[lead]] if lead is not None else []
+        runs += [[_cell_format(c) % v for v in c[k, :1].tolist()] if c.strides[-1] == 0
+                 else c[k] for c in per_label]
         for start in range(0, width, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, width)
             key = start if fixed else stop - start
@@ -247,9 +258,11 @@ def _csv(header: str, *columns: np.ndarray, labels: np.ndarray | None = None) ->
             if template is None:
                 template = row * (stop - start)
                 if fixed:
-                    template %= _interleave(c[start:stop] for c in fixed)
+                    template %= _interleave([c[start:stop].tolist() for c in fixed])
                 templates[key] = template
-            yield template % _interleave((c[k, start:stop] for c in per_label), lead)
+            parts = [run * (stop - start) if isinstance(run, list) else run[start:stop].tolist()
+                     for run in runs]
+            yield template % _interleave(parts)
 
 
 def _cell_format(column: np.ndarray) -> str:
@@ -257,13 +270,10 @@ def _cell_format(column: np.ndarray) -> str:
     return "%d" if column.dtype.kind in "iu" else "%.17g"
 
 
-def _interleave(columns: Iterable[np.ndarray], lead: str | None = None) -> tuple:
-    """The cells of ``columns`` in row order, each row led by ``lead`` unless it is None."""
-    parts = [column.tolist() for column in columns]
+def _interleave(parts: list[list]) -> tuple:
+    """The cells of the equally long ``parts`` in row order: one from each part a row."""
     if not parts:
         return ()
-    if lead is not None:
-        parts.insert(0, [lead] * len(parts[0]))
     k = len(parts)
     cells = [None] * (k * len(parts[0]))
     for j, part in enumerate(parts):
@@ -278,15 +288,21 @@ def _json(obj: object, level: int = 0) -> Iterator[str]:
     ``indent`` would send every number through json's pure-Python encoder;
     here the C encoder formats the numbers of each non-empty 1-D numeric
     array, a block of ``CSV_BLOCK_ROWS`` values per chunk, and a deeper array
-    is written a row at a time.
+    is written a row at a time.  A 1-D array broadcast from one value
+    (stride 0, such as a row of a phase diagram) is formatted once, and its
+    text is repeated a block at a time.
     """
     pad = "\n" + "  " * (level + 1)
     is_array = isinstance(obj, np.ndarray) and obj.ndim > 0
     if is_array and obj.ndim == 1 and obj.dtype.kind in "biuf" and obj.size:
         opener, comma = "[" + pad, "," + pad
+        one = json.dumps(obj[:1].tolist())[1:-1] if obj.strides[0] == 0 else None
         for start in range(0, obj.size, CSV_BLOCK_ROWS):
-            text = json.dumps(obj[start : start + CSV_BLOCK_ROWS].tolist())[1:-1]
-            yield opener + text.replace(", ", comma)
+            block = obj[start : start + CSV_BLOCK_ROWS]
+            if one is None:
+                yield opener + json.dumps(block.tolist())[1:-1].replace(", ", comma)
+            else:
+                yield opener + comma.join([one] * block.size)
             opener = comma
         yield pad[:-2] + "]"
     elif isinstance(obj, dict) and obj:

@@ -99,15 +99,25 @@ def make_coin(params: CoinParams) -> np.ndarray:
         ``[[cos(theta), e^{i phi1} sin(theta)],
            [e^{i phi2} sin(theta), -e^{i (phi1+phi2)} cos(theta)]]``.
     """
-    c = math.cos(params.theta)
-    s = math.sin(params.theta)
-    return np.array(
-        [
-            [c, np.exp(1j * params.phi1) * s],
-            [np.exp(1j * params.phi2) * s, -np.exp(1j * (params.phi1 + params.phi2)) * c],
-        ],
-        dtype=np.complex128,
-    )
+    return _coins([params.theta], params.phi1, params.phi2)[0]
+
+
+def _coins(thetas: Sequence[float] | np.ndarray, phi1: float, phi2: float) -> np.ndarray:
+    """The ``(K, 2, 2)`` stack of the coins ``C(thetas[k], phi1, phi2)``, all angles finite.
+
+    One pass: ``math.cos`` and ``math.sin`` of each angle, and the three
+    phase factors once.  :func:`make_coin` is its one-angle case, so a coin
+    has the same bits whether it is built alone or in a stack.
+    """
+    angles = np.asarray(thetas, dtype=np.float64).tolist()
+    cos = np.array([math.cos(theta) for theta in angles])
+    sin = np.array([math.sin(theta) for theta in angles])
+    coins = np.empty((len(angles), 2, 2), dtype=np.complex128)
+    coins[:, 0, 0] = cos
+    coins[:, 0, 1] = np.exp(1j * phi1) * sin
+    coins[:, 1, 0] = np.exp(1j * phi2) * sin
+    coins[:, 1, 1] = -np.exp(1j * (phi1 + phi2)) * cos
+    return coins
 
 
 def named_coin(name: str) -> CoinParams:

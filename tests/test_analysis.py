@@ -12,6 +12,7 @@ from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     analysis,
+    make_coin,
     named_coin,
     peak_gap,
     phase_diagram,
@@ -210,6 +211,31 @@ def test_each_sweep_row_is_the_walk_at_its_angle(thetas, phi1, phi2, seed, steps
         assert np.array_equal(row, walk)
 
 
+def test_sweep_coin_stack_is_make_coin_bit_for_bit(monkeypatch):
+    # The stack of a sweep holds the bits of each coin built alone: 200 draws
+    # of 72 angles over several turns, with +-0 and +-pi/2 among them.
+    stacks = []
+
+    def capture(alpha, beta, coins, steps):
+        stacks.append(np.array(coins))
+        return np.zeros((len(coins), 2, 2 * steps + 1), dtype=np.complex128)
+
+    monkeypatch.setattr(analysis, "_probabilities", lambda table: table)
+    monkeypatch.setattr(analysis, "_states", capture)
+    rng = np.random.default_rng(29)
+    for draw in range(200):
+        thetas = rng.uniform(-10.0, 10.0, size=72)
+        thetas[rng.choice(72, size=4, replace=False)] = [0.0, -0.0, math.pi / 2, -math.pi / 2]
+        phi1, phi2 = (float(a) for a in rng.uniform(-10.0, 10.0, size=2))
+        if draw % 4 == 0:
+            phi1, phi2 = (0.0, -0.0) if draw % 8 else (math.pi / 2, -math.pi / 2)
+        theta_sweep(thetas, phi1, phi2, *UNBIASED_INIT, steps=1)
+        stack = stacks.pop()
+        expected = np.array([make_coin(CoinParams(theta, phi1, phi2)) for theta in thetas])
+        assert stack.shape == (72, 2, 2) and stack.dtype == np.complex128
+        assert np.array_equal(stack.view(np.uint64), expected.view(np.uint64))
+
+
 # ------------------------------------------------------------
 # phase_diagram
 # ------------------------------------------------------------
@@ -229,6 +255,23 @@ def test_delta_is_constant_along_phi2():
         math.pi / 4.0, np.radians([0.0, 45.0, 90.0]), phi2, *UNBIASED_INIT, steps=25
     )
     assert np.all(delta == delta[:, :1])
+
+
+def test_delta_is_the_phi1_gaps_broadcast_along_phi2():
+    # Nothing is repeated along phi2: one gap per phi1, seen through stride 0.
+    phi1 = np.radians([0.0, 45.0, 90.0, 200.0])
+    phi2 = np.radians(np.arange(0.0, 360.0, 10.0))
+    delta = phase_diagram(0.9, phi1, phi2, *UNBIASED_INIT, steps=40)
+    assert delta.shape == (4, 36)
+    assert delta.strides[1] == 0
+    assert not delta.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        delta[0, 0] = 0.5  # a caller writes into a copy
+    grid = delta.copy()
+    grid[0, 0] = 0.5
+    assert grid.strides[1] != 0
+    gaps = [phase_diagram(0.9, [p], [0.0], *UNBIASED_INIT, steps=40)[0, 0] for p in phi1]
+    assert np.array_equal(delta, np.repeat(np.array(gaps)[:, None], 36, axis=1))
 
 
 def test_delta_values_stay_in_the_unit_interval():
@@ -261,6 +304,9 @@ def test_empty_grids_are_rejected():
         ({"steps": 0}, "steps must be positive"),
         ({"steps": "3"}, "steps must be a non-negative integer"),
         ({"steps": None}, "steps must be a non-negative integer"),
+        # A bad angle that is not the first of its grid.
+        ({"phi1_grid": [0.0, 1.0, math.nan]}, "phi1 must be finite, got nan"),
+        ({"phi2_grid": [0.0, 2.0, -math.inf, math.nan]}, "phi2 must be finite, got -inf"),
     ],
 )
 def test_phase_diagram_checks_its_input_before_walking(monkeypatch, bad, match):

@@ -625,6 +625,11 @@ _EXACT_CASES = {
     "phase": (("phase-diagram", "--coin", "hadamard", "--phi1-grid", "0:90:45",
                "--phi2-grid", "0:60:30", "--steps", "8"),
               lambda: _phase_reference([0.0, 45.0, 90.0], [0.0, 30.0, 60.0], 8)),
+    # 4201 phi2 points: each phi1 row spans two CSV blocks and two JSON chunks,
+    # its one gap repeated down both.
+    "phase-long": (("phase-diagram", "--coin", "hadamard", "--phi1-grid", "0:30:30",
+                    "--phi2-grid", "0:4200:1", "--steps", "30"),
+                   lambda: _phase_reference([0.0, 30.0], [float(j) for j in range(4201)], 30)),
     "phase-one-point": (("phase-diagram", "--coin", "hadamard", "--phi1-grid", "30:30:1",
                          "--phi2-grid", "0:0:1", "--steps", "5"),
                         lambda: _phase_reference([30.0], [0.0], 5)),
@@ -702,6 +707,12 @@ def test_verify_picks_the_worst_step_as_the_step_by_step_loop(capsys, monkeypatc
         assert worst[1:] == (steps, 1 - steps, "momentum")
 
 
+def _lines(text):
+    # Equal line lists are equal texts; on a mismatch pytest names the first
+    # differing line at once, where a diff of two long strings takes minutes.
+    return text.splitlines(keepends=True)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("case", sorted(_EXACT_CASES))
 def test_output_bytes_match_the_library_reference(capsys, case, fmt):
@@ -714,7 +725,7 @@ def test_output_bytes_match_the_library_reference(capsys, case, fmt):
     else:
         cell = lambda v: str(v) if isinstance(v, int) else format(v, ".17g")  # noqa: E731
         expected = "".join([header + "\n"] + [",".join(map(cell, row)) + "\n" for row in rows])
-    assert out == expected
+    assert _lines(out) == _lines(expected)
 
 
 def test_csv_writer_formats_blocks_of_integer_and_float_rows():
@@ -724,11 +735,19 @@ def test_csv_writer_formats_blocks_of_integer_and_float_rows():
     rows = np.arange(cli.CSV_BLOCK_ROWS + 1)
     chunks = list(cli._csv("n", rows))
     assert len(chunks) == 3  # the header, one full block, one row
-    assert "".join(chunks) == "n\n" + "".join(f"{n}\n" for n in range(rows.size))
+    assert _lines("".join(chunks)) == _lines("n\n" + "".join(f"{n}\n" for n in range(rows.size)))
     # An integer beside a float column stays exact above 2**53.
     assert "".join(cli._csv("i,f", np.array([2**53 + 1]), np.array([0.5]))) == (
         "i,f\n9007199254740993,0.5\n"
     )
+    # A column broadcast from one value is formatted once, in every block.
+    for value, cell in ((0.1 * 3, "0.30000000000000004"), (-0.0, "-0"),
+                        (np.int64(2**53 + 1), "9007199254740993")):
+        spread = np.broadcast_to(np.asarray(value), rows.shape)
+        chunks = list(cli._csv("n,v", rows, spread))
+        assert len(chunks) == 3
+        expected = "n,v\n" + "".join(f"{n},{cell}\n" for n in range(rows.size))
+        assert _lines("".join(chunks)) == _lines(expected)
 
 
 def test_csv_writer_leads_each_run_of_rows_with_its_label():
@@ -738,12 +757,15 @@ def test_csv_writer_leads_each_run_of_rows_with_its_label():
     inner = np.arange(width) - 5
     values = np.linspace(-1.0, 1.0, 2 * width).reshape(2, width)
     labels = np.array([0.1 * 3, -0.0])
-    chunks = list(cli._csv("a,b,c", inner, values, labels=labels))
+    # One value a label, broadcast along its run (stride 0), as a phase diagram's gaps.
+    spread = np.broadcast_to(np.array([[-0.0], [5e-324]]), values.shape)
+    chunks = list(cli._csv("a,b,c,d", inner, values, spread, labels=labels))
     assert len(chunks) == 1 + 2 * 2  # the header, then two blocks per label
     cell = lambda v: str(v) if isinstance(v, int) else format(v, ".17g")  # noqa: E731
-    rows = [(label, x, v) for label, run in zip(labels.tolist(), values.tolist())
-            for x, v in zip(inner.tolist(), run)]
-    assert "".join(chunks) == "a,b,c\n" + "".join(",".join(map(cell, r)) + "\n" for r in rows)
+    runs = zip(labels.tolist(), values.tolist(), [-0.0, 5e-324])
+    rows = [(label, x, v, s) for label, run, s in runs for x, v in zip(inner.tolist(), run)]
+    expected = "a,b,c,d\n" + "".join(",".join(map(cell, r)) + "\n" for r in rows)
+    assert _lines("".join(chunks)) == _lines(expected)
     # Integer labels and 2-D integer columns stay exact above 2**53.
     text = "".join(cli._csv("i,f,j", np.array([0.5, -2.0]), np.array([[2**53 + 1, 7], [0, -1]]),
                             labels=np.array([2**53 + 3, -4])))
@@ -767,6 +789,12 @@ _JSON_LEAVES = st.one_of(
     ),
     st.lists(_EDGE_FLOATS, max_size=5).map(np.array),
     st.just(np.array(["a, b", "c"])),
+    # One value broadcast along a row (stride 0), as the rows of a phase diagram.
+    st.builds(
+        lambda value, shape: np.broadcast_to(np.asarray(value), shape),
+        _EDGE_FLOATS | st.integers(-(2**63), 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_),
+        st.tuples(st.integers(0, 5)) | st.tuples(st.integers(0, 3), st.integers(0, 5)),
+    ),
 )
 
 
@@ -776,6 +804,8 @@ _LONG = 2 * cli.CSV_BLOCK_ROWS + 7
 
 @settings(max_examples=300, deadline=None)
 @example(payload={"t": np.arange(_LONG), "rows": [np.linspace(-1.0, 1.0, _LONG)]})
+@example(payload={"delta": np.broadcast_to(np.array([[-0.0], [5e-324]]), (2, _LONG)),
+                  "flat": np.broadcast_to(np.float64(math.nan), (_LONG,))})
 @given(payload=st.recursive(
     _JSON_LEAVES,
     lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
@@ -784,7 +814,7 @@ _LONG = 2 * cli.CSV_BLOCK_ROWS + 7
 ))
 def test_json_writer_matches_indented_json_dumps(payload):
     expected = json.dumps(payload, indent=2, default=lambda a: a.tolist())
-    assert "".join(cli._json(payload)) == expected
+    assert _lines("".join(cli._json(payload))) == _lines(expected)
 
 
 def test_a_reused_parser_leaks_nothing_between_calls(capsys):
