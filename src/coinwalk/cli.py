@@ -120,10 +120,12 @@ def _check_footprint(steps: int, values: int) -> None:
     most three FFT arrays of ``M < 2(T + 1)`` amplitudes, which also covers
     the temporaries of measuring the table.
     ``verify`` is bounded by ``DENSE_HALF_WIDTH_CAP`` instead: it holds the
-    dense operator while its series runs, then the stacked tables of the
-    dense and recurrence engines and their differences, by tracemalloc at
-    most 13.0 MB at 200 steps as CSV and as JSON, 10.3 MB of it the
-    operator.  ``entanglement``
+    dense operator until its series has copied the operator's two
+    parity-coupled quarters, then the quarters while the series runs, then
+    the stacked tables of the dense and recurrence engines and their
+    differences, by tracemalloc at most 15.7 MB at 200 steps as CSV and as
+    JSON, the 10.3 MB operator and its 5.1 MB of quarters at once.
+    ``entanglement``
     builds the table at the origin (three sites) and holds the
     ``(T + 1) x 2 x 2`` Gram stack of its momentum-space series (64 B a
     step), O(M) transform and coefficient arrays, the grid of its nonuniform
@@ -134,8 +136,13 @@ def _check_footprint(steps: int, values: int) -> None:
     step estimated here.
     ``phase-diagram`` holds two basis tables and their folds, at most 121 B a
     site measured up to T = 3 * 10^5; the ``2T + 3`` values of one walk it
-    counts cover the rest.  ``sweep-theta`` solves its K walks in one pass,
-    so it holds the FFT arrays and tables of all K at once, which its
+    counts cover the rest.  It keeps its two grids and its ``n1`` gaps,
+    broadcast along phi2, and writes one block of rows at a time, so it
+    counts ``2 n1 + n2`` values and a block, not a value per cell: by
+    tracemalloc a 2048 x 2048 diagram at T = 10 peaks at 0.37 MB as CSV
+    (0.72 MB on the first op of a process) and 0.29 MB as JSON.
+    ``sweep-theta`` solves its K walks in one pass, so it holds the FFT
+    arrays and tables of all K at once, which its
     ``K (2T + 4)`` values cover: by tracemalloc the whole op peaks at 56 B a
     value as CSV and as JSON, with 72 angles at T = 300, 8 at 2 * 10^4 and
     2 at 10^5 (43 to 61 B when the walks ran one at a time).
@@ -433,7 +440,9 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
     alpha, beta = _init_amplitudes(args)
     phi1s = _parse_grid(args.phi1_grid, "--phi1-grid")
     phi2s = _parse_grid(args.phi2_grid, "--phi2-grid")
-    _check_footprint(steps, 2 * steps + 3 + phi1s[2] * phi2s[2] + phi1s[2] + phi2s[2])
+    # The grids and the phi1 gaps (broadcast along phi2), and one block of rows.
+    cells = phi1s[2] * phi2s[2]
+    _check_footprint(steps, 2 * steps + 3 + 2 * phi1s[2] + phi2s[2] + min(cells, CSV_BLOCK_ROWS))
     phi1_deg, phi2_deg = _grid_values(phi1s), _grid_values(phi2s)
     delta = phase_diagram(
         params.theta, np.radians(phi1_deg), np.radians(phi2_deg), alpha, beta, steps

@@ -222,21 +222,57 @@ def test_oversized_requests_name_the_memory_cap(capsys, monkeypatch, argv):
     assert "MAX_OP_BYTES" in err
 
 
+def _traced(call, *args):
+    """``call(*args)`` and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_entanglement_series_peaks_below_its_footprint_estimate(monkeypatch):
     steps = 200_000
     coin = make_coin(named_coin("hadamard"))
-    tracemalloc.start()
-    try:
-        # The call of CLI `entanglement`: the table at the origin, then its series.
-        entanglement_series(initial_state(*UNBIASED_INIT, 1), coin, steps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # The call of CLI `entanglement`: the table at the origin, then its series.
+    _, peak = _traced(lambda: entanglement_series(initial_state(*UNBIASED_INIT, 1), coin, steps))
     # The estimate that `entanglement` checks exceeds the measured peak
     # exactly when the guard refuses the op under a cap of that peak.
     monkeypatch.setattr(cli, "MAX_OP_BYTES", peak)
     with pytest.raises(cli._UsageError, match="memory cap"):
         cli._check_footprint(steps, 2 * (steps + 1))
+
+
+def test_a_large_phase_diagram_passes_the_memory_guard(capsys):
+    # 2048 x 2048 cells: the op keeps the two grids and the phi1 gaps, not a
+    # value per cell, and writes one block of rows at a time.
+    code, out, err = _run(capsys, "phase-diagram", "--coin", "hadamard", "--phi1-grid", "0:2047:1",
+                          "--phi2-grid", "0:2047:1", "--steps", "10", "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_phase_diagram_peaks_below_its_footprint_estimate(capsys, monkeypatch, tmp_path, fmt):
+    argv = ["phase-diagram", "--theta-deg", "40", "--phi1-grid", "0:359:0.6", "--phi2-grid",
+            "0:359:0.6", "--steps", "10", "--format", fmt, "--out", str(tmp_path / "delta")]
+    code, peak = _traced(main, argv)
+    assert code == 0
+    # The estimate exceeds the measured peak exactly when the guard refuses
+    # the same request under a cap of that peak.
+    monkeypatch.setattr(cli, "MAX_OP_BYTES", peak)
+    code, _, err = _run(capsys, *argv)
+    assert code == 2 and "memory cap" in err
+
+
+def test_verify_at_the_dense_cap_frees_the_operator_before_stepping(tmp_path):
+    # The dense series copies the two parity-coupled quarters of its operator
+    # (half of it) and drops the operator before the first step, so the
+    # operator, its quarters and the stacked tables are never alive at once.
+    operator = (4 * 200 + 2) ** 2 * 16
+    argv = ["verify", "--theta-deg", "33", "--phi1-deg", "70", "--phi2-deg", "10",
+            "--max-steps", "200", "--out", str(tmp_path / "gaps")]
+    code, peak = _traced(main, argv)
+    assert code == 0 and peak < 1.6 * operator
 
 
 # ------------------------------------------------------------

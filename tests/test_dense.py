@@ -138,6 +138,23 @@ def test_step_unitary_equals_the_shift_times_coin_product(half_width):
         assert np.count_nonzero(u) == 4 * w
 
 
+@pytest.mark.parametrize("half_width", [1, 2, 7, 50, dense.DENSE_HALF_WIDTH_CAP])
+def test_only_the_cyclic_wrap_couples_a_site_to_its_own_parity(half_width):
+    # The dense series multiplies only the parity-coupled quarters of the
+    # operator; this pins that the quarters it skips hold nothing a step uses.
+    n, w = half_width, 2 * half_width + 1
+    rng = np.random.default_rng(5000 + half_width)
+    coin = make_coin(CoinParams(*random_coin_angles(rng)))
+    blocks = build_step_unitary(coin, n).reshape(2, w, 2, w).transpose(0, 2, 1, 3)
+    assert not np.any(blocks[:, :, 1::2, 1::2])
+    wrap = np.zeros((2, 2, w, w), dtype=complex)
+    wrap[0, :, 0, 2 * n] = coin[0]  # C00, C01: head row 0 from column 2n
+    wrap[1, :, 2 * n, 0] = coin[1]  # C10, C11: tail row 2n from column 0
+    # No step of a walk within the window reads them: step t + 1 reads the
+    # columns n - t .. n + t with t < n, never the wrap columns 0 and 2n.
+    assert np.array_equal(blocks[:, :, 0::2, 0::2], wrap[:, :, 0::2, 0::2])
+
+
 def test_non_unitary_coin_is_caught_at_assembly():
     broken = np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)
     with pytest.raises(ValueError, match="not unitary"):
@@ -282,9 +299,10 @@ def test_engines_agree_amplitude_by_amplitude(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_dense_series_takes_one_matvec_per_step(seed):
-    # A step multiplies only the light-cone band of the operator, so its sums
-    # skip exact zeros of the full mat-vec and may round differently in the
-    # last bit; the operator itself is pinned bit for bit above.
+    # A step multiplies only the parity-coupled quarter of the light-cone band
+    # of the operator, so its sums skip exact zeros of the full mat-vec and
+    # may round differently in the last bit; the operator itself is pinned
+    # bit for bit above.
     rng = np.random.default_rng(2000 + seed)
     alpha, beta = normalized_pair(rng)
     coin = make_coin(CoinParams(*random_coin_angles(rng)))
@@ -300,6 +318,7 @@ def test_dense_series_takes_one_matvec_per_step(seed):
     for t, (before, after) in enumerate(zip(tables, tables[1:]), start=1):
         assert np.max(np.abs(after.ravel() - step @ before.ravel())) <= 1e-15
         assert not np.any(after[:, distance > t])
+        assert not np.any(after[:, (distance + t) % 2 == 1])  # the parity rule
         chain = step @ chain
         assert np.max(np.abs(after.ravel() - chain)) <= 1e-14
 
