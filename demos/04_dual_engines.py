@@ -10,8 +10,8 @@ code, so their agreement is a strong cross-check of all three.
 This script prints the structure of the dense operator on a tiny window,
 races the recurrence and the dense engine for 60 steps of a random coin,
 checks the momentum-space endpoint against both, and reports the worst
-amplitude discrepancies. All three store the same window x = -60 .. 60, so
-their tables compare column for column.
+amplitude discrepancies. All three take the same start table on the window
+x = -60 .. 60 and return tables on it, so they compare column for column.
 """
 
 import numpy as np
@@ -22,8 +22,8 @@ from coinwalk import (
     dense_series,
     evolve,
     initial_state,
+    iter_steps,
     make_coin,
-    momentum_state,
 )
 
 
@@ -48,13 +48,14 @@ def main():
     # Race the engines.
     steps = 60
     alpha, beta = 0.8, 0.6j
-    state = initial_state(alpha, beta, steps)
+    start = initial_state(alpha, beta, steps)
     worst = 0.0
     worst_t = 0
-    # The dense series builds its operator once and yields t = 0, 1, ...
-    for t, reference in enumerate(dense_series(alpha, beta, coin, steps)):
-        if t > 0:
-            state = evolve(state, coin, 1)
+    # The dense series builds its operator once and yields t = 0, 1, ...;
+    # the recurrence yields t = 1, 2, ...
+    walk = iter_steps(start, coin, steps)
+    for t, reference in enumerate(dense_series(start, coin, steps)):
+        state = next(walk) if t > 0 else start
         gap = float(np.abs(state - reference).max())
         if gap > worst:
             worst, worst_t = gap, t
@@ -63,7 +64,7 @@ def main():
     print()
 
     # The momentum engine has no intermediate times; compare its endpoint.
-    endpoint = momentum_state(alpha, beta, coin, steps)
+    endpoint = evolve(start, coin, steps)
     print(f"momentum space at t = {steps}:")
     print(f"  vs dense:      {np.abs(endpoint - reference).max():.3e}")
     print(f"  vs recurrence: {np.abs(endpoint - state).max():.3e}")

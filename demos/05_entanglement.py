@@ -24,7 +24,6 @@ from coinwalk import (
     CoinParams,
     entanglement_entropy,
     entanglement_series,
-    evolve,
     initial_state,
     iter_steps,
     make_coin,
@@ -39,13 +38,11 @@ HADAMARD_PLATEAU = 0.8724293
 
 def trace(params, steps, init=UNBIASED_INIT):
     coin = make_coin(params)
-    state = initial_state(*init, max(steps, 1))
+    start = initial_state(*init, max(steps, 1))
     rows = []
-    for t in range(steps + 1):
+    for t, state in enumerate(itertools.chain([start], iter_steps(start, coin, steps))):
         values, rank = schmidt_spectrum(state)
         rows.append((t, rank, tuple(values), entanglement_entropy(state)))
-        if t < steps:
-            state = evolve(state, coin, 1)
     return rows
 
 

@@ -24,7 +24,7 @@ import cmath
 import numpy as np
 
 from .coin import CoinParams, _coins, make_coin
-from .momentum import _states, momentum_state
+from .momentum import _origin, _states
 from .state import _probabilities, check_coin_state, check_unit_interval, check_walk_steps
 
 __all__ = [
@@ -102,7 +102,7 @@ def theta_sweep(
         or leaves [0, 1] (both within 1e-10).
     """
     steps = check_walk_steps(steps)
-    check_coin_state(alpha, beta)
+    alpha, beta = check_coin_state(alpha, beta)
     thetas = np.asarray(thetas, dtype=np.float64)
     if not np.all(np.isfinite(thetas)):
         for theta in thetas:  # the first bad angle raises CoinParams' own message
@@ -110,7 +110,8 @@ def theta_sweep(
     phases = CoinParams(0.0, phi1, phi2)
     coins = _coins(thetas, phases.phi1, phases.phi2)
     # _states checks the coins' unitarity before it builds an array.
-    return _probabilities(_states(alpha, beta, coins, steps))
+    shape = (len(coins), 2, 2 * steps + 1)
+    return _probabilities(_states(_origin(alpha, beta, steps), coins, steps, shape))
 
 
 def phase_diagram(
@@ -155,10 +156,10 @@ def phase_diagram(
         for phi2 in p2:
             CoinParams(theta, 0.0, phi2)
     alpha, beta = check_coin_state(alpha, beta)
-    check_walk_steps(steps)
-    coin = make_coin(params)
-    head = alpha * momentum_state(1.0, 0.0, coin, steps)
-    tail = beta * momentum_state(0.0, 1.0, coin, steps)
+    steps = check_walk_steps(steps)
+    coins, shape = [make_coin(params)], (2, 2 * steps + 1)
+    head = alpha * _states(_origin(1.0, 0.0, steps), coins, steps, shape)
+    tail = beta * _states(_origin(0.0, 1.0, steps), coins, steps, shape)
     # |head + e^{i phi1} tail|^2 summed over the coin, expanded: a head or a
     # tail start has cross = 0 exactly, so all its rows are equal bit for bit.
     base = np.sum(np.abs(head) ** 2 + np.abs(tail) ** 2, axis=0)

@@ -1,4 +1,4 @@
-"""Recurrence engine: the local two-term update, one step at a time.
+"""The walk of a table: every step by the recurrence, the endpoint in momentum space.
 
 One step of the walk is coin-then-shift.  Written out per site, the updated
 amplitudes depend only on the two coin components of the neighbouring sites:
@@ -8,13 +8,13 @@ amplitudes depend only on the two coin components of the neighbouring sites:
 
 so a step is two shifted axpy operations on the ``(2, 2N + 1)`` amplitude
 table of the window ``x = -N .. N``, O(N) work and no operator matrix at
-all: O(T * N) for a walk of T steps.  This is the reference engine: CLI
-``verify`` checks it against the dense operator, the tests check the
-momentum-space series of :func:`coinwalk.entanglement.entanglement_series`
-against it, and it yields the table of every step from any start state.
-The endpoint of a walk from the origin, which is what :func:`run_walk`
-measures, comes from the O(T log T) momentum-space engine of
-:mod:`coinwalk.momentum`.
+all: O(T * N) for a walk of T steps.  :func:`iter_steps` is this recurrence,
+the reference engine: CLI ``verify`` checks it against the dense operator,
+the tests check the momentum-space series of
+:func:`coinwalk.entanglement.entanglement_series` against it, and it yields
+the table of every step.  The endpoint, :func:`evolve` from any table and
+:func:`run_walk` from the origin, comes from the O(T log T) momentum-space
+engine of :mod:`coinwalk.momentum`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Iterator
 import numpy as np
 
 from .coin import CoinParams, check_coin_matrix, make_coin
-from .momentum import momentum_state
-from .state import LatticeExhaustedError, check_amplitudes, check_steps, check_walk_steps
+from .momentum import _check_coins, _origin, _states
+from .state import check_amplitudes, check_coin_state, check_reach, check_steps, check_walk_steps
 from .state import distribution
 
 __all__ = ["iter_steps", "evolve", "run_walk"]
@@ -38,10 +38,10 @@ def iter_steps(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> Iterator
     input table is not modified, and the tables match a loop of one-step
     walks bit for bit.
 
-    The request is checked when this is called, before the first step.  The
-    support of a state grows by at most one site a step on each side, and
-    nothing may leave the window ``x = -N .. N``, so a walk is refused
-    unless ``max(-a, b) + steps <= N`` for the occupied sites ``a .. b``.
+    The request is checked when this is called, before the first step.  A
+    walk whose occupied sites ``a .. b`` could leave the window
+    ``x = -N .. N`` is refused: it needs ``max(-a, b) + steps <= N`` (see
+    :func:`coinwalk.state.check_reach`).
 
     Raises
     ------
@@ -51,17 +51,8 @@ def iter_steps(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> Iterator
     LatticeExhaustedError
         If the walk could leave the window.
     """
-    amp = check_amplitudes(amplitudes)
-    steps = check_steps(steps)
-    n = amp.shape[1] // 2
-    occupied = np.flatnonzero(np.any(amp != 0, axis=0)) - n  # positions x
-    if steps and occupied.size and max(-occupied[0], occupied[-1]) + steps > n:
-        first, last = occupied[0], occupied[-1]
-        raise LatticeExhaustedError(
-            f"the walker occupies x = {first} .. {last} and can reach x = {first - steps} .. "
-            f"{last + steps} within steps={steps}, past the sites x = {-n} .. {n} of the window "
-            f"with half_width={n}; rebuild the walk on a window with a larger half_width"
-        )
+    amp, steps = check_amplitudes(amplitudes), check_steps(steps)
+    check_reach(amp, steps)
     return _steps(amp, check_coin_matrix(coin), steps)
 
 
@@ -78,20 +69,32 @@ def _steps(table: np.ndarray, c: np.ndarray, steps: int) -> Iterator[np.ndarray]
 
 
 def evolve(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> np.ndarray:
-    """The table after ``steps`` walk steps; ``steps=0`` returns the checked input.
+    """The table after ``steps`` steps, in momentum space; ``steps=0`` returns the checked input.
 
-    The last table of :func:`iter_steps`, so ``steps`` one-step calls give
-    the same table bit for bit.
+    Each occupied parity class of the table is solved in closed form (see
+    :mod:`coinwalk.momentum`), in O((s + T) log(s + T)) for a class of
+    ``s`` sites, so there are no intermediate times; for those, step with
+    :func:`iter_steps`.  The table matches the last one of
+    :func:`iter_steps` within 1e-12, and every site that no occupied class
+    can reach, outside its light cone or of the other parity, holds an
+    exact zero.  The window and its refusal rule are those of
+    :func:`iter_steps`.
 
     Raises
     ------
-    ValueError, LatticeExhaustedError
-        As :func:`iter_steps`.
+    ValueError
+        If ``amplitudes`` is not a finite ``(2, 2N + 1)`` table, ``steps`` is
+        not a non-negative integer or the coin is not unitary within 1e-12,
+        as the closed-form power needs.
+    LatticeExhaustedError
+        If the walk could leave the window.
     """
-    table = check_amplitudes(amplitudes)
-    for table in iter_steps(table, coin, steps):
-        pass
-    return table
+    amp, steps = check_amplitudes(amplitudes), check_steps(steps)
+    spans = check_reach(amp, steps)
+    if not steps:
+        _check_coins([coin])
+        return amp
+    return _states([(a, amp[:, a : b + 1 : 2]) for a, b in spans], [coin], steps, amp.shape)
 
 
 def run_walk(
@@ -102,11 +105,11 @@ def run_walk(
 ) -> np.ndarray:
     """Run a fresh ``steps``-step walk from the origin and measure it.
 
-    The state comes from :func:`coinwalk.momentum.momentum_state`, in
-    O(T log T).  Its window is sized exactly to the walk
-    (``half_width = steps``), so the result covers the positions
-    ``-steps .. steps``, position ``x`` at entry ``x + steps``, with the sites
-    of the wrong parity exactly zero.
+    The walker starts at the origin of a window sized exactly to the walk
+    (``half_width = steps``) and is solved in momentum space, in
+    O(T log T), as :func:`evolve` solves it, with no start table built.  The
+    result covers the positions ``-steps .. steps``, position ``x`` at entry
+    ``x + steps``, with the sites of the wrong parity exactly zero.
 
     Parameters
     ----------
@@ -124,4 +127,6 @@ def run_walk(
         as :func:`coinwalk.state.distribution` measures them.
     """
     steps = check_walk_steps(steps)
-    return distribution(momentum_state(alpha, beta, make_coin(params), steps))
+    alpha, beta = check_coin_state(alpha, beta)
+    origin = _origin(alpha, beta, steps)
+    return distribution(_states(origin, [make_coin(params)], steps, (2, 2 * steps + 1)))

@@ -1,17 +1,21 @@
-"""Momentum-space engine: the state after ``T`` steps from the origin in one FFT.
+"""Momentum-space engine: the state after ``T`` steps from any table in one FFT per parity class.
 
 The walk is translation invariant, so in momentum space one step is a 2x2
-matrix per wavenumber (Nayak & Vishwanath, quant-ph/0010117).  From the
-origin, after ``t`` steps only the sites ``x = t (mod 2)`` can be occupied.
-In the label ``y = (x + t) / 2``, the number of head moves so far, a head
-step moves ``y`` by one and a tail step leaves it where it is, so with
-``psi_hat(q) = sum_y psi_y e^{-iqy}`` one step is
+matrix per wavenumber (Nayak & Vishwanath, quant-ph/0010117).  Every step
+moves every amplitude by one site, so the sites of one parity never meet
+those of the other: each occupied parity class of a table is a walk of its
+own.  Let ``x0`` be the first site of a class, of ``s`` sites.  In the label
+``y = (x + t - x0) / 2`` a head step moves ``y`` by one and a tail step
+leaves it where it is, so with ``psi_hat(q) = sum_y psi_y e^{-iqy}`` one
+step is
 
     U(q) = diag(e^{-iq}, 1) C.
 
-After ``T`` steps ``y`` runs over ``0 .. T``: a cyclic window of ``M >= T+1``
-sites never wraps, and the amplitudes are one inverse FFT of
-``U(q)^T (alpha, beta)`` at ``q = 2 pi j / M``.
+After ``T`` steps ``y`` runs over ``0 .. s - 1 + T``: a cyclic window of
+``M >= s + T`` sites never wraps, and the amplitudes are one inverse FFT
+of ``U(q)^T psi_hat(q)`` at ``q = 2 pi j / M``.  A walker at the origin is
+one class of one site, whose transform is the constant coin state
+``(alpha, beta)``.
 
 The power has a closed form.  Write ``det C = e^{i delta}`` and
 ``s = e^{i (delta - q) / 2}``, a square root of ``det U``.  Then
@@ -28,14 +32,16 @@ the column that ``sin(T omega) / sin(omega)`` multiplies is exactly zero
 there and the division is skipped.  The work is O(M log M) whatever the
 coin, against O(T * N) for the recurrence of :mod:`coinwalk.evolution` on a
 window of half-width ``N >= T``.  ``M`` is the smallest 2-3-5-smooth size
-``>= T+1``: a prime length sends the FFT to a Bluestein transform several
+``>= s + T``: a prime length sends the FFT to a Bluestein transform several
 times slower, and a power of two can pad the window to twice its size.
 
 The closed form of ``K`` coins runs in one pass (``_states``, the engine of
-:func:`coinwalk.analysis.theta_sweep`): the wavenumbers, the ``(K, 2, M)``
-spectra, ``omega``, the ratio and one inverse FFT are shared, and only the
-2x2 arithmetic of each coin is done coin by coin.  :func:`momentum_state`
-is its one-coin case.
+:func:`coinwalk.evolution.evolve` from any table, and from the origin of
+:func:`~coinwalk.evolution.run_walk`, :func:`coinwalk.analysis.theta_sweep`
+and :func:`~coinwalk.analysis.phase_diagram`): the wavenumbers, the
+``(K, 2, M)`` spectra, ``omega``, the ratio and one inverse FFT are shared,
+and only the 2x2 arithmetic of each coin is done coin by coin.  The module
+has no public name: :func:`~coinwalk.evolution.evolve` is its entry.
 
 The same pieces give the coin's Gram matrix at every ``t = 0 .. T`` without
 stepping, from any start table (``_grams``, the engine of
@@ -54,9 +60,9 @@ from typing import Sequence
 import numpy as np
 
 from .coin import _UNITARY_TOL, _unitarity_residuals
-from .state import check_amplitudes, check_coin_state, check_steps
+from .state import check_amplitudes, check_reach, check_steps
 
-__all__ = ["momentum_state"]
+__all__: list[str] = []
 
 #: Grid points on either side of a wavenumber that :func:`_trig_sums` spreads
 #: it onto.  Against the exact sums, for the Hadamard coin and three random
@@ -151,81 +157,68 @@ def _closed_form(
     return half_deltas, u, spec, sin_w, omega
 
 
-def _states(alpha: complex, beta: complex, coins: Sequence[np.ndarray], steps: int) -> np.ndarray:
-    """The ``(K, 2, 2N + 1)`` tables of :func:`momentum_state` for each of ``K`` coins, in one pass.
+def _origin(alpha: complex, beta: complex, steps: int) -> list[tuple[int, np.ndarray]]:
+    """The one parity class of the walker at the origin of the window of half-width ``steps``."""
+    return [(steps, np.array([[alpha], [beta]], dtype=np.complex128))]
 
-    The wavenumbers, the spectra, ``omega``, the ratio and one inverse FFT
-    are shared by the coins; row ``k`` is the one-coin table bit for bit
-    (see :func:`_closed_form`).  Every input is checked, as
-    :func:`momentum_state` documents, before any array is built.
+
+def _states(classes: list[tuple[int, np.ndarray]], coins: Sequence[np.ndarray], steps: int,
+            shape: tuple[int, ...]) -> np.ndarray:
+    """The tables after ``steps`` steps from the parity classes ``classes``, for each of K coins.
+
+    ``classes`` holds a ``(column, span)`` pair for each occupied parity
+    class, ``span`` the ``(2, s)`` view of every other column of the table
+    from the class's first occupied column ``column`` to its last (see
+    :func:`coinwalk.state.check_reach`), as :func:`~coinwalk.evolution.evolve`
+    and :func:`_origin` give them.  The result is a zero array of ``shape``,
+    ``(K, 2, 2N + 1)`` or ``(2, 2N + 1)`` for one coin, with the walk of
+    each class written in: the caller has checked ``steps`` and that no
+    walk leaves the window.  A class of ``s`` sites starting at ``x0`` is
+    the walk in the label ``y = (x + t - x0) / 2`` (see the module
+    docstring) from its span, so after ``T`` steps it covers
+    ``y = 0 .. s - 1 + T``, and on ``M >= s + T`` wavenumbers its transform
+    never wraps.  A one-site span is its own transform: a walk from the
+    origin takes no forward FFT.  The wavenumbers, the spectra, ``omega``,
+    the ratio and one inverse FFT of a class are shared by the coins; row
+    ``k`` is the one-coin table bit for bit (see :func:`_closed_form`).  The
+    coins are checked before any array is built.
     """
-    alpha, beta = check_coin_state(alpha, beta)
-    coins, steps = _check_coins(coins), check_steps(steps)
-    n = max(steps, 1)
-    m = _fft_size(steps + 1)
-    half_deltas, u, spec, sin_w, omega = _closed_form(alpha, beta, coins, m)
-    # ratio = sin(T omega) / sin(omega); where sin(omega) = 0, spec is already 0.
-    omega *= steps
-    ratio = np.sin(omega)
-    np.divide(ratio, sin_w, out=ratio, where=sin_w > 0.0)
-    cos_tw = np.cos(omega, out=omega)
-    del sin_w
-
-    # The closed form: U^T (alpha, beta) / s^T.
-    spec *= ratio[:, None]
-    spec[:, 0] += alpha * cos_tw
-    spec[:, 1] += beta * cos_tw
-    del ratio, cos_tw
-    # s^T = e^{i T delta / 2} u^(T mod 2) e^{-i q k} with k = T // 2.  The last
-    # factor is a cyclic shift by k sites, applied exactly when reading out.
-    phases = np.array([cmath.exp(1j * steps * hd) for hd in half_deltas], dtype=np.complex128)
-    phases = phases[:, None]
-    spec *= (phases * u if steps % 2 else phases)[:, None]
-    del u
-    # No ``out=``: numpy 1.x lacks it, and the other arrays are freed by now.
-    spec = np.fft.ifft(spec, axis=-1)
-
-    amp = np.zeros((len(coins), 2, 2 * n + 1), dtype=np.complex128)
-    # Position x = 2y - T sits at column x + N; y sits at (y - k) mod m of spec.
-    start = n - steps
+    coins = _check_coins(coins)
+    amp = None if classes else np.zeros(shape, dtype=np.complex128)
     k = steps // 2
-    cols = amp[..., start : start + 2 * steps + 1 : 2]
-    cols[..., :k] = spec[..., m - k :]
-    cols[..., k:] = spec[..., : steps - k + 1]
+    for column, span in classes:
+        s = span.shape[1]
+        m = _fft_size(s + steps)
+        alpha, beta = span[:, 0] if s == 1 else np.fft.fft(span, m, axis=1)
+        half_deltas, u, spec, sin_w, omega = _closed_form(alpha, beta, coins, m)
+        # ratio = sin(T omega) / sin(omega); where sin(omega) = 0, spec is already 0.
+        omega *= steps
+        ratio = np.sin(omega)
+        np.divide(ratio, sin_w, out=ratio, where=sin_w > 0.0)
+        cos_tw = np.cos(omega, out=omega)
+        del sin_w
+
+        # The closed form: U^T (alpha, beta) / s^T.
+        spec *= ratio[:, None]
+        spec[:, 0] += alpha * cos_tw
+        spec[:, 1] += beta * cos_tw
+        del ratio, cos_tw
+        # s^T = e^{i T delta / 2} u^(T mod 2) e^{-i q k} with k = T // 2.  The
+        # last factor is a cyclic shift by k sites, applied exactly when
+        # reading out.
+        phases = np.array([cmath.exp(1j * steps * hd) for hd in half_deltas], dtype=np.complex128)
+        spec *= (phases[:, None] * u if steps % 2 else phases[:, None])[:, None]
+        del u, alpha, beta
+        # No ``out=``: numpy 1.x lacks it, and the other arrays are freed by now.
+        spec = np.fft.ifft(spec, axis=-1)
+        # Allocated once the transforms of the first class are freed.
+        amp = np.zeros(shape, dtype=np.complex128) if amp is None else amp
+        # Site x = 2y - T + x0 sits at column 2y - T + column; y sits at
+        # (y - k) mod m of spec.
+        cols = amp[..., column - steps : column + steps + 2 * s - 1 : 2]
+        cols[..., :k] = spec[..., m - k :]
+        cols[..., k:] = spec[..., : s + steps - k]
     return amp
-
-
-def momentum_state(alpha: complex, beta: complex, coin: np.ndarray, steps: int) -> np.ndarray:
-    """The walker after ``steps`` steps from the origin with coin state ``alpha |H> + beta |T>``.
-
-    Computed in momentum space (see the module docstring), so it costs
-    O(T log T) and gives no intermediate times; for those, step with
-    :func:`coinwalk.evolution.iter_steps`.
-
-    Parameters
-    ----------
-    alpha, beta : complex
-        Coin amplitudes; finite, with ``|alpha|^2 + |beta|^2 = 1`` within 1e-10.
-    coin : numpy.ndarray
-        The (2, 2) coin matrix; must be unitary within 1e-12, because the
-        closed-form power holds only for a unitary step.
-    steps : int
-        Number of steps (a non-negative integer).
-
-    Returns
-    -------
-    numpy.ndarray
-        The complex ``(2, 2N + 1)`` amplitude table after ``steps`` steps on
-        the window of half-width ``N = max(steps, 1)``, the window of a walk
-        of that length.  Sites of the wrong parity hold exact zeros.
-
-    Raises
-    ------
-    ValueError
-        If the coin state is not normalized, the coin is not a unitary
-        (2, 2) matrix, or ``steps`` is not a non-negative integer.
-    """
-    return _states(alpha, beta, [coin], steps)[0]
 
 
 def _trig_sums(freq: np.ndarray, coef: np.ndarray, steps: int) -> np.ndarray:
@@ -291,9 +284,10 @@ def _grams(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> np.ndarray:
     Gram matrices of the recurrence on any window the walk never leaves, up
     to rounding.  The two parity classes of the table (columns ``0::2`` and
     ``1::2``) never meet, and each is a walk from its own occupied span, in
-    the label ``y = (x + t - x0) / 2`` of :func:`momentum_state` with ``x0``
-    the span's first site.  A span of ``s`` sites reaches ``s + T`` labels,
-    so on ``M >= s + T`` wavenumbers, ``s`` the wider span, the transform
+    the label ``y = (x + t - x0) / 2`` of :func:`_states` with ``x0`` the
+    span's first site (the spans of :func:`coinwalk.state.check_reach`).  A
+    span of ``s`` sites reaches ``s + T`` labels, so on ``M >= s + T``
+    wavenumbers, ``s`` the wider span, the transform
     ``psi(q)`` of each span (one FFT) never wraps.  By Parseval
     ``G(t) = (1/M) sum_q phi phi^dagger`` summed over the classes, with
     ``phi = V^t psi``: the phase ``s^t`` cancels.  With
@@ -322,12 +316,8 @@ def _grams(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> np.ndarray:
         integer, before any array is built.
     """
     amp, (c,), steps = check_amplitudes(amplitudes), _check_coins([coin]), check_steps(steps)
-    spans = []
-    for rows in (amp[:, 0::2], amp[:, 1::2]):
-        occupied = np.flatnonzero(np.any(rows != 0, axis=0))
-        if occupied.size:
-            spans.append(rows[:, occupied[0] : occupied[-1] + 1])
-    spans = spans or [amp[:, :1]]  # the zero table walks as one empty site
+    # The zero table walks as one empty site.
+    spans = [amp[:, a : b + 1 : 2] for a, b in check_reach(amp, 0)] or [amp[:, :1]]
     m = _fft_size(max(span.shape[1] for span in spans) + steps)
     # Rows: C + iB of G00, of Re G10 and of Im G10, times 2M.
     coef = np.zeros((3, m), dtype=np.complex128)

@@ -10,9 +10,11 @@ Every engine takes and returns this array; :func:`check_amplitudes` is its
 one validator.  A measurement is a plain array too: :func:`distribution`
 returns the ``(2N + 1,)`` probabilities, position ``x`` at entry ``x + N``.
 
-The recurrence refuses a walk whose occupied sites could leave the window,
-so the finite window is an exact representation of the infinite line for
-every walk it takes.
+Every engine that steps a window (:func:`~coinwalk.evolution.iter_steps`,
+:func:`~coinwalk.evolution.evolve` and
+:func:`~coinwalk.dense.dense_series`) refuses, by :func:`check_reach`, a
+walk whose occupied sites could leave the window, so the finite window is
+an exact representation of the infinite line for every walk they take.
 """
 
 from __future__ import annotations
@@ -103,6 +105,33 @@ def check_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(amp)):
         raise ValueError("amplitudes must be finite (no NaN or infinity)")
     return amp
+
+
+def check_reach(amp: np.ndarray, steps: int) -> list[tuple[int, int]]:
+    """The occupied span of each parity class of ``amp``; LatticeExhaustedError if a walk leaves it.
+
+    ``amp`` is a checked table.  The support of a state grows by at most one
+    site a step on each side, and nothing may leave the window
+    ``x = -N .. N``, so a walk of ``steps`` steps is refused unless
+    ``max(-a, b) + steps <= N`` for the occupied sites ``a .. b``: the one
+    refusal rule, and the one raising site of LatticeExhaustedError, of
+    every engine that steps a window.  With ``steps = 0`` nothing is refused.
+    The same scan gives the first and the last occupied column of each
+    occupied parity class (the even columns, then the odd ones), a list of
+    zero to two pairs.  A step moves every amplitude by one site, so the two
+    classes never meet, and each is a walk of its own.
+    """
+    n = amp.shape[1] // 2
+    occupied = np.flatnonzero(np.any(amp != 0, axis=0))
+    if steps and occupied.size and max(n - occupied[0], occupied[-1] - n) + steps > n:
+        first, last = occupied[0] - n, occupied[-1] - n
+        raise LatticeExhaustedError(
+            f"the walker occupies x = {first} .. {last} and can reach x = {first - steps} .. "
+            f"{last + steps} within steps={steps}, past the sites x = {-n} .. {n} of the window "
+            f"with half_width={n}; rebuild the walk on a window with a larger half_width"
+        )
+    classes = (occupied[occupied % 2 == parity] for parity in (0, 1))
+    return [(int(cols[0]), int(cols[-1])) for cols in classes if cols.size]
 
 
 def initial_state(alpha: complex, beta: complex, half_width: int) -> np.ndarray:

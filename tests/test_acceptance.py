@@ -224,8 +224,9 @@ def test_c08a_engines_agree_for_50_random_walks():
         theta, phi1, phi2 = random_coin_angles(rng)
         alpha, beta = normalized_pair(rng)
         coin = make_coin(CoinParams(theta, phi1, phi2))
-        walk = iter_steps(initial_state(alpha, beta, n), coin, n)
-        references = dense_series(alpha, beta, coin, n)
+        start = initial_state(alpha, beta, n)
+        walk = iter_steps(start, coin, n)
+        references = dense_series(start, coin, n)
         next(references)  # t = 0: both engines start from the same table
         for table, reference in zip(walk, references):
             worst = max(worst, float(np.max(np.abs(table - reference))))

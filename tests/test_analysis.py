@@ -216,9 +216,9 @@ def test_sweep_coin_stack_is_make_coin_bit_for_bit(monkeypatch):
     # of 72 angles over several turns, with +-0 and +-pi/2 among them.
     stacks = []
 
-    def capture(alpha, beta, coins, steps):
+    def capture(classes, coins, steps, shape):
         stacks.append(np.array(coins))
-        return np.zeros((len(coins), 2, 2 * steps + 1), dtype=np.complex128)
+        return np.zeros(shape, dtype=np.complex128)
 
     monkeypatch.setattr(analysis, "_probabilities", lambda table: table)
     monkeypatch.setattr(analysis, "_states", capture)
@@ -313,7 +313,7 @@ def test_phase_diagram_checks_its_input_before_walking(monkeypatch, bad, match):
     def walk(*args, **kwargs):
         raise AssertionError("a basis walk ran before the input was checked")
 
-    monkeypatch.setattr(analysis, "momentum_state", walk)
+    monkeypatch.setattr(analysis, "_states", walk)
     request = {
         "theta": 0.7,
         "phi1_grid": [0.0, 1.0],

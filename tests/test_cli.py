@@ -26,7 +26,6 @@ from coinwalk import (
     initial_state,
     iter_steps,
     make_coin,
-    momentum_state,
     named_coin,
     phase_diagram,
     run_walk,
@@ -241,6 +240,40 @@ def test_entanglement_series_peaks_below_its_footprint_estimate(monkeypatch):
     monkeypatch.setattr(cli, "MAX_OP_BYTES", peak)
     with pytest.raises(cli._UsageError, match="memory cap"):
         cli._check_footprint(steps, 2 * (steps + 1))
+
+
+#: The cap of the guard's edge cases: about 1 MiB, so the largest requests take milliseconds.
+_EDGE_CAP = 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, cost",
+    [
+        # One walk of T steps: 2T + 3 values.
+        (lambda n: ["walk", "--coin", "hadamard", "--steps", str(n)],
+         lambda n: 32 * (2 * n + 3) + 96 * (n + 1) + 256 * (2 * n + 3)),
+        # The series of T steps: 2(T + 1) values.
+        (lambda n: ["entanglement", "--coin", "hadamard", "--steps", str(n)],
+         lambda n: 32 * (2 * n + 3) + 96 * (n + 1) + 256 * 2 * (n + 1)),
+        # n angles at T = 10: n (2T + 4) values.
+        (lambda n: ["sweep-theta", "--theta-grid", f"0:{n - 1}:1", "--steps", "10"],
+         lambda n: 32 * 23 + 96 * 11 + 256 * n * 24),
+    ],
+    ids=["walk", "entanglement", "sweep-theta"],
+)
+def test_the_memory_guard_admits_exactly_what_its_formula_admits(capsys, monkeypatch, argv, cost):
+    # The largest request whose estimate fits the cap runs; one step or one
+    # angle more is refused with the memory-cap message.
+    monkeypatch.setattr(cli, "MAX_OP_BYTES", _EDGE_CAP)
+    n = 1
+    while cost(n + 1) <= _EDGE_CAP:
+        n += 1
+    assert n > 100
+    code, out, err = _run(capsys, *argv(n), "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+    code, out, err = _run(capsys, *argv(n + 1), "--out", os.devnull)
+    assert code == 2 and out == ""
+    assert "the 1 MiB memory cap of one run (MAX_OP_BYTES)" in err
 
 
 def test_a_large_phase_diagram_passes_the_memory_guard(capsys):
@@ -493,14 +526,15 @@ def test_verify_names_the_engines_that_disagree(capsys):
 
 
 def test_verify_compares_the_momentum_engine_at_the_last_step(capsys, monkeypatch):
-    honest = cli.momentum_state
+    honest = cli.evolve
 
-    def drifting(*args):
-        state = honest(*args)
-        state[0, 0] += 1e-9  # the leftmost site of the light cone
-        return state
+    def drifting(state, coin, steps):
+        table = honest(state, coin, steps)
+        if steps == 6:
+            table[0, 0] += 1e-9  # the leftmost site of the light cone
+        return table
 
-    monkeypatch.setattr(cli, "momentum_state", drifting)
+    monkeypatch.setattr(cli, "evolve", drifting)
     code, out, err = _run(capsys, "verify", "--coin", "fourier", "--max-steps", "6")
     assert code == 1
     _, rows = _csv_rows(out)
@@ -508,6 +542,30 @@ def test_verify_compares_the_momentum_engine_at_the_last_step(capsys, monkeypatc
     assert max(gaps[:-1]) <= 1e-12 and gaps[-1] == pytest.approx(1e-9, rel=1e-3)
     assert "the momentum and dense engines disagree" in err
     assert "t=6, position x=-6" in err
+
+
+@pytest.mark.parametrize("steps", [2, 8, 40])
+def test_verify_compares_the_momentum_engine_on_both_step_parities(capsys, monkeypatch, steps):
+    # The closed form differs between odd and even step counts (u^(T mod 2)
+    # and the read-out shift T // 2), so an op of even --max-steps checks an
+    # odd count too, at t = steps - 1.
+    honest = cli.evolve
+
+    def drifting(state, coin, t):
+        table = honest(state, coin, t)
+        if t % 2:
+            table[1, steps - t + 1] += 1e-9  # x = 1 - t, the second site of the cone
+        return table
+
+    monkeypatch.setattr(cli, "evolve", drifting)
+    code, out, err = _run(capsys, "verify", "--theta-deg", "33", "--phi1-deg", "70",
+                          "--max-steps", str(steps))
+    assert code == 1
+    _, rows = _csv_rows(out)
+    gaps = [float(r[1]) for r in rows]
+    assert max(gaps[:-2] + gaps[-1:]) <= 1e-12 and gaps[-2] == pytest.approx(1e-9, rel=1e-3)
+    assert err == (f"verify: the momentum and dense engines disagree by {gaps[-2]:.3e} "
+                   f"(> 1e-12) at t={steps - 1}, position x={2 - steps}\n")
 
 
 def test_verify_json_reports_ok(capsys):
@@ -608,21 +666,20 @@ def _entanglement_reference(coin, init, steps):
     return "t,schmidt_rank,entropy", list(zip(t, ranks, entropies)), payload
 
 
-def _verify_reference(theta, phi1, steps, phi2=0.0, corrupt=False, endpoint=momentum_state,
+def _verify_reference(theta, phi1, steps, phi2=0.0, corrupt=False, endpoint=evolve,
                       walk=iter_steps):
     """`verify` by the step-by-step loop: its output and the worst (gap, t, x, engine) over 1e-12.
 
     Each step of ``walk`` is compared on its own, and a step over the
     tolerance becomes the worst only if it is strictly worse than the worst
-    so far, the momentum ``endpoint`` last of all.
+    so far, the momentum ``endpoint`` at the last two steps last of all.
     """
     coin = make_coin(CoinParams.from_degrees(theta, phi1, phi2))
     dense_coin = coin.copy()
     if corrupt:
         dense_coin[0, 0] += 3e-11  # the fault of --corrupt-coin
     state = initial_state(*UNBIASED_INIT, steps)
-    references = dense_series(*UNBIASED_INIT, dense_coin, steps)
-    next(references)
+    references = list(dense_series(state, dense_coin, steps))
     gaps, worst = [], None
 
     def compare(engine, table, reference, t):
@@ -633,10 +690,11 @@ def _verify_reference(theta, phi1, steps, phi2=0.0, corrupt=False, endpoint=mome
             worst = (gap, t, int(np.argmax(np.max(diff, axis=0))) - steps, engine)
         return gap
 
-    for t, (table, reference) in enumerate(zip(walk(state, coin, steps), references), 1):
-        gaps.append(compare("recurrence", table, reference, t))
-    final = endpoint(*UNBIASED_INIT, coin, steps)
-    gaps[-1] = max(gaps[-1], compare("momentum", final, reference, steps))
+    for t, table in enumerate(walk(state, coin, steps), 1):
+        gaps.append(compare("recurrence", table, references[t], t))
+    for t in range(max(steps - 1, 1), steps + 1):
+        final = endpoint(state, coin, t)
+        gaps[t - 1] = max(gaps[t - 1], compare("momentum", final, references[t], t))
     t = list(range(1, steps + 1))
     payload = {"tolerance": cli.VERIFY_TOL, "ok": worst is None, "t": t,
                "max_abs_discrepancy": gaps}
@@ -689,26 +747,27 @@ def test_verify_picks_the_worst_step_as_the_step_by_step_loop(capsys, monkeypatc
                                                                corrupt, drift, fmt):
     # The one-pass comparison of the stacked tables against the loop it
     # replaced: the same gaps bit for bit and the same worst step.  The
-    # momentum endpoint is drifted at x = 1 - T, where the dense table holds
-    # an exact zero: far off, or on top of the recurrence's own last table,
+    # momentum endpoint is drifted at its last step, at x = 1 - T, where the
+    # dense table holds an exact zero: far off, or on top of the recurrence's own last table,
     # where it ties the worst recurrence gap or beats it by one ulp.  Or the
     # first and the last recurrence table drift alike, at x = 1 - t.
     rng = np.random.default_rng(5000 + seed)
     theta, phi1, phi2 = (float(a) for a in rng.uniform(0.0, 360.0, size=3))
     steps = int(rng.integers(1, 41))
 
-    def recurrence_endpoint(alpha, beta, coin, steps):
-        return evolve(initial_state(alpha, beta, steps), coin, steps)
+    def recurrence_endpoint(state, coin, t):
+        *_, table = iter_steps(state, coin, t)
+        return table
 
     _, _, payload, _ = _verify_reference(theta, phi1, steps, phi2, corrupt, recurrence_endpoint)
     recurrence_worst = max(payload["max_abs_discrepancy"])
     drifted = {"tie": recurrence_worst, "above": np.nextafter(recurrence_worst, 1.0), "far": 1e-9}
 
-    def endpoint(*args):
-        state = (recurrence_endpoint if drift in ("tie", "above") else momentum_state)(*args)
-        if drift in drifted:
-            state[0, 1] = drifted[drift]
-        return state
+    def endpoint(state, coin, t):
+        table = (recurrence_endpoint if drift in ("tie", "above") else evolve)(state, coin, t)
+        if drift in drifted and t == steps:
+            table[0, 1] = drifted[drift]
+        return table
 
     def walk(state, coin, steps):
         for t, table in enumerate(iter_steps(state, coin, steps), 1):
@@ -716,7 +775,7 @@ def test_verify_picks_the_worst_step_as_the_step_by_step_loop(capsys, monkeypatc
                 table[0, steps + 1 - t] = 1e-6
             yield table
 
-    monkeypatch.setattr(cli, "momentum_state", endpoint)
+    monkeypatch.setattr(cli, "evolve", endpoint)
     monkeypatch.setattr(cli, "iter_steps", walk)
     argv = ["verify", "--theta-deg", repr(theta), "--phi1-deg", repr(phi1),
             "--phi2-deg", repr(phi2), "--max-steps", str(steps), "--format", fmt]

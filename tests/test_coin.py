@@ -13,12 +13,12 @@ from coinwalk import (
     NAMED_COINS,
     build_step_unitary,
     check_unitary,
+    dense_series,
     entanglement_series,
     evolve,
     initial_state,
     iter_steps,
     make_coin,
-    momentum_state,
     named_coin,
 )
 
@@ -200,7 +200,7 @@ _COIN_USERS = pytest.mark.parametrize(
         lambda coin: evolve(_START, coin, 1),
         lambda coin: entanglement_series(_START, coin, 1),
         lambda coin: build_step_unitary(coin, 2),
-        lambda coin: momentum_state(*UNBIASED_INIT, coin, 2),
+        lambda coin: next(dense_series(_START, coin, 1)),
     ],
     ids=[
         "check_unitary",
@@ -208,7 +208,7 @@ _COIN_USERS = pytest.mark.parametrize(
         "evolve",
         "entanglement_series",
         "build_step_unitary",
-        "momentum_state",
+        "dense_series",
     ],
 )
 
@@ -234,11 +234,11 @@ def test_a_non_finite_coin_is_rejected_with_one_message(use_coin, bad):
     "use_coin, message",
     [
         (check_unitary, None),
-        (lambda coin: momentum_state(*UNBIASED_INIT, coin, 2), "needs a unitary coin"),
+        (lambda coin: evolve(_START, coin, 2), "needs a unitary coin"),
         (lambda coin: entanglement_series(_START, coin, 1), "needs a unitary coin"),
         (lambda coin: build_step_unitary(coin, 2), "step operator is not unitary"),
     ],
-    ids=["check_unitary", "momentum_state", "entanglement_series", "build_step_unitary"],
+    ids=["check_unitary", "evolve", "entanglement_series", "build_step_unitary"],
 )
 def test_an_overflowing_coin_fails_the_unitarity_check_without_a_warning(use_coin, message):
     # Finite entries whose squares overflow M^dagger M to inf: each caller

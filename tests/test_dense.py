@@ -9,9 +9,10 @@ from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
     build_step_unitary,
+    LatticeExhaustedError,
     dense_series,
-    evolve,
     initial_state,
+    iter_steps,
     make_coin,
     named_coin,
     run_walk,
@@ -192,9 +193,8 @@ def test_the_coin_residual_is_the_operator_residual():
 
 
 def _dense_final(alpha, beta, coin, steps):
-    """The last table of a dense series: positions -max(steps, 1) .. max(steps, 1)."""
-    for table in dense_series(alpha, beta, coin, steps):
-        pass
+    """The last table of a dense series from the origin, on a window of half-width max(steps, 1)."""
+    *_, table = dense_series(initial_state(alpha, beta, max(steps, 1)), coin, steps)
     return table
 
 
@@ -239,12 +239,18 @@ def test_dense_two_step_hadamard_distribution():
 
 
 def test_the_size_cap_is_enforced():
-    # Both refusals come when dense_series is called, before any iteration.
+    # Every refusal comes when dense_series is called, before any iteration:
+    # the steps first, then the table's window and the walk's reach.
     coin = make_coin(named_coin("hadamard"))
+    start = initial_state(*UNBIASED_INIT, 5)
     with pytest.raises(ValueError, match="takes 0 to 200 steps, got 201"):
-        dense_series(*UNBIASED_INIT, coin, 201)
+        dense_series(start, coin, 201)
     with pytest.raises(ValueError, match="steps must be a non-negative integer, got -1"):
-        dense_series(*UNBIASED_INIT, coin, -1)
+        dense_series(start, coin, -1)
+    with pytest.raises(ValueError, match="half-width of 1 to 200, got 201"):
+        dense_series(initial_state(*UNBIASED_INIT, 201), coin, 1)
+    with pytest.raises(LatticeExhaustedError, match="larger half_width"):
+        dense_series(start, coin, 6)
 
 
 @pytest.mark.parametrize(
@@ -271,9 +277,12 @@ def test_the_operator_size_cap_is_enforced():
         build_step_unitary(coin, 201)
 
 
-def test_dense_rejects_unnormalized_start():
-    with pytest.raises(ValueError, match="normalized"):
-        next(dense_series(1.0, 1.0, make_coin(named_coin("hadamard")), 1))
+def test_dense_rejects_a_non_finite_start():
+    # A table need not be normalized, as in every engine, but it must be finite.
+    start = initial_state(*UNBIASED_INIT, 2)
+    start[0, 2] = np.nan
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        dense_series(start, make_coin(named_coin("hadamard")), 1)
 
 
 # ------------------------------------------------------------
@@ -289,9 +298,8 @@ def test_engines_agree_amplitude_by_amplitude(seed):
     alpha, beta = normalized_pair(rng)
     coin = make_coin(CoinParams(theta, phi1, phi2))
     n = 12
-    state = initial_state(alpha, beta, n)
-    for t in range(1, n + 1):
-        state = evolve(state, coin, 1)
+    walk = iter_steps(initial_state(alpha, beta, n), coin, n)
+    for t, state in enumerate(walk, start=1):
         reference = _dense_final(alpha, beta, coin, t)
         window = state[:, n - t : n + t + 1]
         assert np.max(np.abs(window - reference)) <= 1e-12
@@ -308,11 +316,10 @@ def test_dense_series_takes_one_matvec_per_step(seed):
     coin = make_coin(CoinParams(*random_coin_angles(rng)))
     n = (9, 57, dense.DENSE_HALF_WIDTH_CAP)[seed]
     step = build_step_unitary(coin, n)
-    tables = list(dense_series(alpha, beta, coin, n))
+    start = initial_state(alpha, beta, n)
+    tables = list(dense_series(start, coin, n))
     assert len(tables) == n + 1
-    start = np.zeros((2, 2 * n + 1), dtype=complex)
-    start[:, n] = alpha, beta
-    assert np.array_equal(tables[0], start)
+    assert tables[0] is start
     distance = np.abs(np.arange(-n, n + 1))
     chain = start.ravel()
     for t, (before, after) in enumerate(zip(tables, tables[1:]), start=1):
@@ -321,6 +328,33 @@ def test_dense_series_takes_one_matvec_per_step(seed):
         assert not np.any(after[:, (distance + t) % 2 == 1])  # the parity rule
         chain = step @ chain
         assert np.max(np.abs(after.ravel() - chain)) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_parity_class_is_stepped_over_its_own_light_cone(seed):
+    # A table with both parity classes occupied, over spans of their own:
+    # each step is the full mat-vec within rounding, and every site outside
+    # the cone of each class, or of the wrong parity in it, stays exactly 0.
+    rng = np.random.default_rng(6000 + seed)
+    n, steps = 30, 12
+    coin = make_coin(CoinParams(*random_coin_angles(rng)))
+    start = np.zeros((2, 2 * n + 1), dtype=complex)
+    spans = []  # (first, last) column of each class
+    for parity in (0, 1):
+        first = int(rng.integers(steps, 2 * n - steps - 6)) // 2 * 2 + parity
+        last = first + 2 * int(rng.integers(0, 4))
+        sites = rng.normal(size=(2, (last - first) // 2 + 1))
+        start[:, first : last + 1 : 2] = rng.normal(size=(2, 2)) @ sites
+        spans.append((first, last))
+    step = build_step_unitary(coin, n)
+    tables = list(dense_series(start, coin, steps))
+    column = np.arange(2 * n + 1)
+    for t, (before, after) in enumerate(zip(tables, tables[1:]), start=1):
+        assert np.max(np.abs(after.ravel() - step @ before.ravel())) <= 1e-14
+        cones = np.zeros(2 * n + 1, dtype=bool)
+        for first, last in spans:
+            cones |= (column >= first - t) & (column <= last + t) & ((column - first - t) % 2 == 0)
+        assert not np.any(after[:, ~cones])
 
 
 def test_dense_distribution_matches_run_walk_window():

@@ -18,7 +18,6 @@ from coinwalk import (
     initial_state,
     iter_steps,
     make_coin,
-    momentum_state,
     named_coin,
     schmidt_spectrum,
 )
@@ -89,9 +88,7 @@ def test_one_step_spectrum_is_cos_sin_of_theta():
 
 def test_swap_coin_never_entangles_a_head_start():
     coin = make_coin(named_coin("grover"))
-    state = initial_state(1.0, 0.0, 20)
-    for _ in range(20):
-        state = evolve(state, coin, 1)
+    for state in iter_steps(initial_state(1.0, 0.0, 20), coin, 20):
         assert schmidt_spectrum(state)[1] == 1
         assert entanglement_entropy(state) <= 1e-12
 
@@ -240,12 +237,10 @@ def test_closed_form_spectra_match_eigvalsh(kind, rank, scale):
 )
 def test_series_matches_the_per_state_functions(params, init, steps):
     coin = make_coin(params)
-    state = initial_state(*init, max(steps, 1))
-    ranks, entropies = entanglement_series(state, coin, steps)
+    start = initial_state(*init, max(steps, 1))
+    ranks, entropies = entanglement_series(start, coin, steps)
     assert ranks.shape == entropies.shape == (steps + 1,)
-    for t in range(steps + 1):
-        if t > 0:
-            state = evolve(state, coin, 1)
+    for t, state in enumerate([start, *iter_steps(start, coin, steps)]):
         assert ranks[t] == schmidt_spectrum(state)[1]
         # The series sums in momentum space and the per-state functions over
         # the stepped table: the cross-engine bound of the README.
@@ -358,13 +353,13 @@ def test_a_table_series_matches_the_recurrence_at_3000_steps():
 )
 def test_origin_grams_match_parseval_at_100000_steps(params):
     # Each Gram matrix of the series against the one summed over the table of
-    # momentum_state, an independent route to the same state, at both ends
+    # evolve, an independent route to the same state, at both ends
     # and the middle of a series far beyond the reach of the recurrence.
     coin = make_coin(params)
     steps = 100_000
     grams = _grams(initial_state(0.6, 0.8j, 1), coin, steps)
     for t in (0, 1, 2, 3, steps // 2, steps - 1, steps):
-        direct = _gram(momentum_state(0.6, 0.8j, coin, t))
+        direct = _gram(evolve(initial_state(0.6, 0.8j, max(t, 1)), coin, t))
         assert np.max(np.abs(grams[t] - direct)) <= 1e-12
     weights, ranks = _spectra(grams[:1])
     assert ranks[0] == 1 and _entropies(weights, ranks)[0] == 0.0

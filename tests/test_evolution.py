@@ -1,4 +1,6 @@
-"""Tests for the recurrence engine: single steps, closed forms, symmetries."""
+"""Tests for the walk of a table: the recurrence of iter_steps (single steps,
+closed forms, the window), evolve's momentum-space endpoint against it, and
+symmetries."""
 
 import math
 
@@ -28,6 +30,12 @@ def _amp(state, row, x):
     return state[row, state.shape[1] // 2 + x]
 
 
+def _recurrence(state, coin, steps):
+    """The last table of :func:`iter_steps`: the recurrence, whose exact zeros stay exact."""
+    *_, table = iter_steps(state, coin, steps)
+    return table
+
+
 # ------------------------------------------------------------
 # Closed forms for one and two steps
 # ------------------------------------------------------------
@@ -36,7 +44,7 @@ def _amp(state, row, x):
 @pytest.mark.parametrize("theta, phi1, phi2", TRIPLES)
 def test_one_step_from_head(theta, phi1, phi2):
     p = CoinParams(theta, phi1, phi2)
-    state = evolve(initial_state(1.0, 0.0, 3), make_coin(p), 1)
+    state = _recurrence(initial_state(1.0, 0.0, 3), make_coin(p), 1)
     c, s = math.cos(p.theta), math.sin(p.theta)
     assert abs(_amp(state, 0, 1) - c) <= 1e-15
     assert abs(_amp(state, 1, -1) - np.exp(1j * p.phi2) * s) <= 1e-15
@@ -93,7 +101,7 @@ def test_identity_rotation_is_ballistic(steps):
     # theta = 0: head amplitude rides right, tail amplitude rides left and
     # picks up (-1)^t.
     alpha, beta = UNBIASED_INIT
-    state = evolve(initial_state(alpha, beta, 5), make_coin(CoinParams(0.0, 0.0, 0.0)), steps)
+    state = _recurrence(initial_state(alpha, beta, 5), make_coin(CoinParams(0.0, 0.0, 0.0)), steps)
     assert _amp(state, 0, steps) == alpha
     assert _amp(state, 1, -steps) == (-1) ** steps * beta
     assert abs(np.abs(state).sum() - abs(alpha) - abs(beta)) <= 1e-15
@@ -162,19 +170,21 @@ def test_a_walk_from_the_window_edge_is_refused():
 
 
 # ------------------------------------------------------------
-# iter_steps and evolve against a loop of single steps
+# iter_steps against a loop of single steps, and evolve against iter_steps
 # ------------------------------------------------------------
 
 
 def _assert_same_walk(state, coin, steps):
     # All tables are kept before any is checked: each must be its own array.
+    # The recurrence equals a loop of one-step calls bit for bit; the
+    # momentum-space endpoint of evolve equals it within 1e-12.
     tables = list(iter_steps(state, coin, steps))
     assert len(tables) == steps
     expected = state
     for table in tables:
-        expected = evolve(expected, coin, 1)
+        expected = _recurrence(expected, coin, 1)
         assert np.array_equal(table, expected)
-    assert np.array_equal(evolve(state, coin, steps), expected)
+    assert np.max(np.abs(evolve(state, coin, steps) - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -17,8 +17,8 @@ from coinwalk import (
     evolve,
     initial_state,
     make_coin,
+    iter_steps,
     momentum,
-    momentum_state,
     named_coin,
     run_walk,
 )
@@ -42,12 +42,12 @@ SPECIAL_COINS = [named_coin(name) for name in sorted(NAMED_COINS)] + [
 
 
 def _assert_matches_the_other_engines(alpha, beta, coin, steps):
-    state = momentum_state(alpha, beta, coin, steps)
+    start = initial_state(alpha, beta, steps)
+    state = evolve(start, coin, steps)
     assert state.shape == (2, 2 * steps + 1)
-    recurrence = evolve(initial_state(alpha, beta, steps), coin, steps)
+    *_, recurrence = iter_steps(start, coin, steps)
     assert np.max(np.abs(state - recurrence)) <= 1e-12
-    for dense in dense_series(alpha, beta, coin, steps):
-        pass
+    *_, dense = dense_series(start, coin, steps)
     assert np.max(np.abs(state - dense)) <= 1e-12
 
 
@@ -81,15 +81,20 @@ def test_window_is_the_smallest_2_3_5_smooth_size():
 def test_wrong_parity_columns_are_exact_zeros(steps):
     rng = np.random.default_rng(8000 + steps)
     coin = make_coin(CoinParams(*random_coin_angles(rng)))
-    amp = momentum_state(*normalized_pair(rng), coin, steps)
+    amp = evolve(initial_state(*normalized_pair(rng), steps), coin, steps)
     wrong_parity = (np.arange(-steps, steps + 1) + steps) % 2 == 1
     assert np.all(amp[:, wrong_parity] == 0.0)
 
 
 def test_zero_steps_return_the_initial_state():
+    # The closed form at T = 0 is the start itself, bit for bit; evolve
+    # returns its checked input without solving anything.
     alpha, beta = 0.6, 0.8j
-    state = momentum_state(alpha, beta, make_coin(named_coin("hadamard")), 0)
-    assert np.array_equal(state, initial_state(alpha, beta, 1))
+    coin = make_coin(named_coin("hadamard"))
+    start = initial_state(alpha, beta, 1)
+    origin = momentum._origin(alpha, beta, 1)
+    assert np.array_equal(momentum._states(origin, [coin], 0, (2, 3)), start)
+    assert evolve(start, coin, 0) is start
 
 
 def _same_bits(a, b):
@@ -119,10 +124,14 @@ def test_a_batched_pass_is_the_one_coin_pass_bit_for_bit(coins, seed, steps):
         for theta, phi1, phi2, gamma in coins
     ]
     alpha, beta = normalized_pair(rng)
-    tables = momentum._states(alpha, beta, stack, steps)
-    assert tables.shape == (len(stack), 2, 2 * max(steps, 1) + 1)
+    n = max(steps, 1)
+    origin = momentum._origin(alpha, beta, n)
+    tables = momentum._states(origin, stack, steps, (len(stack), 2, 2 * n + 1))
+    assert tables.shape == (len(stack), 2, 2 * n + 1)
+    start = initial_state(alpha, beta, n)
     for coin, table in zip(stack, tables):
-        assert _same_bits(table, momentum_state(alpha, beta, coin, steps))
+        # evolve returns the start of a walk of zero steps as it is.
+        assert _same_bits(table, evolve(start, coin, steps) if steps else start)
 
 
 @pytest.mark.parametrize(
@@ -136,24 +145,25 @@ def test_a_batched_pass_is_the_one_coin_pass_bit_for_bit(coins, seed, steps):
 )
 def test_bad_input_raises_value_error(monkeypatch, alpha, beta, coin, steps):
     # Both momentum-space entry points reject a request, with one message,
-    # before they build any array: the series refuses a coin that is not
-    # unitary, which the recurrence would step.  The series takes a table,
-    # which need not be normalized: it refuses a non-finite one in its place.
+    # before they build any array: they refuse a coin that is not unitary,
+    # which the recurrence would step.  They take a table, which need not be
+    # normalized: a non-finite one is refused in the place of an
+    # unnormalized coin state.
     def build(*args):
         raise AssertionError("an array was built before the request was checked")
 
     monkeypatch.setattr(momentum, "_fft_size", build)
     monkeypatch.setattr(momentum, "_closed_form", build)
-    with pytest.raises(ValueError) as expected:
-        momentum_state(alpha, beta, coin, steps)
-    message = str(expected.value)
-    table = np.array([[0.0, alpha, 0.0], [0.0, beta, 0.0]])
-    if "normalized" in message:
-        table[0, 1] = np.nan
-        message = "amplitudes must be finite (no NaN or infinity)"
-    with pytest.raises(ValueError) as raised:
-        entanglement_series(table, coin, steps)
-    assert str(raised.value) == message
+    table = np.zeros((2, 11), dtype=complex)
+    table[:, 5] = alpha, beta
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
+        table[0, 5] = np.nan
+    messages = set()
+    for engine in (evolve, entanglement_series):
+        with pytest.raises(ValueError) as raised:
+            engine(table, coin, steps)
+        messages.add(str(raised.value))
+    assert len(messages) == 1
 
 
 # ------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from coinwalk import (
     UNBIASED_INIT,
     CoinParams,
+    LatticeExhaustedError,
     build_step_unitary,
     dense_series,
     distribution,
@@ -20,13 +21,12 @@ from coinwalk import (
     initial_state,
     iter_steps,
     make_coin,
-    momentum_state,
     named_coin,
     run_walk,
     schmidt_spectrum,
 )
 
-from conftest import normalized_pair
+from conftest import normalized_pair, random_coin_angles
 
 
 # ------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_distribution_refuses_an_unnormalized_table_by_its_total(scale, total):
 
 
 # ------------------------------------------------------------
-# One steps rule for every engine
+# One steps rule and one window rule for every engine
 # ------------------------------------------------------------
 
 _HADAMARD = make_coin(named_coin("hadamard"))
@@ -230,16 +230,21 @@ ENGINES = {
     "iter_steps": lambda steps: list(iter_steps(_START, _HADAMARD, steps)),
     "evolve": lambda steps: evolve(_START, _HADAMARD, steps),
     "entanglement_series": lambda steps: entanglement_series(_START, _HADAMARD, steps),
-    "momentum_state": lambda steps: momentum_state(*UNBIASED_INIT, _HADAMARD, steps),
     "run_walk": lambda steps: run_walk(named_coin("hadamard"), *UNBIASED_INIT, steps),
-    "dense_series": lambda steps: list(dense_series(*UNBIASED_INIT, _HADAMARD, steps)),
+    "dense_series": lambda steps: list(dense_series(_START, _HADAMARD, steps)),
 }
+
+# The engines that step the table's own window.  The series walks the
+# infinite line, and run_walk sizes its window to the walk.
+WINDOWED = ("iter_steps", "evolve", "dense_series")
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_steps_follow_one_rule_in_every_engine(engine):
     # A Python or numpy integer is taken; a fraction, a bool, a string or a
     # negative count is refused with a ValueError that names the argument.
+    # An engine that steps the table's window refuses a walk that could
+    # leave it, with one message, before the first step.
     run = ENGINES[engine]
     for bad in (2.5, True, "3", None, np.float64(3.0), -1):
         message = f"steps must be a non-negative integer, got {bad!r}"
@@ -249,6 +254,40 @@ def test_steps_follow_one_rule_in_every_engine(engine):
     if isinstance(expected, tuple):
         expected, got = np.concatenate(expected), np.concatenate(got)
     assert np.array_equal(np.asarray(expected), np.asarray(got))
+    run(5)  # from the origin, the window's half-width in steps fits
+    if engine in WINDOWED:
+        with pytest.raises(LatticeExhaustedError) as err:
+            run(np.int64(6))
+        assert str(err.value) == (
+            "the walker occupies x = 0 .. 0 and can reach x = -6 .. 6 within steps=6, past the "
+            "sites x = -5 .. 5 of the window with half_width=5; rebuild the walk on a window "
+            "with a larger half_width"
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 30), width=st.integers(2, 12),
+       slack=st.integers(0, 3))
+def test_the_three_engines_agree_from_tables_with_both_parity_classes(seed, steps, width, slack):
+    # A random coin and a random table whose occupied sites, some of them
+    # zeroed, hold both parity classes: the recurrence and the dense engine
+    # agree at every step, and the momentum-space endpoint with both.
+    rng = np.random.default_rng(seed)
+    coin = make_coin(CoinParams(*random_coin_angles(rng)))
+    first = int(rng.integers(-width, 1))  # the occupied sites x = first .. first + width - 1
+    n = max(-first, first + width - 1) + steps + slack
+    start = np.zeros((2, 2 * n + 1), dtype=complex)
+    block = rng.normal(size=(2, width)) + 1j * rng.normal(size=(2, width))
+    block[:, 2:][:, rng.random(width - 2) < 0.3] = 0.0  # zeros inside, columns 0 and 1 kept
+    start[:, n + first : n + first + width] = block / np.linalg.norm(block)
+    recurrence = [start, *iter_steps(start, coin, steps)]
+    dense = list(dense_series(start, coin, steps))
+    assert len(dense) == len(recurrence) == steps + 1
+    for a, b in zip(recurrence, dense):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    endpoint = evolve(start, coin, steps)
+    assert np.max(np.abs(endpoint - recurrence[-1])) <= 1e-12
+    assert np.max(np.abs(endpoint - dense[-1])) <= 1e-12
 
 
 # ------------------------------------------------------------
