@@ -54,11 +54,25 @@ __all__ = ["main"]
 
 VERIFY_TOL = 1e-12
 
-#: Memory cap of one subcommand, in bytes.  Each subcommand estimates what it
-#: would hold (see ``_check_footprint``) before it allocates anything, and a
-#: request over the cap is a usage error (exit 2), not a MemoryError or an
-#: out-of-memory kill.
+#: Memory cap of one subcommand, in bytes.  Each guarded subcommand estimates
+#: what it would hold from its row of ``_LIMITS`` before it allocates
+#: anything, and a request over the cap is a usage error (exit 2), not a
+#: MemoryError or an out-of-memory kill.
 MAX_OP_BYTES = 2**30
+
+#: Per guarded subcommand: the fewest ``--steps`` it takes, the bytes it holds
+#: per step and the bytes per value it keeps (a site of a sweep, a point of a
+#: phase diagram's grids, the phi1 points counted twice for their gaps).  A
+#: request is estimated to hold ``_FIXED_BYTES``, one block of output text,
+#: plus its steps and values at these rates.  ``verify`` is bounded by
+#: ``DENSE_HALF_WIDTH_CAP`` instead.
+#: ``test_the_memory_estimate_brackets_the_traced_peak`` holds each estimate
+#: between 1.25 times the tracemalloc peak of the request (room for FFT
+#: scratch and allocator overhead, which tracemalloc does not see) and 4.2
+#: times that peak.
+_LIMITS = {"walk": (1, 168, 0), "sweep-theta": (1, 0, 84),
+           "phase-diagram": (1, 360, 72), "entanglement": (0, 480, 0)}
+_FIXED_BYTES = 2**20
 
 #: Rows of CSV text, or values of a JSON array, formatted at once; one block
 #: of text is alive at a time.
@@ -110,57 +124,6 @@ def _grid_values(grid: tuple[float, float, int]) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def _check_footprint(steps: int, values: int) -> None:
-    """Usage error if an op of ``steps`` steps keeping ``values`` values would pass MAX_OP_BYTES.
-
-    The estimate is the momentum engine's working set for ``walk``,
-    ``sweep-theta`` and ``phase-diagram``: the amplitude table, ``2 * (2T + 1)``
-    amplitudes of 16 B (counted as ``2 * (2T + 3)``, an upper bound), plus at
-    most three FFT arrays of ``M < 2(T + 1)`` amplitudes, which also covers
-    the temporaries of measuring the table.
-    ``verify`` is bounded by ``DENSE_HALF_WIDTH_CAP`` instead: it holds the
-    dense operator until its series has copied the operator's two
-    parity-coupled quarters, then the quarters while the series runs, then
-    the stacked tables of the dense and recurrence engines and their
-    differences, by tracemalloc at most 15.7 MB at 200 steps as CSV and as
-    JSON, the 10.3 MB operator and its 5.1 MB of quarters at once.
-    ``entanglement``
-    builds the table at the origin (three sites) and holds the
-    ``(T + 1) x 2 x 2`` Gram stack of its momentum-space series (64 B a
-    step), O(M) transform and coefficient arrays, the grid of its nonuniform
-    FFT (three rows of about ``2T`` amplitudes) and the closed-form spectra
-    (a few arrays of ``T + 1`` values): by tracemalloc the whole op peaks at
-    324 B a step as CSV and as JSON at T = 2 * 10^4, and at 318 B as both at
-    10^5 (341 and 321 B on the first op of a process), against the 672 B a
-    step estimated here.
-    ``phase-diagram`` holds two basis tables and their folds, at most 121 B a
-    site measured up to T = 3 * 10^5; the ``2T + 3`` values of one walk it
-    counts cover the rest.  It keeps its two grids and its ``n1`` gaps,
-    broadcast along phi2, and writes one block of rows at a time, so it
-    counts ``2 n1 + n2`` values and a block, not a value per cell: by
-    tracemalloc a 2048 x 2048 diagram at T = 10 peaks at 0.37 MB as CSV
-    (0.72 MB on the first op of a process) and 0.29 MB as JSON.
-    ``sweep-theta`` solves its K walks in one pass, so it holds the FFT
-    arrays and tables of all K at once, which its
-    ``K (2T + 4)`` values cover: by tracemalloc the whole op peaks at 56 B a
-    value as CSV and as JSON, with 72 angles at T = 300, 8 at 2 * 10^4 and
-    2 at 10^5 (43 to 61 B when the walks ran one at a time).
-    On top come 256 B for each value the op keeps and writes out (a site of a
-    kept distribution, a grid point, half a step of a series): the number and
-    at most 24 B of CSV columns built from it.  Both formats are written a
-    block of ``CSV_BLOCK_ROWS`` rows or array values at a time, so their text
-    and Python numbers take one block, not a share per value: by tracemalloc on
-    a walk, the JSON writer peaks at 0.57 MB at T = 2 * 10^4 and at 10^5
-    (14 and 3 B a value), and the whole op at 63 and 57 B a value as JSON and
-    57 B as CSV.
-    """
-    if 32 * (2 * steps + 3) + 96 * (steps + 1) + 256 * values > MAX_OP_BYTES:
-        raise _UsageError(
-            f"the request would hold more than the {MAX_OP_BYTES >> 20} MiB memory cap "
-            "of one run (MAX_OP_BYTES); ask for fewer steps or grid points"
-        )
-
-
 def _given(args: argparse.Namespace, named: str, flags: Sequence[str]) -> list[str]:
     """Those of ``flags`` given on the command line; usage error if ``named`` is given too."""
     given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_"), None) is not None]
@@ -208,9 +171,20 @@ def _init_amplitudes(args: argparse.Namespace) -> tuple[complex, complex]:
     return NAMED_INITS[args.init or "unbiased"]
 
 
-def _require_steps(args: argparse.Namespace, minimum: int = 1) -> int:
-    if args.steps < minimum:
-        raise _UsageError(f"--steps must be at least {minimum}, got {args.steps}")
+def _checked_steps(args: argparse.Namespace, values: int = 0) -> int:
+    """``args.steps``, checked against the subcommand's row of ``_LIMITS``.
+
+    Usage error if the steps are fewer than the row allows, or if the
+    request, keeping ``values`` values, would hold more than MAX_OP_BYTES.
+    """
+    fewest, per_step, per_value = _LIMITS[args.command]
+    if args.steps < fewest:
+        raise _UsageError(f"--steps must be at least {fewest}, got {args.steps}")
+    if _FIXED_BYTES + per_step * args.steps + per_value * values > MAX_OP_BYTES:
+        raise _UsageError(
+            f"the request would hold more than the {MAX_OP_BYTES >> 20} MiB memory cap "
+            "of one run (MAX_OP_BYTES); ask for fewer steps or grid points"
+        )
     return args.steps
 
 
@@ -391,8 +365,7 @@ def _walk_payload(
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
-    steps = _require_steps(args)
-    _check_footprint(steps, 2 * steps + 3)
+    steps = _checked_steps(args)
     params, degrees = _coin_params(args)
     alpha, beta = _init_amplitudes(args)
     probs = run_walk(params, alpha, beta, steps)
@@ -403,10 +376,9 @@ def cmd_walk(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_theta(args: argparse.Namespace) -> int:
-    steps = _require_steps(args)
     alpha, beta = _init_amplitudes(args)
     thetas = _parse_grid(args.theta_grid, "--theta-grid")
-    _check_footprint(steps, thetas[2] * (2 * steps + 4))
+    steps = _checked_steps(args, thetas[2] * (2 * args.steps + 1))
     thetas_deg = _grid_values(thetas)
     phi1_deg = args.phi1_deg or 0.0
     phi2_deg = args.phi2_deg or 0.0
@@ -434,14 +406,11 @@ def cmd_sweep_theta(args: argparse.Namespace) -> int:
 
 
 def cmd_phase_diagram(args: argparse.Namespace) -> int:
-    steps = _require_steps(args)
     params, degrees = _coin_params(args)
     alpha, beta = _init_amplitudes(args)
     phi1s = _parse_grid(args.phi1_grid, "--phi1-grid")
     phi2s = _parse_grid(args.phi2_grid, "--phi2-grid")
-    # The grids and the phi1 gaps (broadcast along phi2), and one block of rows.
-    cells = phi1s[2] * phi2s[2]
-    _check_footprint(steps, 2 * steps + 3 + 2 * phi1s[2] + phi2s[2] + min(cells, CSV_BLOCK_ROWS))
+    steps = _checked_steps(args, 2 * phi1s[2] + phi2s[2])
     phi1_deg, phi2_deg = _grid_values(phi1s), _grid_values(phi2s)
     delta = phase_diagram(
         params.theta, np.radians(phi1_deg), np.radians(phi2_deg), alpha, beta, steps
@@ -458,8 +427,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
 
 
 def cmd_entanglement(args: argparse.Namespace) -> int:
-    steps = _require_steps(args, minimum=0)
-    _check_footprint(steps, 2 * (steps + 1))
+    steps = _checked_steps(args)
     params, degrees = _coin_params(args)
     alpha, beta = _init_amplitudes(args)
     ranks, entropies = entanglement_series(initial_state(alpha, beta, 1), make_coin(params), steps)

@@ -290,3 +290,60 @@ def test_long_hadamard_walk_peaks_near_one_over_root_two():
 def test_a_walk_of_100000_steps_conserves_probability():
     probs = run_walk(named_coin("hadamard"), *UNBIASED_INIT, 100_000)
     assert abs(float(np.sum(probs)) - 1.0) <= 1e-10
+
+
+# ------------------------------------------------------------
+# Exact moments from the origin (Brun, Carteret & Ambainis, Phys. Rev. A 67,
+# 032304 (2003)): in the Heisenberg picture x_T = x_0 + sum_{s=1..T}
+# U^{-s} sigma_z U^s, with U(k) = diag(e^{-ik}, e^{ik}) C the step in
+# momentum space.  The oracle shares no FFT, window or read-out with the
+# engine.
+# ------------------------------------------------------------
+
+
+def _exact_moments(coin, alpha, beta, steps):
+    """E[x] and E[x^2] after ``steps`` steps from the origin, from the velocity form.
+
+    With ``U(k) = W diag(lambda) W^-1`` the sum is ``V = W (g * S) W^-1``,
+    where ``S = W^-1 sigma_z W`` and ``g_ij = sum_{s=1..T} (lambda_j /
+    lambda_i)^s``, a Dirichlet kernel, T where ``lambda_i = lambda_j``.
+    E[x] and E[x^2] are the means over k of ``<phi, V phi>`` and
+    ``|V phi|^2``, trigonometric polynomials of degree at most 4T, so the
+    mean over M = 4T + 2 equally spaced k is exact.
+    """
+    m = 4 * steps + 2
+    k = 2.0 * np.pi * np.arange(m) / m
+    u = np.exp(-1j * np.multiply.outer(k, [1.0, -1.0]))[:, :, None] * coin
+    lam, w = np.linalg.eig(u)
+    w_inv = np.linalg.inv(w)
+    s = w_inv @ (np.array([[1.0], [-1.0]]) * w)
+    omega = np.angle(lam[:, None, :] / lam[:, :, None])
+    half = np.sin(omega / 2.0)
+    kernel = np.divide(np.sin(steps * omega / 2.0), half, out=np.full_like(half, float(steps)),
+                       where=half != 0.0)
+    v = w @ (np.exp(0.5j * (steps + 1) * omega) * kernel * s) @ w_inv
+    phi = np.array([alpha, beta])
+    v_phi = v @ phi
+    return float((v_phi @ np.conj(phi)).real.mean()), float(np.sum(np.abs(v_phi) ** 2) / m)
+
+
+def _assert_exact_moments(params, alpha, beta, steps):
+    first, second = _exact_moments(make_coin(params), alpha, beta, steps)
+    probs = run_walk(params, alpha, beta, steps)
+    positions = np.arange(-steps, steps + 1, dtype=np.float64)
+    assert abs(float(np.sum(probs * positions)) - first) <= 1e-13 * steps
+    assert abs(float(np.sum(probs * positions**2)) - second) <= 1e-13 * steps**2
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta=angles, phi1=angles, phi2=angles, seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(1, 2000))
+def test_moments_match_the_exact_velocity_form(theta, phi1, phi2, seed, steps):
+    assume(theta % (math.pi / 2.0) != 0.0)
+    _assert_exact_moments(CoinParams(theta, phi1, phi2),
+                          *normalized_pair(np.random.default_rng(seed)), steps)
+
+
+def test_moments_of_a_long_walk_match_the_exact_velocity_form():
+    rng = np.random.default_rng(7)
+    _assert_exact_moments(CoinParams(*random_coin_angles(rng)), *normalized_pair(rng), 100_000)

@@ -118,8 +118,12 @@ def test_complex_components_are_accepted():
 
 
 def test_unnormalized_state_reports_the_deficit():
-    with pytest.raises(ValueError, match="deviates from 1"):
+    with pytest.raises(ValueError) as excinfo:
         initial_state(0.8, 0.1, 3)
+    assert str(excinfo.value) == (
+        "coin state must be normalized: |alpha|^2 + |beta|^2 = 0.6500000000000001 "
+        "deviates from 1 by -3.500e-01"
+    )
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf * 1j])
