@@ -61,7 +61,8 @@ VERIFY_TOL = 1e-12
 MAX_OP_BYTES = 2**30
 
 #: Per guarded subcommand: the fewest ``--steps`` it takes, the bytes it holds
-#: per step and the bytes per value it keeps (a site of a sweep, a point of a
+#: per step and the bytes per value it keeps (for a sweep, the 2T + 1 sites of
+#: an angle and five more for its coin, label and JSON block; a point of a
 #: phase diagram's grids, the phi1 points counted twice for their gaps).  A
 #: request is estimated to hold ``_FIXED_BYTES``, one block of output text,
 #: plus its steps and values at these rates.  ``verify`` is bounded by
@@ -70,8 +71,8 @@ MAX_OP_BYTES = 2**30
 #: between 1.25 times the tracemalloc peak of the request (room for FFT
 #: scratch and allocator overhead, which tracemalloc does not see) and 4.2
 #: times that peak.
-_LIMITS = {"walk": (1, 168, 0), "sweep-theta": (1, 0, 84),
-           "phase-diagram": (1, 360, 72), "entanglement": (0, 480, 0)}
+_LIMITS = {"walk": (1, 168, 0), "sweep-theta": (1, 0, 96),
+           "phase-diagram": (1, 360, 48), "entanglement": (0, 480, 0)}
 _FIXED_BYTES = 2**20
 
 #: Rows of CSV text, or values of a JSON array, formatted at once; one block
@@ -196,8 +197,8 @@ def _csv(header: str, *columns: np.ndarray, labels: np.ndarray | None = None) ->
     ``labels[k]`` lead with it and then take each column in turn, whole if
     it is 1-D, and its row ``k`` if it is 2-D.  Integer cells print with
     ``%d``, float cells with ``%.17g``, the same text as
-    ``format(value, ".17g")``.  A label is formatted once per block, and the
-    1-D columns of a labelled table once in all.  A column broadcast along
+    ``format(value, ".17g")``.  A label is formatted when its run begins, and
+    the 1-D columns of a labelled table once in all.  A column broadcast along
     its rows (stride 0 on its last axis, such as a phase diagram's gaps)
     holds one value a run: it is formatted once per run, and its text is
     repeated down each block.  Each column passes through ``tolist`` on its
@@ -206,7 +207,7 @@ def _csv(header: str, *columns: np.ndarray, labels: np.ndarray | None = None) ->
     if labels is None:
         leads, columns = [None], [column[None] for column in columns]
     else:
-        leads = [_cell_format(labels) % label for label in labels.tolist()]
+        leads = map(_cell_format(labels).__mod__, labels)
     fixed = [column for column in columns if column.ndim == 1]
     per_label = [column for column in columns if column.ndim == 2]
     # The template of a row: its label, then the text of the 1-D columns and
@@ -378,7 +379,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
 def cmd_sweep_theta(args: argparse.Namespace) -> int:
     alpha, beta = _init_amplitudes(args)
     thetas = _parse_grid(args.theta_grid, "--theta-grid")
-    steps = _checked_steps(args, thetas[2] * (2 * args.steps + 1))
+    steps = _checked_steps(args, thetas[2] * (2 * args.steps + 6))
     thetas_deg = _grid_values(thetas)
     phi1_deg = args.phi1_deg or 0.0
     phi2_deg = args.phi2_deg or 0.0
