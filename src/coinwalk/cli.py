@@ -39,7 +39,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -189,49 +189,49 @@ def _checked_steps(args: argparse.Namespace, values: int = 0) -> int:
     return args.steps
 
 
-def _csv(header: str, *columns: np.ndarray, labels: np.ndarray | None = None) -> Iterator[str]:
+def _csv(header: str, *columns: np.ndarray) -> Iterator[str]:
     """CSV text of ``columns`` under ``header``, at most ``CSV_BLOCK_ROWS`` rows per string.
 
-    Without ``labels`` the columns are 1-D and of equal length, a row per
-    entry.  With ``labels`` the rows come in one run per label: the rows of
-    ``labels[k]`` lead with it and then take each column in turn, whole if
-    it is 1-D, and its row ``k`` if it is 2-D.  Integer cells print with
-    ``%d``, float cells with ``%.17g``, the same text as
-    ``format(value, ".17g")``.  A label is formatted when its run begins, and
-    the 1-D columns of a labelled table once in all.  A column broadcast along
-    its rows (stride 0 on its last axis, such as a phase diagram's gaps)
-    holds one value a run: it is formatted once per run, and its text is
-    repeated down each block.  Each column passes through ``tolist`` on its
-    own, so integer cells stay Python ints, exact at any size.
+    The columns broadcast against each other, a 1-D column as one row, and
+    the rows are the cells of the broadcast ``(runs, width)`` shape in
+    row-major order: a run of ``width`` rows per index of the first axis.
+    Integer cells print with ``%d``, float cells with ``%.17g``, the same
+    text as ``format(value, ".17g")``.  The strides say what repeats.  A
+    column of stride 0 on its first axis is the same in every run, such as a
+    sweep's positions or a diagram's phi2: it is formatted once in all.  One
+    of stride 0 on its last axis holds one value a run, such as a leading
+    ``(runs, 1)`` label or a diagram's gaps: it is formatted when its run
+    begins, and its text is repeated down each block.  Each column passes
+    through ``tolist`` on its own, so integer cells stay Python ints, exact
+    at any size.
     """
-    if labels is None:
-        leads, columns = [None], [column[None] for column in columns]
-    else:
-        leads = map(_cell_format(labels).__mod__, labels)
-    fixed = [column for column in columns if column.ndim == 1]
-    per_label = [column for column in columns if column.ndim == 2]
-    # The template of a row: its label, then the text of the 1-D columns and
-    # the format of the 2-D ones, ``%s`` for text made once.  A first ``%``
-    # fills in the 1-D text and turns the doubled ``%%`` of the rest into
-    # formats; with no 1-D column the formats are written as they are, and
-    # no first pass is needed.
+    columns = np.broadcast_arrays(*map(np.atleast_2d, columns))
+    runs, width = columns[0].shape
+    # A 1-D column has stride 0 on its new first axis.  With one run there is
+    # nothing to share, and per run no template of a block is kept.
+    shared = [runs > 1 and c.strides[0] == 0 for c in columns]
+    fixed = [c[0] for c, same in zip(columns, shared) if same]
+    per_run = [c for c, same in zip(columns, shared) if not same]
+    # The template of a row: the text of the shared columns and the format
+    # of the others, ``%s`` for text made once a run.  A first ``%`` fills in
+    # the shared text and turns the doubled ``%%`` of the rest into formats;
+    # with no shared column the formats are written as they are, and no
+    # first pass is needed.
     esc = "%" if fixed else ""
     cells = (
-        _cell_format(c) if c.ndim == 1 else esc + ("%s" if c.strides[-1] == 0 else _cell_format(c))
-        for c in columns
+        _cell_format(c) if same else esc + ("%s" if c.strides[-1] == 0 else _cell_format(c))
+        for c, same in zip(columns, shared)
     )
-    row = (esc + "%s," if labels is not None else "") + ",".join(cells) + "\n"
-    width = columns[0].shape[-1]
-    # The templates of the blocks, made once: by first row while 1-D text is
-    # in them, else by length, of which there are at most two.
+    row = ",".join(cells) + "\n"
+    # The templates of the blocks, made once: by first row while shared text
+    # is in them, else by length, of which there are at most two.
     templates = {}
     yield header + "\n"
-    for k, lead in enumerate(leads):
-        # The label, then row k of each 2-D column: the label and a broadcast
-        # row as the one-item list of their text, made once; other rows as they are.
-        runs = [[lead]] if lead is not None else []
-        runs += [[_cell_format(c) % v for v in c[k, :1].tolist()] if c.strides[-1] == 0
-                 else c[k] for c in per_label]
+    for k in range(runs):
+        # Row k of each column: one value a run as the one-item list of its
+        # text, made once; other rows as they are.
+        parts_k = [[_cell_format(c) % v for v in c[k, :1].tolist()] if c.strides[-1] == 0
+                   else c[k] for c in per_run]
         for start in range(0, width, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, width)
             key = start if fixed else stop - start
@@ -241,8 +241,8 @@ def _csv(header: str, *columns: np.ndarray, labels: np.ndarray | None = None) ->
                 if fixed:
                     template %= _interleave([c[start:stop].tolist() for c in fixed])
                 templates[key] = template
-            parts = [run * (stop - start) if isinstance(run, list) else run[start:stop].tolist()
-                     for run in runs]
+            parts = [part * (stop - start) if isinstance(part, list) else part[start:stop].tolist()
+                     for part in parts_k]
             yield template % _interleave(parts)
 
 
@@ -304,21 +304,15 @@ def _json(obj: object, level: int = 0) -> Iterator[str]:
         yield json.dumps(obj, default=lambda a: a.tolist())
 
 
-def _emit(
-    args: argparse.Namespace,
-    payload: object,
-    header: str,
-    *columns: np.ndarray,
-    labels: np.ndarray | None = None,
-) -> None:
-    """Write ``payload`` as JSON, or ``columns`` (and ``labels``) as CSV under ``header``.
+def _emit(args: argparse.Namespace, payload: object, header: str, *columns: np.ndarray) -> None:
+    """Write ``payload`` as JSON, or ``columns`` as CSV under ``header``; --format chooses.
 
-    --format chooses; see :func:`_csv` for the columns and labels.
+    See :func:`_csv` for how the columns make rows.
     """
     if args.format == "json":
         _write(itertools.chain(_json(payload), "\n"), args.out)
     else:
-        _write(_csv(header, *columns, labels=labels), args.out)
+        _write(_csv(header, *columns), args.out)
 
 
 def _write(chunks: Iterable[str], out_path: str | None) -> None:
@@ -402,7 +396,7 @@ def cmd_sweep_theta(args: argparse.Namespace) -> int:
             for theta_deg, row in zip(thetas_deg, probs)
         ]
     header = "theta_deg,position,probability"
-    _emit(args, payload, header, positions, probs, labels=thetas_deg)
+    _emit(args, payload, header, thetas_deg[:, None], positions, probs)
     return 0
 
 
@@ -423,7 +417,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         "phi2_deg": phi2_deg,
         "delta": delta,
     }
-    _emit(args, payload, "phi1_deg,phi2_deg,delta", phi2_deg, delta, labels=phi1_deg)
+    _emit(args, payload, "phi1_deg,phi2_deg,delta", phi1_deg[:, None], phi2_deg, delta)
     return 0
 
 
@@ -501,23 +495,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------
 
 
-def _add_coin_flags(parser: argparse.ArgumentParser, phases: bool = True) -> None:
-    parser.add_argument(
-        "--coin",
-        choices=sorted(NAMED_COINS),
-        help="named coin (conflicts with the explicit angle flags)",
-    )
-    parser.add_argument("--theta-deg", type=float, help="rotation angle in degrees")
+def _add_subcommand(
+    sub: argparse._SubParsersAction, name: str, handler: Callable[[argparse.Namespace], int],
+    *, coin: bool = True, phases: bool = True, **kwargs,
+) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` with its ``handler`` and the flags that subcommands share.
+
+    Those are the coin flags if ``coin``, the phase flags if ``phases``, the
+    start-state flags, ``--steps`` if the subcommand has a row of
+    ``_LIMITS`` (its help names the row's fewest steps) and the output
+    flags.  ``kwargs`` go to ``add_parser``; the caller adds the
+    subcommand's own flags to the parser returned.
+    """
+    parser = sub.add_parser(name, **kwargs)
+    if coin:
+        parser.add_argument(
+            "--coin",
+            choices=sorted(NAMED_COINS),
+            help="named coin (conflicts with the explicit angle flags)",
+        )
+        parser.add_argument("--theta-deg", type=float, help="rotation angle in degrees")
     if phases:
-        _add_phase_flags(parser)
-
-
-def _add_phase_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, nth in (("--phi1-deg", "first"), ("--phi2-deg", "second")):
-        parser.add_argument(flag, type=float, help=f"{nth} phase angle in degrees (default 0)")
-
-
-def _add_init_flags(parser: argparse.ArgumentParser) -> None:
+        for flag, nth in (("--phi1-deg", "first"), ("--phi2-deg", "second")):
+            parser.add_argument(flag, type=float, help=f"{nth} phase angle in degrees (default 0)")
     parser.add_argument(
         "--init",
         choices=sorted(NAMED_INITS),
@@ -530,11 +530,14 @@ def _add_init_flags(parser: argparse.ArgumentParser) -> None:
         ("--beta-im", "Im of the tail amplitude"),
     ):
         parser.add_argument(flag, type=float, help=f"custom initial state: {doc}")
-
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    if name in _LIMITS:
+        parser.add_argument(
+            "--steps", type=int, required=True, help=f"number of steps (>= {_LIMITS[name][0]})"
+        )
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     parser.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 @functools.cache
@@ -546,64 +549,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    walk = sub.add_parser("walk", help="run one walk, emit position,probability")
-    _add_coin_flags(walk)
-    _add_init_flags(walk)
-    walk.add_argument("--steps", type=int, required=True, help="number of steps (>= 1)")
-    _add_output_flags(walk)
-    walk.set_defaults(handler=cmd_walk)
+    _add_subcommand(sub, "walk", cmd_walk, help="run one walk, emit position,probability")
 
-    sweep = sub.add_parser("sweep-theta", help="one walk per rotation angle of a grid")
+    sweep = _add_subcommand(
+        sub, "sweep-theta", cmd_sweep_theta, coin=False,
+        help="one walk per rotation angle of a grid",
+    )
     sweep.add_argument(
         "--theta-grid",
         default="0:315:45",
         metavar="START:STOP:STEP",
         help="rotation-angle grid in degrees, stop inclusive (default 0:315:45)",
     )
-    _add_phase_flags(sweep)
-    _add_init_flags(sweep)
-    sweep.add_argument("--steps", type=int, required=True, help="number of steps (>= 1)")
-    _add_output_flags(sweep)
-    sweep.set_defaults(handler=cmd_sweep_theta)
 
-    phase = sub.add_parser(
-        "phase-diagram",
+    phase = _add_subcommand(
+        sub, "phase-diagram", cmd_phase_diagram, phases=False,
         help="peak gap over a (phi1, phi2) grid",
         description="Peak gap over a (phi1, phi2) grid at one rotation angle.  The angle "
         "comes from --theta-deg or from the theta of the named --coin; the phases come "
         "from --phi1-grid and --phi2-grid only.",
     )
-    _add_coin_flags(phase, phases=False)
-    _add_init_flags(phase)
-    phase.add_argument("--steps", type=int, required=True, help="number of steps (>= 1)")
-    phase.add_argument(
-        "--phi1-grid",
-        default="0:150:30",
-        metavar="START:STOP:STEP",
-        help="phi1 grid in degrees, stop inclusive (default 0:150:30)",
-    )
-    phase.add_argument(
-        "--phi2-grid",
-        default="0:150:30",
-        metavar="START:STOP:STEP",
-        help="phi2 grid in degrees, stop inclusive (default 0:150:30)",
-    )
-    _add_output_flags(phase)
-    phase.set_defaults(handler=cmd_phase_diagram)
+    for phi in ("phi1", "phi2"):
+        phase.add_argument(
+            f"--{phi}-grid",
+            default="0:150:30",
+            metavar="START:STOP:STEP",
+            help=f"{phi} grid in degrees, stop inclusive (default 0:150:30)",
+        )
 
-    ent = sub.add_parser("entanglement", help="Schmidt rank and entropy after each step")
-    _add_coin_flags(ent)
-    _add_init_flags(ent)
-    ent.add_argument("--steps", type=int, required=True, help="number of steps (>= 0)")
-    _add_output_flags(ent)
-    ent.set_defaults(handler=cmd_entanglement)
+    _add_subcommand(
+        sub, "entanglement", cmd_entanglement, help="Schmidt rank and entropy after each step"
+    )
 
-    verify = sub.add_parser(
-        "verify",
+    verify = _add_subcommand(
+        sub, "verify", cmd_verify,
         help="cross-check the recurrence and momentum engines against the dense operator",
     )
-    _add_coin_flags(verify)
-    _add_init_flags(verify)
     verify.add_argument(
         "--max-steps",
         type=int,
@@ -611,8 +592,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"compare the engines after each of this many steps (1..{DENSE_HALF_WIDTH_CAP})",
     )
     verify.add_argument("--corrupt-coin", action="store_true", help=argparse.SUPPRESS)
-    _add_output_flags(verify)
-    verify.set_defaults(handler=cmd_verify)
 
     return parser
 

@@ -28,11 +28,9 @@ __all__ = [
     "NAMED_COINS",
     "make_coin",
     "named_coin",
-    "check_unitary",
 ]
 
-#: Largest entry of ``M^dagger M - I`` that :func:`check_unitary` and the
-#: momentum-space engine accept.
+#: Largest entry of ``M^dagger M - I`` that the momentum-space engine accepts.
 _UNITARY_TOL = 1e-12
 
 
@@ -169,17 +167,3 @@ def _unitarity_residuals(coins: Sequence[np.ndarray]) -> tuple[np.ndarray, np.nd
         gram = stack.conj().transpose(0, 2, 1) @ stack
         residuals = np.max(np.abs(gram - np.eye(2)), axis=(1, 2))
     return stack, residuals
-
-
-def _unitarity_residual(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """The checked coin and ``max |M^dagger M - I|``: :func:`_unitarity_residuals` of one coin."""
-    (m,), (residual,) = _unitarity_residuals([matrix])
-    return m, float(residual)
-
-
-def check_unitary(matrix: np.ndarray) -> bool:
-    """True iff a (2, 2) matrix is unitary: no entry of ``M^dagger M - I`` exceeds 1e-12.
-
-    Raises ValueError unless the shape is (2, 2) and every entry is finite.
-    """
-    return _unitarity_residual(matrix)[1] <= _UNITARY_TOL

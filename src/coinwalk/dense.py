@@ -44,7 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .coin import _unitarity_residual
+from .coin import _unitarity_residuals
 from .state import check_amplitudes, check_reach, check_steps, check_walk_steps
 
 __all__ = ["build_step_unitary", "dense_series"]
@@ -52,7 +52,7 @@ __all__ = ["build_step_unitary", "dense_series"]
 #: Most steps, and so the largest window half-width, the dense engine accepts.
 DENSE_HALF_WIDTH_CAP = 200
 
-_UNITARY_TOL = 1e-10
+_OPERATOR_TOL = 1e-10
 
 
 def build_step_unitary(coin: np.ndarray, half_width: int) -> np.ndarray:
@@ -85,11 +85,11 @@ def build_step_unitary(coin: np.ndarray, half_width: int) -> np.ndarray:
         raise ValueError(
             f"dense operator takes a half-width of 1 to {DENSE_HALF_WIDTH_CAP}, got {n}"
         )
-    c, worst = _unitarity_residual(coin)
-    if not worst <= _UNITARY_TOL:
+    (c,), (worst,) = _unitarity_residuals([coin])
+    if not worst <= _OPERATOR_TOL:
         raise ValueError(
             f"step operator is not unitary: max |U^H U - I| = {worst:.3e} "
-            f"exceeds {_UNITARY_TOL:.0e} (is the coin matrix unitary?)"
+            f"exceeds {_OPERATOR_TOL:.0e} (is the coin matrix unitary?)"
         )
     w = 2 * n + 1
     col = np.arange(w)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .coin import CoinParams, check_coin_matrix, make_coin
 from .momentum import _check_coins, _origin, _states
-from .state import check_amplitudes, check_coin_state, check_reach, check_steps, check_walk_steps
-from .state import distribution
+from .state import _probabilities, check_amplitudes, check_coin_state, check_reach, check_steps
+from .state import check_walk_steps
 
 __all__ = ["iter_steps", "evolve", "run_walk"]
 
@@ -129,4 +129,4 @@ def run_walk(
     steps = check_walk_steps(steps)
     alpha, beta = check_coin_state(alpha, beta)
     origin = _origin(alpha, beta, steps)
-    return distribution(_states(origin, [make_coin(params)], steps, (2, 2 * steps + 1)))
+    return _probabilities(_states(origin, [make_coin(params)], steps, (2, 2 * steps + 1)))

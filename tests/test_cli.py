@@ -1,5 +1,6 @@
 """Tests for the command-line interface: formats, flags, exit codes."""
 
+import argparse
 import contextlib
 import errno
 import io
@@ -358,6 +359,43 @@ def test_the_memory_estimate_brackets_the_traced_peak(capsys, monkeypatch, tmp_p
     assert _guard_admits(capsys, monkeypatch, argv, int(_MAX_OVERESTIMATE * peak))
 
 
+def _estimate(capsys, monkeypatch, argv):
+    """The memory estimate of ``argv`` in bytes: the smallest cap that the guard admits it under."""
+    refused, admitted = 0, 2**31
+    while admitted - refused > 1:
+        cap = (refused + admitted) // 2
+        if _guard_admits(capsys, monkeypatch, argv, cap):
+            admitted = cap
+        else:
+            refused = cap
+    return admitted
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_memory_estimate_brackets_the_traced_growth_of_a_phi1_grid(
+    capsys, monkeypatch, tmp_path, fmt
+):
+    # Below about 27,000 phi1 points the fixed part of the estimate hides its
+    # phi1 rate, so this holds the rate alone: the growth of the estimate from
+    # 1000 to 4000 points over the growth of the traced peak.  The fixed part
+    # cancels in that ratio once its block of output text is full at both
+    # sizes, so the block is shrunk to 256 rows or values.
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 256)
+
+    def argv(n):
+        return ["phase-diagram", "--theta-deg", "40", "--phi1-grid", f"0:{n - 1}:1", "--steps",
+                "10", "--format", fmt, "--out", str(tmp_path / "out")]
+
+    main(argv(2))  # the warm-up op
+    peaks = []
+    for n in (1000, 4000):
+        code, peak = _traced(main, argv(n))
+        assert code == 0
+        peaks.append(peak)
+    low, high = (_estimate(capsys, monkeypatch, argv(n)) for n in (1000, 4000))
+    assert 1.25 < (high - low) / (peaks[1] - peaks[0]) <= _MAX_OVERESTIMATE
+
+
 def test_verify_at_the_dense_cap_frees_the_operator_before_stepping(tmp_path):
     # The dense series copies the two parity-coupled quarters of its operator
     # (half of it) and drops the operator before the first step, so the
@@ -510,6 +548,36 @@ def test_phase_diagram_accepts_a_peak_that_rounds_above_one(capsys):
     assert len(deltas) == 18 * 6
     assert max(deltas) > 1.0
     assert max(deltas) <= 1.0 + 1e-10
+
+
+_COIN_FLAGS = ["--coin", "--theta-deg"]
+_PHASE_FLAGS = ["--phi1-deg", "--phi2-deg"]
+_INIT_FLAGS = ["--init", "--alpha-re", "--alpha-im", "--beta-re", "--beta-im"]
+_OUTPUT_FLAGS = ["--format", "--out"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("walk", [*_COIN_FLAGS, *_PHASE_FLAGS, *_INIT_FLAGS, "--steps", *_OUTPUT_FLAGS]),
+        ("sweep-theta", [*_PHASE_FLAGS, *_INIT_FLAGS, "--steps", *_OUTPUT_FLAGS, "--theta-grid"]),
+        ("phase-diagram", [*_COIN_FLAGS, *_INIT_FLAGS, "--steps", *_OUTPUT_FLAGS, "--phi1-grid",
+                           "--phi2-grid"]),
+        ("entanglement", [*_COIN_FLAGS, *_PHASE_FLAGS, *_INIT_FLAGS, "--steps", *_OUTPUT_FLAGS]),
+        ("verify", [*_COIN_FLAGS, *_PHASE_FLAGS, *_INIT_FLAGS, *_OUTPUT_FLAGS, "--max-steps",
+                    "--corrupt-coin"]),
+    ],
+    ids=["walk", "sweep-theta", "phase-diagram", "entanglement", "verify"],
+)
+def test_each_subcommand_accepts_exactly_its_flags(command, flags):
+    (subcommands,) = [action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    actions = subcommands.choices[command]._actions
+    assert [flag for action in actions for flag in action.option_strings] == ["-h", "--help", *flags]
+    # --steps, where a subcommand takes it, names the fewest steps of its row of the limits.
+    helps = [action.help for action in actions if action.dest == "steps"]
+    fewest = [cli._LIMITS[command][0]] if command in cli._LIMITS else []
+    assert helps == [f"number of steps (>= {n})" for n in fewest]
 
 
 def test_phase_diagram_takes_no_phase_flags(capsys):
@@ -907,15 +975,16 @@ def test_csv_writer_formats_blocks_of_integer_and_float_rows():
 
 
 def test_csv_writer_leads_each_run_of_rows_with_its_label():
-    # Each label leads its rows, which take a 1-D column whole and row k of a
-    # 2-D one; a run of more than one block starts a new string per block.
+    # A (K, 1) label column leads each run of rows, which take a 1-D column
+    # whole and row k of a 2-D one; a run of more than one block starts a new
+    # string per block.
     width = cli.CSV_BLOCK_ROWS + 3
     inner = np.arange(width) - 5
     values = np.linspace(-1.0, 1.0, 2 * width).reshape(2, width)
     labels = np.array([0.1 * 3, -0.0])
     # One value a label, broadcast along its run (stride 0), as a phase diagram's gaps.
     spread = np.broadcast_to(np.array([[-0.0], [5e-324]]), values.shape)
-    chunks = list(cli._csv("a,b,c,d", inner, values, spread, labels=labels))
+    chunks = list(cli._csv("a,b,c,d", labels[:, None], inner, values, spread))
     assert len(chunks) == 1 + 2 * 2  # the header, then two blocks per label
     cell = lambda v: str(v) if isinstance(v, int) else format(v, ".17g")  # noqa: E731
     runs = zip(labels.tolist(), values.tolist(), [-0.0, 5e-324])
@@ -923,8 +992,8 @@ def test_csv_writer_leads_each_run_of_rows_with_its_label():
     expected = "a,b,c,d\n" + "".join(",".join(map(cell, r)) + "\n" for r in rows)
     assert _lines("".join(chunks)) == _lines(expected)
     # Integer labels and 2-D integer columns stay exact above 2**53.
-    text = "".join(cli._csv("i,f,j", np.array([0.5, -2.0]), np.array([[2**53 + 1, 7], [0, -1]]),
-                            labels=np.array([2**53 + 3, -4])))
+    text = "".join(cli._csv("i,f,j", np.array([[2**53 + 3], [-4]]), np.array([0.5, -2.0]),
+                            np.array([[2**53 + 1, 7], [0, -1]])))
     assert text == ("i,f,j\n9007199254740995,0.5,9007199254740993\n9007199254740995,-2,7\n"
                     "-4,0.5,0\n-4,-2,-1\n")
 

@@ -12,7 +12,6 @@ from coinwalk import (
     CoinParams,
     NAMED_COINS,
     build_step_unitary,
-    check_unitary,
     dense_series,
     entanglement_series,
     evolve,
@@ -21,6 +20,7 @@ from coinwalk import (
     make_coin,
     named_coin,
 )
+from coinwalk.momentum import _check_coins
 
 from conftest import angles
 
@@ -106,7 +106,7 @@ def test_entry_relations(theta, phi1, phi2):
 
 @given(theta=angles, phi1=angles, phi2=angles)
 def test_coin_is_unitary(theta, phi1, phi2):
-    assert check_unitary(make_coin(CoinParams(theta, phi1, phi2)))
+    _check_coins([make_coin(CoinParams(theta, phi1, phi2))])
 
 
 @given(theta=angles, phi1=angles, phi2=angles)
@@ -158,16 +158,19 @@ def test_unknown_name_lists_the_options():
 
 
 # ------------------------------------------------------------
-# check_unitary and check_coin_matrix
+# The unitarity rule of the momentum-space engine, and check_coin_matrix
 # ------------------------------------------------------------
+
+_NOT_UNITARY = "the momentum-space engine needs a unitary coin"
 
 
 def test_identity_is_unitary():
-    assert check_unitary(np.eye(2, dtype=complex))
+    _check_coins([np.eye(2, dtype=complex)])
 
 
 def test_projector_is_not_unitary():
-    assert not check_unitary(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
+    with pytest.raises(ValueError, match=_NOT_UNITARY):
+        _check_coins([np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)])
 
 
 def test_derived_case_33_70_10_degrees():
@@ -180,22 +183,24 @@ def test_derived_case_33_70_10_degrees():
             expected = 1.0 if i == j else 0.0
             worst = max(worst, abs(entry - expected))
     assert worst <= 1e-12
-    assert check_unitary(m)
+    _check_coins([m])
 
 
 def test_tolerance_is_respected():
     # |1 + e|^2 - 1 is about 2e: the tolerance on M^dagger M - I is 1e-12.
-    assert check_unitary(np.diag([1.0 + 4e-13, 1.0]))
-    assert not check_unitary(np.diag([1.0 + 6e-13, 1.0]))
+    _check_coins([np.diag([1.0 + 4e-13, 1.0])])
+    with pytest.raises(ValueError, match=_NOT_UNITARY):
+        _check_coins([np.diag([1.0 + 6e-13, 1.0])])
 
 
 _START = initial_state(*UNBIASED_INIT, 2)
 
-# Every public caller that takes a coin matrix; each checks it at one raising site.
+# Every public caller that takes a coin matrix, and the momentum-space
+# engine's stacked check; each checks it at one raising site.
 _COIN_USERS = pytest.mark.parametrize(
     "use_coin",
     [
-        check_unitary,
+        lambda coin: _check_coins([coin]),
         lambda coin: iter_steps(_START, coin, 1),
         lambda coin: evolve(_START, coin, 1),
         lambda coin: entanglement_series(_START, coin, 1),
@@ -203,7 +208,7 @@ _COIN_USERS = pytest.mark.parametrize(
         lambda coin: next(dense_series(_START, coin, 1)),
     ],
     ids=[
-        "check_unitary",
+        "_check_coins",
         "iter_steps",
         "evolve",
         "entanglement_series",
@@ -233,12 +238,12 @@ def test_a_non_finite_coin_is_rejected_with_one_message(use_coin, bad):
 @pytest.mark.parametrize(
     "use_coin, message",
     [
-        (check_unitary, None),
+        (lambda coin: _check_coins([coin]), "needs a unitary coin"),
         (lambda coin: evolve(_START, coin, 2), "needs a unitary coin"),
         (lambda coin: entanglement_series(_START, coin, 1), "needs a unitary coin"),
         (lambda coin: build_step_unitary(coin, 2), "step operator is not unitary"),
     ],
-    ids=["check_unitary", "evolve", "entanglement_series", "build_step_unitary"],
+    ids=["_check_coins", "evolve", "entanglement_series", "build_step_unitary"],
 )
 def test_an_overflowing_coin_fails_the_unitarity_check_without_a_warning(use_coin, message):
     # Finite entries whose squares overflow M^dagger M to inf: each caller
@@ -246,8 +251,5 @@ def test_an_overflowing_coin_fails_the_unitarity_check_without_a_warning(use_coi
     coin = np.array([[1e200, 0.0], [0.0, 1.0]], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if message is None:
-            assert use_coin(coin) is False
-        else:
-            with pytest.raises(ValueError, match=message):
-                use_coin(coin)
+        with pytest.raises(ValueError, match=message):
+            use_coin(coin)

@@ -18,7 +18,7 @@ from coinwalk import (
     run_walk,
 )
 from coinwalk import dense
-from coinwalk.coin import _unitarity_residual
+from coinwalk.coin import _unitarity_residuals
 
 from conftest import normalized_pair, random_coin_angles
 
@@ -184,7 +184,7 @@ def test_the_coin_residual_is_the_operator_residual():
         for coin in coins:
             u = shift @ np.kron(coin, np.eye(w))
             worst = np.max(np.abs(u.conj().T @ u - np.eye(2 * w)))
-            assert abs(_unitarity_residual(coin)[1] - worst) <= 1e-15
+            assert abs(_unitarity_residuals([coin])[1][0] - worst) <= 1e-15
 
 
 # ------------------------------------------------------------

@@ -293,25 +293,27 @@ def test_a_walk_of_100000_steps_conserves_probability():
 
 
 # ------------------------------------------------------------
-# Exact moments from the origin (Brun, Carteret & Ambainis, Phys. Rev. A 67,
-# 032304 (2003)): in the Heisenberg picture x_T = x_0 + sum_{s=1..T}
-# U^{-s} sigma_z U^s, with U(k) = diag(e^{-ik}, e^{ik}) C the step in
-# momentum space.  The oracle shares no FFT, window or read-out with the
-# engine.
+# Exact moments (Brun, Carteret & Ambainis, Phys. Rev. A 67, 032304 (2003)):
+# in the Heisenberg picture x_T = x_0 + V with V = sum_{s=1..T} U^{-s}
+# sigma_z U^s, where U(k) = diag(e^{-ik}, e^{ik}) C is the step in momentum
+# space.  The oracle shares no FFT, window or read-out with the engine.
 # ------------------------------------------------------------
 
 
-def _exact_moments(coin, alpha, beta, steps):
-    """E[x] and E[x^2] after ``steps`` steps from the origin, from the velocity form.
+def _exact_moments(coin, sites, amplitudes, steps):
+    """E[x] and E[x^2] after ``steps`` steps from ``amplitudes[:, j]`` at the positions ``sites[j]``.
 
     With ``U(k) = W diag(lambda) W^-1`` the sum is ``V = W (g * S) W^-1``,
     where ``S = W^-1 sigma_z W`` and ``g_ij = sum_{s=1..T} (lambda_j /
-    lambda_i)^s``, a Dirichlet kernel, T where ``lambda_i = lambda_j``.
-    E[x] and E[x^2] are the means over k of ``<phi, V phi>`` and
-    ``|V phi|^2``, trigonometric polynomials of degree at most 4T, so the
-    mean over M = 4T + 2 equally spaced k is exact.
+    lambda_i)^s``, a Dirichlet kernel, T where ``lambda_i = lambda_j``.  With
+    ``psi^(k) = sum_x psi_x e^{-ikx}``, E[x] is ``E_0[x]`` plus the mean over
+    k of ``<psi^, V psi^>``, and E[x^2] is ``E_0[x^2]`` plus that of
+    ``2 Re <(x psi)^, V psi^> + |V psi^|^2``.  These are trigonometric
+    polynomials of degree at most 4T + 2N for sites within ``|x| <= N``, so
+    the mean over M = 4T + 4N + 2 equally spaced k is exact.
     """
-    m = 4 * steps + 2
+    sites = np.asarray(sites)
+    m = 4 * steps + 4 * int(np.max(np.abs(sites))) + 2
     k = 2.0 * np.pi * np.arange(m) / m
     u = np.exp(-1j * np.multiply.outer(k, [1.0, -1.0]))[:, :, None] * coin
     lam, w = np.linalg.eig(u)
@@ -322,13 +324,18 @@ def _exact_moments(coin, alpha, beta, steps):
     kernel = np.divide(np.sin(steps * omega / 2.0), half, out=np.full_like(half, float(steps)),
                        where=half != 0.0)
     v = w @ (np.exp(0.5j * (steps + 1) * omega) * kernel * s) @ w_inv
-    phi = np.array([alpha, beta])
-    v_phi = v @ phi
-    return float((v_phi @ np.conj(phi)).real.mean()), float(np.sum(np.abs(v_phi) ** 2) / m)
+    waves = np.exp(-1j * np.multiply.outer(k, sites))
+    psi, x_psi = waves @ amplitudes.T, waves @ (sites * amplitudes).T
+    v_psi = np.einsum("mij,mj->mi", v, psi)
+    weights = np.sum(np.abs(amplitudes) ** 2, axis=0)
+    first = weights @ sites + np.sum(np.conj(psi) * v_psi).real / m
+    second = (weights @ sites**2 + 2.0 * np.sum(np.conj(x_psi) * v_psi).real / m
+              + np.sum(np.abs(v_psi) ** 2) / m)
+    return float(first), float(second)
 
 
 def _assert_exact_moments(params, alpha, beta, steps):
-    first, second = _exact_moments(make_coin(params), alpha, beta, steps)
+    first, second = _exact_moments(make_coin(params), [0], np.array([[alpha], [beta]]), steps)
     probs = run_walk(params, alpha, beta, steps)
     positions = np.arange(-steps, steps + 1, dtype=np.float64)
     assert abs(float(np.sum(probs * positions)) - first) <= 1e-13 * steps
@@ -347,3 +354,39 @@ def test_moments_match_the_exact_velocity_form(theta, phi1, phi2, seed, steps):
 def test_moments_of_a_long_walk_match_the_exact_velocity_form():
     rng = np.random.default_rng(7)
     _assert_exact_moments(CoinParams(*random_coin_angles(rng)), *normalized_pair(rng), 100_000)
+
+
+def _assert_exact_moments_from_a_table(coin, first_site, amplitudes, steps):
+    """Check ``evolve`` from ``amplitudes`` on the sites from ``first_site`` on against the oracle."""
+    sites = first_site + np.arange(amplitudes.shape[1])
+    n = int(np.max(np.abs(sites)))
+    table = np.zeros((2, 2 * (n + steps) + 1), dtype=complex)
+    table[:, sites + n + steps] = amplitudes
+    first, second = _exact_moments(coin, sites, amplitudes, steps)
+    probs = np.sum(np.abs(evolve(table, coin, steps)) ** 2, axis=0)
+    positions = np.arange(-(n + steps), n + steps + 1, dtype=np.float64)
+    assert abs(float(np.sum(probs * positions)) - first) <= 1e-13 * (steps + n)
+    assert abs(float(np.sum(probs * positions**2)) - second) <= 1e-13 * (steps + n) ** 2
+
+
+def _random_table(rng, size):
+    """A normalized ``(2, size)`` table of random complex amplitudes."""
+    amplitudes = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
+    return amplitudes / np.linalg.norm(amplitudes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta=angles, phi1=angles, phi2=angles, seed=st.integers(0, 2**32 - 1),
+       size=st.integers(2, 9), first_site=st.integers(-8, 8), steps=st.integers(1, 2000))
+def test_moments_from_a_table_match_the_exact_velocity_form(theta, phi1, phi2, seed, size,
+                                                            first_site, steps):
+    # Two sites or more in a row: both parity classes are occupied.
+    assume(theta % (math.pi / 2.0) != 0.0)
+    _assert_exact_moments_from_a_table(make_coin(CoinParams(theta, phi1, phi2)), first_site,
+                                       _random_table(np.random.default_rng(seed), size), steps)
+
+
+def test_moments_of_a_long_walk_from_a_table_match_the_exact_velocity_form():
+    rng = np.random.default_rng(11)
+    coin = make_coin(CoinParams(*random_coin_angles(rng)))
+    _assert_exact_moments_from_a_table(coin, -4, _random_table(rng, 9), 10_000)
