@@ -48,7 +48,12 @@ stepping, from any start table (``_grams``, the engine of
 :func:`coinwalk.entanglement.entanglement_series`): each parity class of
 the table is a walk from its own span in the label ``y``, and by Parseval
 the Gram matrix is a sum over the wavenumbers of sines and cosines of
-``2 t omega``, which one nonuniform FFT takes at all ``t`` at once.
+``2 t omega``, which one nonuniform FFT takes at all ``t`` at once.  As
+``Re tr V = 2 Re(u C'00)``, the dispersion ``cos omega = |C'00| cos(a - q/2)``,
+``a = arg C'00``, is even about ``q = 2a``, so the series puts its
+wavenumbers on the grid ``q = 2a + 2 pi k / M``, symmetric about that axis:
+``k`` and ``-k`` share one frequency, and each distinct frequency is spread
+once.  Parseval holds on any shifted uniform grid.
 """
 
 from __future__ import annotations
@@ -64,13 +69,13 @@ from .state import check_amplitudes, check_reach, check_steps
 
 __all__: list[str] = []
 
-#: Grid points on either side of a wavenumber that :func:`_trig_sums` spreads
+#: Grid points on either side of a frequency that :func:`_trig_sums` spreads
 #: it onto.  Against the exact sums, for the Hadamard coin and three random
 #: coins at 2000 to 2 * 10^4 steps, 16 kept the Gram matrices within 6e-14 and
 #: 12 only within 1.1e-12, too close to the 1e-12 the entropies must meet.
 _SPREAD = 16
 
-#: Wavenumbers that :func:`_trig_sums` spreads at once.
+#: Frequencies that :func:`_trig_sums` spreads at once.
 _SPREAD_CHUNK = 512
 
 
@@ -104,20 +109,22 @@ def _closed_form(
     alpha: complex | np.ndarray,
     beta: complex | np.ndarray,
     coins: Sequence[np.ndarray],
-    m: int,
+    angle: np.ndarray,
 ) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The SU(2) pieces of the closed form of ``K`` coins at the wavenumbers ``q = 2 pi j / m``.
+    """The SU(2) pieces of the closed form of ``K`` coins at the ``m`` half-angles ``angle = -q/2``.
 
     Returns the ``K`` values ``delta / 2``, ``u = e^{-iq/2}``, the ``(K, 2, m)``
     tables ``(V - cos(omega) I) (alpha, beta)``, and ``sin(omega)`` and
     ``omega``, each ``(K, m)``.  ``alpha`` and ``beta`` are the coin state,
-    or its transform at each wavenumber.  The 2x2 arithmetic of each coin is
+    or its transform at each wavenumber.  :func:`_states` passes
+    ``angle = -pi j / m`` (``q = 2 pi j / m``) and :func:`_grams` the grid
+    symmetric about the coin's axis.  The 2x2 arithmetic of each coin is
     scalar; only the O(m) arrays hold all the coins.  Row ``k`` is the
     one-coin result bit for bit: every array operation is elementwise, on
     the operands of the one-coin case, with each coin's scalars broadcast
     along its row.
     """
-    k = len(coins)
+    k, m = len(coins), angle.size
     half_deltas = []
     diag = np.empty((k, 2, 1), dtype=np.complex128)  # C'00 and C'11
     off = np.empty((k, 1))  # hypot(|C'01|, |C'10|)
@@ -130,11 +137,9 @@ def _closed_form(
         off[j] = math.hypot(abs(c[0, 1]), abs(c[1, 0]))
         mixed[j, 0] = c[0, 1] * beta
         mixed[j, 1] = c[1, 0] * alpha
-    angle = np.arange(m) * (-math.pi / m)
     u = np.empty(m, dtype=np.complex128)  # e^{-iq/2}
     np.cos(angle, out=u.real)
     np.sin(angle, out=u.imag)
-    del angle
     # Rows of ``spec``: first the diagonal of V, then of V - cos(omega) I, and
     # at last (V - cos(omega) I) (alpha, beta).
     spec = np.empty((k, 2, m), dtype=np.complex128)
@@ -190,7 +195,9 @@ def _states(classes: list[tuple[int, np.ndarray]], coins: Sequence[np.ndarray], 
         s = span.shape[1]
         m = _fft_size(s + steps)
         alpha, beta = span[:, 0] if s == 1 else np.fft.fft(span, m, axis=1)
-        half_deltas, u, spec, sin_w, omega = _closed_form(alpha, beta, coins, m)
+        angle = np.arange(m) * (-math.pi / m)  # -q/2 at q = 2 pi j / m
+        half_deltas, u, spec, sin_w, omega = _closed_form(alpha, beta, coins, angle)
+        del angle
         # ratio = sin(T omega) / sin(omega); where sin(omega) = 0, spec is already 0.
         omega *= steps
         ratio = np.sin(omega)
@@ -228,14 +235,14 @@ def _trig_sums(freq: np.ndarray, coef: np.ndarray, steps: int) -> np.ndarray:
     Gaussian gridding (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993);
     Greengard & Lee, SIAM Rev. 46, 443 (2004)): with ``t = k + h``,
     ``h = steps // 2``, each row is ``F(k) = sum_j c_j e^{i k f_j}`` with
-    ``c = coef e^{i h f}`` and ``|k| <= (steps + 1) / 2``.  Each wavenumber is
+    ``c = coef e^{i h f}`` and ``|k| <= (steps + 1) / 2``.  Each frequency is
     spread onto ``_SPREAD`` points on either side of ``f_j`` on a cyclic grid
     of ``mr`` points at least twice the number of modes, with the Gaussian
     ``exp(-d^2 / 4 tau)``; one inverse FFT of the grid and the factor
     ``sqrt(pi / tau) e^{k^2 tau}`` undo the convolution.  ``tau`` is set
     from the grid actually used, so the kernel's tail beyond the spread
-    stays below 1e-16 for every ``steps``.  The wavenumbers are sorted by
-    frequency and spread ``_SPREAD_CHUNK`` at a time onto the chunk's own
+    stays below 1e-16 for every ``steps``.  The frequencies are sorted
+    and spread ``_SPREAD_CHUNK`` at a time onto the chunk's own
     range of cells, so the temporaries stay small whatever ``steps``.
     """
     rows = coef.shape[0]
@@ -271,7 +278,9 @@ def _trig_sums(freq: np.ndarray, coef: np.ndarray, steps: int) -> np.ndarray:
     grid[:, sp : 2 * sp] += grid[:, mr + sp :]
     sums = np.empty((rows, steps + 1))
     for r in range(rows):  # one row at a time keeps one spectrum alive
-        sums[r] = np.roll(np.fft.ifft(grid[r, sp : sp + mr]), h)[: steps + 1].imag  # k = t - h
+        spec = np.fft.ifft(grid[r, sp : sp + mr]).imag  # k = t - h sits at k mod mr
+        sums[r, :h] = spec[mr - h :]
+        sums[r, h:] = spec[: steps + 1 - h]
     sums *= math.sqrt(math.pi / tau) * np.exp(tau * np.arange(-h, steps - h + 1) ** 2)
     return sums
 
@@ -288,7 +297,12 @@ def _grams(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> np.ndarray:
     span's first site (the spans of :func:`coinwalk.state.check_reach`).  A
     span of ``s`` sites reaches ``s + T`` labels, so on ``M >= s + T``
     wavenumbers, ``s`` the wider span, the transform
-    ``psi(q)`` of each span (one FFT) never wraps.  By Parseval
+    ``psi(q) = sum_y psi_y e^{-iqy}`` of each span never wraps.  The
+    wavenumbers are ``q_k = 2a + 2 pi k / M``, ``k`` in FFT order
+    (``0, 1, .., -2, -1``) and ``a = arg C00 - delta / 2`` the axis of the
+    dispersion (see the module docstring), so ``psi(q_k)`` is one FFT of the
+    span twisted by ``e^{-2iay}``; the origin's one site (``y = 0``) takes
+    no twist.  By Parseval
     ``G(t) = (1/M) sum_q phi phi^dagger`` summed over the classes, with
     ``phi = V^t psi``: the phase ``s^t`` cancels.  With
     ``V^t psi = cos(t omega) psi + sin(t omega) w`` and
@@ -302,11 +316,15 @@ def _grams(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> np.ndarray:
     ``C_q = (psi w^dagger + w psi^dagger) / (2M)``, each summed over the
     classes: ``omega_q`` is the same for both, so their terms add.  Three
     real sums carry ``G00``, ``Re G10`` and ``Im G10``; ``G11`` is the norm
-    minus ``G00``.  :func:`_trig_sums` evaluates them at every t by one
-    nonuniform FFT, in O((s + T) log(s + T)) and within 1e-13 of the exact
-    sums.  A walker at the origin is one class of one site, on ``T + 1``
-    wavenumbers.  Overflow is left to the caller's spectrum check: a table
-    near the float maximum gives non-finite Gram matrices.
+    minus ``G00``.  ``Abar`` and ``G(0)`` average over all ``M``
+    wavenumbers.  ``omega`` is even in ``k``, so the coefficients of ``-k``
+    are added to those of ``k`` (an even ``M``'s ``k = -M/2`` is its own
+    mirror), each pair takes the frequency ``omega_k + omega_-k``, and
+    :func:`_trig_sums` evaluates the ``M // 2 + 1`` folded sums at every t by
+    one nonuniform FFT, in O((s + T) log(s + T)) and within 1e-13 of the
+    exact sums.  A walker at the origin is one class of one site, on
+    ``M >= T + 1`` wavenumbers.  Overflow is left to the caller's spectrum
+    check: a table near the float maximum gives non-finite Gram matrices.
 
     Raises
     ------
@@ -319,6 +337,10 @@ def _grams(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> np.ndarray:
     # The zero table walks as one empty site.
     spans = [amp[:, a : b + 1 : 2] for a, b in check_reach(amp, 0)] or [amp[:, :1]]
     m = _fft_size(max(span.shape[1] for span in spans) + steps)
+    # The axis a = arg C'00 of the dispersion, and the half-angles -q/2 of the
+    # wavenumbers q = 2a + 2 pi k / m, k in FFT order: row k pairs with -k.
+    axis = cmath.phase(c[0, 0]) - cmath.phase(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) / 2.0
+    angle = np.fft.ifftshift(np.arange(m) - m // 2) * (-math.pi / m) - axis
     # Rows: C + iB of G00, of Re G10 and of Im G10, times 2M.
     coef = np.zeros((3, m), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -326,8 +348,9 @@ def _grams(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> np.ndarray:
         gram0 = amp @ amp.conj().T
         g00, g10 = gram0[0, 0].real / 2.0, gram0[1, 0] / 2.0  # Abar
         for span in spans:
-            alpha, beta = np.fft.fft(span, m, axis=1)
-            _, _, (w,), (sin_w,), (omega,) = _closed_form(alpha, beta, [c], m)
+            # The transform on the shifted grid: twist e^{-2iay}, then an FFT.
+            alpha, beta = np.fft.fft(span * np.exp(-2j * axis * np.arange(span.shape[1])), m, axis=1)
+            _, _, (w,), (sin_w,), (omega,) = _closed_form(alpha, beta, [c], angle)
             np.divide(w, sin_w, out=w, where=sin_w > 0.0)  # where sin(omega) = 0, w is already 0
             head, tail = w
             power = head.real**2 + head.imag**2  # |w0|^2
@@ -343,9 +366,13 @@ def _grams(amplitudes: np.ndarray, coin: np.ndarray, steps: int) -> np.ndarray:
             coef[1].imag -= cross.real
             coef[2].real += mixed.imag
             coef[2].imag -= cross.imag
-        del alpha, beta, w, sin_w, head, tail, power, cross, mixed, rho00, rho10
-        coef /= 2 * m
-        omega *= 2.0
+        del alpha, beta, w, sin_w, head, tail, power, cross, mixed, rho00, rho10, angle
+        # omega is even in k: fold the rows of -k onto those of k, so that each
+        # distinct frequency is spread once.  An even m's k = -m/2 has no pair.
+        half = m // 2 + 1
+        coef[:, 1 : (m + 1) // 2] += coef[:, : m // 2 : -1]
+        coef = coef[:, :half] / (2 * m)
+        omega = omega[:half] + omega[-np.arange(half)]  # 2 omega, averaging the pair's rounding
         sums = _trig_sums(omega, coef, steps)
         del coef, omega
 

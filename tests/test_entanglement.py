@@ -21,8 +21,9 @@ from coinwalk import (
     named_coin,
     schmidt_spectrum,
 )
+from coinwalk import momentum
 from coinwalk.entanglement import _RANK_TOL, _entropies, _gram, _spectra
-from coinwalk.momentum import _grams
+from coinwalk.momentum import _fft_size, _grams
 
 from conftest import angles, normalized_pair, random_coin_angles
 
@@ -376,6 +377,55 @@ def test_a_walk_that_leaves_its_window_is_the_walk_on_the_line():
         iter_steps(table, coin, steps)
     assert np.max(np.abs(_grams(table, coin, steps) - _recurrence_grams(table, coin, steps))) <= 1e-13
     _assert_series_agree(table, coin, steps)
+
+
+@pytest.mark.parametrize(
+    "span, steps, size",
+    [(1, 26, 27), (1, 63, 64), (7, 40, 45)],
+    ids=["origin-odd-window", "origin-even-window", "table"],
+)
+def test_grams_spread_each_frequency_once(monkeypatch, span, steps, size):
+    # The dispersion is even about the coin's axis, so the rows of k and -k of
+    # the window share one frequency: the series spreads M // 2 + 1 of them.
+    # A 7-site table has spans of 4 and 3 sites, both parity classes occupied.
+    trig_sums, seen = momentum._trig_sums, []
+
+    def spy(freq, coef, steps):
+        seen.append(freq.size)
+        return trig_sums(freq, coef, steps)
+
+    monkeypatch.setattr(momentum, "_trig_sums", spy)
+    table = _random_table(np.random.default_rng(15), 4, span)
+    assert _fft_size((span + 1) // 2 + steps) == size
+    _grams(table, make_coin(CoinParams(*random_coin_angles(np.random.default_rng(16)))), steps)
+    assert seen == [size // 2 + 1]
+
+
+@pytest.mark.parametrize(
+    "coin",
+    [
+        make_coin(CoinParams(0.0, 0.0, 0.0)),
+        make_coin(CoinParams(0.0, 0.7, -1.9)),
+        make_coin(CoinParams(math.pi / 2.0, 0.7, -1.9)),
+        make_coin(CoinParams(1e-9, 0.3, 2.1)),
+        make_coin(CoinParams(math.pi / 2.0 - 1e-9, -2.5, 0.4)),
+        np.eye(2, dtype=complex),
+        np.diag([1.0, 1j]),
+    ],
+    ids=["theta-0", "theta-0-phases", "theta-90-phases", "theta-1e-9", "theta-90-less-1e-9",
+         "identity", "diag-1-i"],
+)
+def test_grams_of_degenerate_coins_match_the_recurrence(coin):
+    # Coins whose sin(omega) vanishes on the axis of the folded window
+    # (theta = 0), whose axis is arbitrary (C'00 = 0 at theta = 90 degrees)
+    # or nearly so, on odd and even windows, the even ones with the unpaired
+    # row k = -M / 2.
+    rng = np.random.default_rng(17)
+    for span in (1, 2, 5):
+        table = _random_table(rng, 3, span)
+        for steps in (2, 7, 8, 26, 63, 134):
+            gap = np.max(np.abs(_grams(table, coin, steps) - _recurrence_grams(table, coin, steps)))
+            assert gap <= 1e-13, (span, steps, gap)
 
 
 @pytest.mark.parametrize(
